@@ -56,6 +56,7 @@ EXIT_CODES = {
     errors.EncodingError: 21,
     errors.TrainingDiverged: 22,
     errors.NotTrained: 23,
+    errors.InvalidObjective: 24,
 }
 
 
@@ -161,8 +162,8 @@ def _sweep_config(args) -> ObjectiveConfig:
 
 
 def cmd_sweep(args) -> int:
-    records = read_records(args.records, require_labels=True)
     config = _sweep_config(args)
+    records = read_records(args.records, require_labels=True)
     result = sweep(records, config)
     out_dir = _out_dir(args)
     prefix = args.out or str(out_dir / "sweep")
@@ -180,6 +181,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    config = _sweep_config(args)
     dataset = load_dataset(args.dataset, sensitive=args.sensitive,
                            label_column=args.label_column)
     X, y, rules = encode(dataset)
@@ -194,7 +196,6 @@ def cmd_pipeline(args) -> int:
         return [ScoredRecord(proba=float(p), group=int(g), label=int(lbl))
                 for p, g, lbl in zip(probas, groups[idx], y[idx])]
 
-    config = _sweep_config(args)
     val_records = as_records(idx_val)
     result = sweep(val_records, config)
 

@@ -62,3 +62,7 @@ class TrainingDiverged(MaddError):
 
 class NotTrained(MaddError):
     pass
+
+
+class InvalidObjective(MaddError):
+    pass

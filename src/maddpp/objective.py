@@ -10,12 +10,18 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .densities import G0, bin_index, build_density_vector, madd
-from .errors import EmptyGroup, EmptyPopulation, LengthMismatch, MissingLabels
+from .densities import G0, build_density_vector
+from .errors import (
+    EmptyGroup,
+    EmptyPopulation,
+    InvalidLambda,
+    InvalidObjective,
+    LengthMismatch,
+    MissingLabels,
+)
 from .transport import FipMap, generalized_inverse
 
 DEFAULT_THETA = 0.5
@@ -25,6 +31,8 @@ DEFAULT_GRID_SIZE = 1000
 
 def default_lambda_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Evenly spaced lambda values over [0, 1] inclusive."""
+    if size < 1:
+        raise InvalidObjective(f"the lambda grid needs at least one point, got {size}")
     return np.linspace(0.0, 1.0, size)
 
 
@@ -38,10 +46,14 @@ class ObjectiveConfig:
     def __post_init__(self):
         object.__setattr__(self, "lambda_grid", np.asarray(self.lambda_grid, dtype=float))
         g = self.lambda_grid
-        assert 0.0 <= self.theta <= 1.0, "theta must be in [0, 1]"
-        assert 0.0 < self.threshold < 1.0, "threshold must be in (0, 1)"
-        assert g.size > 0 and np.all(np.diff(g) >= 0), "lambda grid must be sorted, non-empty"
-        assert g[0] >= 0.0 and g[-1] <= 1.0, "lambda grid must lie in [0, 1]"
+        if not 0.0 <= self.theta <= 1.0:
+            raise InvalidObjective(f"theta must be in [0, 1], got {self.theta}")
+        if not 0.0 < self.threshold < 1.0:
+            raise InvalidObjective(f"threshold must be in (0, 1), got {self.threshold}")
+        if g.ndim != 1 or g.size == 0 or not np.all(np.diff(g) >= 0):
+            raise InvalidObjective("lambda grid must be a sorted, non-empty 1-d array")
+        if not (g[0] >= 0.0 and g[-1] <= 1.0):
+            raise InvalidLambda(f"lambda grid must lie in [0, 1], got [{g[0]}, {g[-1]}]")
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,7 @@ class SweepResult:
     lambda_star: float
     min_total_loss: float
     config: ObjectiveConfig
+    repairs: int = 0  # (lambda, group, cut) suffix starts re-found by bisection
 
     def rows(self):
         return zip(self.lambdas.tolist(), self.accuracy_losses.tolist(),
@@ -110,23 +123,30 @@ def fairness_loss(records, m: int) -> float:
     p1 = [r.proba for r in records if r.group != G0]
     if not p0 or not p1:
         raise EmptyGroup("both groups must be non-empty")
-    return 0.5 * madd(build_density_vector(p0, m), build_density_vector(p1, m))
+    return _half_l1(build_density_vector(p0, m).bins, build_density_vector(p1, m).bins)
+
+
+def _half_l1(proportions0, proportions1) -> float:
+    """Half the L1 distance between two groups' bin proportions: half the MADD."""
+    return 0.5 * float(np.abs(proportions0 - proportions1).sum())
 
 
 def total_loss(acc: float, fair: float, theta: float) -> float:
     return (1.0 - theta) * acc + theta * fair
 
 
-def sweep(records, config: ObjectiveConfig,
-          sample_loss: Callable[[np.ndarray, np.ndarray, float], float] | None = None,
-          ) -> SweepResult:
+def sweep(records, config: ObjectiveConfig) -> SweepResult:
     """Evaluate the objective on every grid lambda and select lambda_star.
 
-    The group and pooled CDFs are built once; each grid point only mixes
-    their knots, remaps the batch, and rescores.  `sample_loss`, when
-    given, replaces the default 0/1 accuracy loss; it receives the
-    remapped probabilities, the labels and the threshold, and must return
-    a non-negative mean loss.
+    The remap is non-decreasing in a record's quantile under its own
+    group's CDF, so once a group is sorted by that quantile, the records
+    remapped to at least any cut q form a suffix.  Each group is sorted
+    once; a grid point then only finds, per group, where that suffix starts
+    for each of the m - 1 interior bin edges and the threshold.  Bin counts
+    are differences of those starts and wrong predictions come from label
+    counts before the threshold's start.  The sweep costs
+    O(n log n + G * m * log n) for n records and G grid points, and its
+    losses are bit-identical to remapping every record at every lambda.
     """
     labels = np.array([-1 if r.label is None else r.label for r in records])
     if np.any(labels < 0):
@@ -138,34 +158,67 @@ def sweep(records, config: ObjectiveConfig,
         raise EmptyGroup("both groups must be non-empty")
 
     base = FipMap.from_probas(probas[mask0], probas[~mask0], 0.0, config.m)
-    # per-record quantile under its own group's CDF, fixed across lambdas
-    u = np.empty_like(probas)
-    u[mask0] = np.clip(base.cdf_g0(probas[mask0]), 0.0, 1.0)
-    u[~mask0] = np.clip(base.cdf_g1(probas[~mask0]), 0.0, 1.0)
+    # per group: quantiles under the group's own CDF, sorted, and the number
+    # of positive labels before each sorted position
+    sorted_groups = []
+    for mask, cdf in ((mask0, base.cdf_g0), (~mask0, base.cdf_g1)):
+        u = np.clip(cdf(probas[mask]), 0.0, 1.0)
+        order = np.argsort(u, kind="stable")
+        sorted_groups.append((u[order], np.concatenate(([0], np.cumsum(labels[mask][order])))))
+    # interior bin edges exactly as `bin_index` computes them, then the threshold
+    cuts = np.append(np.arange(1, config.m) / config.m, config.threshold)
 
     grid = config.lambda_grid
     acc = np.empty(grid.size)
     fair = np.empty(grid.size)
-    edges_bins = config.m
-    n0 = int(mask0.sum())
-    n1 = int((~mask0).sum())
-
+    repairs = 0
     for i, lam in enumerate(grid.tolist()):
         fm = FipMap(lam=lam, cdf_g0=base.cdf_g0, cdf_g1=base.cdf_g1, cdf_all=base.cdf_all)
-        new_p = np.empty_like(probas)
-        new_p[mask0] = generalized_inverse(fm.mixed_g0, u[mask0])
-        new_p[~mask0] = generalized_inverse(fm.mixed_g1, u[~mask0])
-        if sample_loss is None:
-            acc[i] = float(np.mean(apply_threshold(new_p, config.threshold) != labels))
-        else:
-            acc[i] = float(sample_loss(new_p, labels, config.threshold))
-        c0 = np.bincount(bin_index(new_p[mask0], edges_bins), minlength=edges_bins)
-        c1 = np.bincount(bin_index(new_p[~mask0], edges_bins), minlength=edges_bins)
-        fair[i] = 0.5 * float(np.abs(c0 / n0 - c1 / n1).sum())
+        wrong = 0
+        proportions = []
+        for (su, ones_before), mixed in zip(sorted_groups, (fm.mixed_g0, fm.mixed_g1)):
+            starts, repaired = _suffix_starts(mixed, su, cuts)
+            repairs += repaired
+            c_t = int(starts[-1])
+            # predicted 1 from c_t on: positives before it and negatives after it are wrong
+            wrong += 2 * int(ones_before[c_t]) + (su.size - c_t) - int(ones_before[-1])
+            counts = np.diff(np.concatenate(([0], starts[:-1], [su.size])))
+            proportions.append(counts / su.size)
+        acc[i] = wrong / probas.size
+        fair[i] = _half_l1(*proportions)
 
     tot = (1.0 - config.theta) * acc + config.theta * fair
     # argmin with ties broken toward the largest lambda
     best = grid.size - 1 - int(np.argmin(tot[::-1]))
     return SweepResult(lambdas=grid, accuracy_losses=acc, fairness_losses=fair,
                        total_losses=tot, lambda_star=float(grid[best]),
-                       min_total_loss=float(tot[best]), config=config)
+                       min_total_loss=float(tot[best]), config=config, repairs=repairs)
+
+
+def _suffix_starts(mixed, sorted_u, cuts) -> tuple[np.ndarray, int]:
+    """For each cut q, the first index i with remap(sorted_u[i]) >= q, or
+    sorted_u.size if there is none; also the number of cuts re-found.
+
+    The candidate is the first quantile above mixed(q).  One
+    `generalized_inverse` call on its two neighbours confirms it.  Rounding
+    can make it wrong when quantiles sit on knots; such cuts are re-found by
+    bisection over `sorted_u` with the same function, one call per step.
+    """
+    n = sorted_u.size
+    c = np.searchsorted(sorted_u, mixed(cuts), side="right")
+    v = generalized_inverse(mixed, sorted_u[np.concatenate((np.maximum(c - 1, 0),
+                                                            np.minimum(c, n - 1)))])
+    ok = ((c == 0) | (v[:c.size] < cuts)) & ((c == n) | (v[c.size:] >= cuts))
+    if ok.all():
+        return c, 0
+    q = cuts[~ok]
+    lo = np.zeros(q.size, dtype=c.dtype)
+    hi = np.full(q.size, n, dtype=c.dtype)
+    while (active := lo < hi).any():
+        mid = (lo + hi) // 2
+        reached = np.zeros_like(active)
+        reached[active] = generalized_inverse(mixed, sorted_u[mid[active]]) >= q[active]
+        hi = np.where(active & reached, mid, hi)
+        lo = np.where(active & ~reached, mid + 1, lo)
+    c[~ok] = lo
+    return c, q.size

@@ -1,0 +1,54 @@
+"""Reference lambda sweep: remap every record at every grid point.
+
+This is the per-record definition of `maddpp.objective.sweep`, kept as the
+oracle the fast sweep must match exactly (`==`, no tolerance).  It costs
+O(G * n * log m) for a grid of G lambdas and n records.
+"""
+
+import numpy as np
+
+from maddpp.densities import G0, bin_index
+from maddpp.errors import EmptyGroup, MissingLabels
+from maddpp.objective import ObjectiveConfig, SweepResult, apply_threshold
+from maddpp.transport import FipMap, generalized_inverse
+
+
+def oracle_sweep(records, config: ObjectiveConfig) -> SweepResult:
+    labels = np.array([-1 if r.label is None else r.label for r in records])
+    if np.any(labels < 0):
+        raise MissingLabels("every record needs a label to sweep")
+    groups = np.array([r.group for r in records])
+    probas = np.array([r.proba for r in records], dtype=float)
+    mask0 = groups == G0
+    if not mask0.any() or mask0.all():
+        raise EmptyGroup("both groups must be non-empty")
+
+    base = FipMap.from_probas(probas[mask0], probas[~mask0], 0.0, config.m)
+    # per-record quantile under its own group's CDF, fixed across lambdas
+    u = np.empty_like(probas)
+    u[mask0] = np.clip(base.cdf_g0(probas[mask0]), 0.0, 1.0)
+    u[~mask0] = np.clip(base.cdf_g1(probas[~mask0]), 0.0, 1.0)
+
+    grid = config.lambda_grid
+    acc = np.empty(grid.size)
+    fair = np.empty(grid.size)
+    edges_bins = config.m
+    n0 = int(mask0.sum())
+    n1 = int((~mask0).sum())
+
+    for i, lam in enumerate(grid.tolist()):
+        fm = FipMap(lam=lam, cdf_g0=base.cdf_g0, cdf_g1=base.cdf_g1, cdf_all=base.cdf_all)
+        new_p = np.empty_like(probas)
+        new_p[mask0] = generalized_inverse(fm.mixed_g0, u[mask0])
+        new_p[~mask0] = generalized_inverse(fm.mixed_g1, u[~mask0])
+        acc[i] = float(np.mean(apply_threshold(new_p, config.threshold) != labels))
+        c0 = np.bincount(bin_index(new_p[mask0], edges_bins), minlength=edges_bins)
+        c1 = np.bincount(bin_index(new_p[~mask0], edges_bins), minlength=edges_bins)
+        fair[i] = 0.5 * float(np.abs(c0 / n0 - c1 / n1).sum())
+
+    tot = (1.0 - config.theta) * acc + config.theta * fair
+    # argmin with ties broken toward the largest lambda
+    best = grid.size - 1 - int(np.argmin(tot[::-1]))
+    return SweepResult(lambdas=grid, accuracy_losses=acc, fairness_losses=fair,
+                       total_losses=tot, lambda_star=float(grid[best]),
+                       min_total_loss=float(tot[best]), config=config)

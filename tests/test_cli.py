@@ -127,6 +127,15 @@ class TestSweepCommand:
         assert run(tmp_path, "sweep", str(path)) == 19
         assert "MissingLabels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [["--theta", "2"], ["--t", "0"], ["--grid", "0"],
+                                        ["--grid", "-1"]])
+    def test_invalid_objective_exit_code(self, tmp_path, capsys, option):
+        path = tmp_path / "r.csv"
+        write_records([ScoredRecord(0.4, 0, 0), ScoredRecord(0.6, 1, 1)], path)
+        assert run(tmp_path, "sweep", str(path), *option) == 24
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidObjective: ") and err.count("\n") == 1
+
 
 class TestSimulatedEndToEnd:
     def test_default_simulation_madd_and_sweep(self, tmp_path):

@@ -1,11 +1,23 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maddpp.densities import ScoredRecord
-from maddpp.errors import EmptyGroup, EmptyPopulation, LengthMismatch, MissingLabels
+import maddpp
+from maddpp.densities import ScoredRecord, build_density_vector, madd
+from maddpp.errors import (
+    EmptyGroup,
+    EmptyPopulation,
+    InvalidLambda,
+    InvalidObjective,
+    LengthMismatch,
+    MissingLabels,
+)
 from maddpp.objective import (
     ObjectiveConfig,
     accuracy_loss,
@@ -67,6 +79,49 @@ class TestFairnessLoss:
     def test_empty_group(self):
         with pytest.raises(EmptyGroup):
             fairness_loss([ScoredRecord(0.1, 0)], 2)
+
+    def test_is_half_the_madd(self):
+        rng = np.random.default_rng(11)
+        recs = labeled_records(rng, 300)
+        d0 = build_density_vector([r.proba for r in recs if r.group == 0], 30)
+        d1 = build_density_vector([r.proba for r in recs if r.group == 1], 30)
+        assert fairness_loss(recs, 30) == 0.5 * madd(d0, d1)
+
+
+class TestObjectiveConfig:
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"theta": 5.0}, InvalidObjective),
+        ({"theta": -0.1}, InvalidObjective),
+        ({"theta": float("nan")}, InvalidObjective),
+        ({"threshold": 0.0}, InvalidObjective),
+        ({"threshold": 1.0}, InvalidObjective),
+        ({"threshold": 3.0}, InvalidObjective),
+        ({"lambda_grid": []}, InvalidObjective),
+        ({"lambda_grid": [0.5, 0.2]}, InvalidObjective),
+        ({"lambda_grid": [[0.0, 1.0]]}, InvalidObjective),
+        ({"lambda_grid": [-0.5, 0.5]}, InvalidLambda),
+        ({"lambda_grid": [0.0, 1.5]}, InvalidLambda),
+        ({"lambda_grid": [float("nan")]}, InvalidLambda),
+    ])
+    def test_typed_errors(self, kwargs, error):
+        with pytest.raises(error):
+            ObjectiveConfig(**kwargs)
+
+    def test_empty_default_grid(self):
+        with pytest.raises(InvalidObjective):
+            default_lambda_grid(0)
+
+    def test_validation_holds_under_optimize(self):
+        code = ("from maddpp.errors import InvalidObjective\n"
+                "from maddpp.objective import ObjectiveConfig\n"
+                "try:\n"
+                "    ObjectiveConfig(theta=5, threshold=3)\n"
+                "except InvalidObjective:\n"
+                "    print(__debug__, 'InvalidObjective')\n")
+        src = str(Path(maddpp.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert out.stdout.split() == ["False", "InvalidObjective"], out.stderr
 
 
 class TestTotalLoss:
@@ -146,17 +201,6 @@ class TestSweep:
         # lambda=0 remap moves each record by at most one bin
         assert res.accuracy_losses[0] == pytest.approx(acc0, abs=0.05)
         assert res.fairness_losses[0] == pytest.approx(fair0, abs=0.1)
-
-    def test_custom_sample_loss(self):
-        rng = np.random.default_rng(5)
-        recs = labeled_records(rng, 100)
-
-        def brier(probas, labels, threshold):
-            return float(np.mean((np.asarray(probas) - np.asarray(labels)) ** 2))
-
-        res = sweep(recs, ObjectiveConfig(m=10, lambda_grid=[0.0, 1.0]),
-                    sample_loss=brier)
-        assert np.all(res.accuracy_losses >= 0)
 
     def test_fairness_decreases_with_lambda(self):
         rng = np.random.default_rng(6)

@@ -1,0 +1,96 @@
+"""The fast sweep against the per-record oracle: exact equality, no tolerance."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maddpp.densities import ScoredRecord
+from maddpp.objective import ObjectiveConfig, default_lambda_grid, sweep
+from maddpp.simulate import SimulationSpec, sample
+from sweep_oracle import oracle_sweep
+
+
+def assert_identical(records, config):
+    fast = sweep(records, config)
+    slow = oracle_sweep(records, config)
+    assert np.array_equal(fast.accuracy_losses, slow.accuracy_losses)
+    assert np.array_equal(fast.fairness_losses, slow.fairness_losses)
+    assert np.array_equal(fast.total_losses, slow.total_losses)
+    assert fast.lambda_star == slow.lambda_star
+    assert fast.min_total_loss == slow.min_total_loss
+    return fast
+
+
+def edge_records(m, extra_g0=()):
+    """Both groups with one record on every bin edge k/m, 0.0 and 1.0 included."""
+    recs = [ScoredRecord(k / m, g, k % 2) for g in (0, 1) for k in range(m + 1)]
+    return recs + [ScoredRecord(p, 0, 1) for p in extra_g0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_acceptance_seeds(seed):
+    config = ObjectiveConfig(theta=0.5, threshold=0.5, m=100,
+                             lambda_grid=np.linspace(0, 1, 1000))
+    assert_identical(sample(SimulationSpec(seed=seed)), config)
+
+
+@pytest.mark.parametrize("m", [2, 3, 10])
+@pytest.mark.parametrize("t", [0.5, 0.3])
+def test_bin_edge_probas_at_lambda_zero_need_repair(m, t):
+    # quantiles that sit on CDF knots make the plain searchsorted candidate
+    # wrong, so this exercises the bisection that re-finds the suffix start
+    recs = edge_records(m, extra_g0=[k / m for k in range(m + 1)])
+    res = assert_identical(recs, ObjectiveConfig(m=m, threshold=t, lambda_grid=[0.0]))
+    assert res.repairs > 0
+
+
+@pytest.mark.parametrize("m", [2, 10, 100, 500])
+@pytest.mark.parametrize("t", [0.5, 0.37])
+def test_bin_edges_threshold_on_and_off_edge(m, t):
+    rng = np.random.default_rng(m)
+    recs = edge_records(m)
+    recs += [ScoredRecord(float(k) / m, int(g), int(lbl)) for k, g, lbl in
+             zip(rng.integers(0, m + 1, 200), rng.integers(0, 2, 200), rng.integers(0, 2, 200))]
+    assert_identical(recs, ObjectiveConfig(m=m, threshold=t,
+                                           lambda_grid=default_lambda_grid(51)))
+
+
+def test_empty_bins():
+    # two clusters on 50 bins: most bins, and so most CDF segments, are flat
+    rng = np.random.default_rng(7)
+    recs = [ScoredRecord(float(p), 0, int(rng.random() < p)) for p in rng.uniform(0.1, 0.12, 80)]
+    recs += [ScoredRecord(float(p), 1, int(rng.random() < p)) for p in rng.uniform(0.8, 0.84, 60)]
+    assert_identical(recs, ObjectiveConfig(m=50, lambda_grid=default_lambda_grid(101)))
+
+
+@pytest.mark.parametrize("proba", [0.0, 0.5, 0.73, 1.0])
+def test_group_of_size_one(proba):
+    rng = np.random.default_rng(3)
+    recs = [ScoredRecord(proba, 1, 1)]
+    recs += [ScoredRecord(float(p), 0, int(rng.random() < p)) for p in rng.random(50)]
+    assert_identical(recs, ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(21)))
+
+
+@st.composite
+def sweep_cases(draw):
+    m = draw(st.integers(2, 500))
+    proba = st.one_of(st.integers(0, m).map(lambda k: k / m),
+                      st.sampled_from([0.0, 1.0]),
+                      st.floats(0.0, 1.0))
+    record = st.tuples(proba, st.integers(0, 1))
+    recs = [ScoredRecord(p, g, lbl)
+            for g in (0, 1)
+            for p, lbl in draw(st.lists(record, min_size=1, max_size=40))]
+    t = draw(st.one_of(st.integers(1, m - 1).map(lambda k: k / m),
+                       st.floats(0.01, 0.99)))
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    grid = sorted([0.0, 1.0, *inner])
+    theta = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return recs, ObjectiveConfig(theta=theta, threshold=t, m=m, lambda_grid=grid)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sweep_cases())
+def test_matches_oracle_on_generated_cases(case):
+    assert_identical(*case)
