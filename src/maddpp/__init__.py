@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .densities import (
     DensityVector,
-    ScoredRecord,
+    Scores,
     build_density_vector,
     kde_plot_curve,
     madd,
@@ -27,7 +27,7 @@ __all__ = [
     "FipMap",
     "ObjectiveConfig",
     "PiecewiseLinearCdf",
-    "ScoredRecord",
+    "Scores",
     "SimulationSpec",
     "SweepResult",
     "accuracy_loss",

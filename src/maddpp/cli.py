@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, errors
 from .densities import (
     G0,
-    ScoredRecord,
+    Scores,
     build_density_vector,
     kde_plot_curve,
     madd,
@@ -57,6 +57,7 @@ EXIT_CODES = {
     errors.TrainingDiverged: 22,
     errors.NotTrained: 23,
     errors.InvalidObjective: 24,
+    errors.UnreadableInput: 25,
 }
 
 
@@ -72,13 +73,14 @@ def _timestamp() -> str:
 
 
 def _write_manifest(path: Path, command: str, config: dict, inputs: list,
-                    outputs: list, group_counts: dict | None = None) -> None:
+                    outputs: list, group: np.ndarray) -> None:
+    n0 = int((group == G0).sum())
     manifest = {
         "command": command,
         "config": config,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
-        "group_counts": group_counts,
+        "group_counts": {"g0": n0, "g1": group.size - n0},
         "timestamp": _timestamp(),
         "version": __version__,
     }
@@ -86,35 +88,27 @@ def _write_manifest(path: Path, command: str, config: dict, inputs: list,
         json.dump(manifest, fh, indent=2)
 
 
-def _group_counts(records) -> dict:
-    n0 = sum(1 for r in records if r.group == G0)
-    return {"g0": n0, "g1": len(records) - n0}
-
-
 def cmd_simulate(args) -> int:
     spec = SimulationSpec(n_g0=args.n_g0, n_g1=args.n_g1, seed=args.seed)
     if spec.n_g0 <= 0 or spec.n_g1 <= 0:
         raise errors.EmptyPopulation("both group sizes must be positive")
-    records = sample(spec)
+    scores = sample(spec)
     out_dir = _out_dir(args)
     out = Path(args.out) if args.out else out_dir / "records.csv"
-    write_records(records, out)
+    write_records(scores, out)
     _write_manifest(out.with_suffix(".manifest.json"), "simulate",
                     {"n_g0": spec.n_g0, "n_g1": spec.n_g1, "seed": spec.seed,
                      "c0": spec.c0, "c1": spec.c1},
-                    inputs=[], outputs=[out], group_counts=_group_counts(records))
-    print(f"wrote {out} ({len(records)} records)")
+                    inputs=[], outputs=[out], group=scores.group)
+    print(f"wrote {out} ({len(scores)} records)")
     return 0
 
 
 def cmd_madd(args) -> int:
-    records = read_records(args.records)
-    p0 = [r.proba for r in records if r.group == G0]
-    p1 = [r.proba for r in records if r.group != G0]
-    if not p0 or not p1:
-        raise errors.EmptyGroup("both groups must be present in the records file")
-    d0 = build_density_vector(p0, args.m)
-    d1 = build_density_vector(p1, args.m)
+    scores = read_records(args.records)
+    mask0 = scores.g0_mask()
+    d0 = build_density_vector(scores.proba[mask0], args.m)
+    d1 = build_density_vector(scores.proba[~mask0], args.m)
     value = madd(d0, d1)
     result = {
         "madd": value,
@@ -133,25 +127,25 @@ def cmd_madd(args) -> int:
         json.dump(result, fh, indent=2)
     _write_manifest(out.with_suffix(".manifest.json"), "madd", {"m": args.m},
                     inputs=[args.records], outputs=[out],
-                    group_counts=_group_counts(records))
+                    group=scores.group)
     print(json.dumps({"madd": value, "fairness_loss": 0.5 * value}))
     return 0
 
 
 def cmd_fip(args) -> int:
-    records = read_records(args.records)
-    new_probas = fip(records, args.lam, args.m)
+    scores = read_records(args.records)
+    new_probas = fip(scores, args.lam, args.m)
     out_dir = _out_dir(args)
     out = Path(args.out) if args.out else out_dir / "fip.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["proba", "new_proba", "group"])
-        for r, p in zip(records, new_probas):
-            w.writerow([format_proba(r.proba), format_proba(p), r.group])
+        w.writerows(zip(map(format_proba, scores.proba.tolist()),
+                        map(format_proba, new_probas.tolist()), scores.group.tolist()))
     _write_manifest(out.with_suffix(".manifest.json"), "fip",
                     {"lambda": args.lam, "m": args.m},
                     inputs=[args.records], outputs=[out],
-                    group_counts=_group_counts(records))
+                    group=scores.group)
     print(f"wrote {out}")
     return 0
 
@@ -163,8 +157,8 @@ def _sweep_config(args) -> ObjectiveConfig:
 
 def cmd_sweep(args) -> int:
     config = _sweep_config(args)
-    records = read_records(args.records, require_labels=True)
-    result = sweep(records, config)
+    scores = read_records(args.records, require_labels=True)
+    result = sweep(scores, config)
     out_dir = _out_dir(args)
     prefix = args.out or str(out_dir / "sweep")
     csv_path = Path(f"{prefix}.csv")
@@ -174,7 +168,7 @@ def cmd_sweep(args) -> int:
     _write_manifest(Path(f"{prefix}.manifest.json"), "sweep",
                     {"theta": args.theta, "t": args.t, "m": args.m, "grid": args.grid},
                     inputs=[args.records], outputs=[csv_path, json_path],
-                    group_counts=_group_counts(records))
+                    group=scores.group)
     print(json.dumps({"lambda_star": result.lambda_star,
                       "min_total_loss": result.min_total_loss}))
     return 0
@@ -191,25 +185,18 @@ def cmd_pipeline(args) -> int:
     model = train(X[idx_train], y[idx_train], feature_names=dataset.feature_names,
                   numeric_columns=numeric)
 
-    def as_records(idx):
-        probas = model.predict_proba(X[idx])
-        return [ScoredRecord(proba=float(p), group=int(g), label=int(lbl))
-                for p, g, lbl in zip(probas, groups[idx], y[idx])]
+    def scores(idx):
+        return Scores(model.predict_proba(X[idx]), groups[idx], y[idx])
 
-    val_records = as_records(idx_val)
-    result = sweep(val_records, config)
-
-    test_records = as_records(idx_test)
-    test_before = [r.proba for r in test_records]
-    test_after = fip(test_records, result.lambda_star, config.m)
-    labels = [r.label for r in test_records]
+    result = sweep(scores(idx_val), config)
+    test = scores(idx_test)
+    test_after = fip(test, result.lambda_star, config.m)
 
     def metrics(probas):
-        recs = [ScoredRecord(proba=float(p), group=r.group, label=r.label)
-                for p, r in zip(probas, test_records)]
         return {
-            "accuracy_loss": accuracy_loss(apply_threshold(probas, config.threshold), labels),
-            "fairness_loss": fairness_loss(recs, config.m),
+            "accuracy_loss": accuracy_loss(apply_threshold(probas, config.threshold),
+                                           test.label),
+            "fairness_loss": fairness_loss(Scores(probas, test.group, test.label), config.m),
         }
 
     out_dir = _out_dir(args)
@@ -222,7 +209,7 @@ def cmd_pipeline(args) -> int:
     result.write_json(sweep_json)
     test_metrics = {
         "lambda_star": result.lambda_star,
-        "before": metrics(test_before),
+        "before": metrics(test.proba),
         "after": metrics(test_after),
     }
     with open(metrics_path, "w") as fh:
@@ -233,8 +220,7 @@ def cmd_pipeline(args) -> int:
                      "encodings": rules, "dropped_rows": dataset.dropped_rows},
                     inputs=[args.dataset],
                     outputs=[model_path, sweep_csv, sweep_json, metrics_path],
-                    group_counts={"g0": int((groups == 0).sum()),
-                                  "g1": int((groups == 1).sum())})
+                    group=groups)
     print(json.dumps(test_metrics))
     return 0
 

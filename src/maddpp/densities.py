@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import (
     BinCountMismatch,
+    EmptyGroup,
     EmptyPopulation,
     InvalidBandwidth,
     InvalidBinCount,
     InvalidProbability,
+    LengthMismatch,
 )
 
 DEFAULT_BINS = 100
@@ -28,21 +30,41 @@ G0 = 0
 G1 = 1
 
 
-@dataclass(frozen=True)
-class ScoredRecord:
-    """One student's predicted success probability, group tag and optional label."""
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """Students' predicted success probabilities, group tags and labels (None
+    when unlabelled) as equal-length 1-d arrays, validated once, here."""
 
-    proba: float
-    group: int  # G0 or G1
-    label: int | None = None
+    proba: np.ndarray
+    group: np.ndarray
+    label: np.ndarray | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.proba) or not 0.0 <= self.proba <= 1.0:
-            raise InvalidProbability(f"proba must be in [0, 1], got {self.proba!r}")
-        if self.group not in (G0, G1):
-            raise InvalidProbability(f"group must be {G0} or {G1}, got {self.group!r}")
-        if self.label is not None and self.label not in (0, 1):
-            raise InvalidProbability(f"label must be 0, 1 or None, got {self.label!r}")
+        columns = {"proba": np.asarray(self.proba, dtype=float),
+                   "group": np.asarray(self.group)}
+        if self.label is not None:
+            columns["label"] = np.asarray(self.label)
+        for name, a in columns.items():
+            if a.ndim != 1 or a.size != columns["proba"].size:
+                raise LengthMismatch("proba, group and label must be 1-d arrays of one length")
+            if name == "proba":
+                ok, bounds = np.isfinite(a) & (a >= 0.0) & (a <= 1.0), "finite and in [0, 1]"
+            else:
+                ok, bounds = (a == 0) | (a == 1), "0 or 1"
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise InvalidProbability(f"{name} must be {bounds}; row {i + 1} has {a[i]}")
+            object.__setattr__(self, name, a if name == "proba" else a.astype(int, copy=False))
+
+    def __len__(self) -> int:
+        return self.proba.size
+
+    def g0_mask(self) -> np.ndarray:
+        """Boolean mask of the group-0 entries; both groups must be present."""
+        mask = self.group == G0
+        if not mask.any() or mask.all():
+            raise EmptyGroup("both groups must be non-empty")
+        return mask
 
 
 @dataclass(frozen=True)

@@ -66,3 +66,7 @@ class NotTrained(MaddError):
 
 class InvalidObjective(MaddError):
     pass
+
+
+class UnreadableInput(MaddError):
+    pass

@@ -1,16 +1,19 @@
 """Records CSV schema shared by the simulated and real pipelines.
 
-Header is exactly `proba,group,label`: proba as a decimal with 17
-significant digits (lossless float round trip), group in {0, 1}, label in
-{0, 1} or empty when absent.
+The header is exactly `proba,group,label` or `proba,group`: proba as a
+decimal with 17 significant digits (lossless float round trip), group in
+{0, 1}, label in {0, 1} or empty when absent.  A file with any empty label
+cell reads as unlabelled.
 """
 
 from __future__ import annotations
 
 import csv
 
-from .densities import ScoredRecord
-from .errors import EmptyPopulation, InvalidProbability, MissingLabels
+import numpy as np
+
+from .densities import Scores
+from .errors import EmptyPopulation, InvalidProbability, MissingLabels, UnreadableInput
 
 HEADER = ["proba", "group", "label"]
 
@@ -19,29 +22,65 @@ def format_proba(p: float) -> str:
     return format(p, ".17g")
 
 
-def write_records(records, path) -> None:
+def open_input(path):
+    """Open a text input for reading; an OS-level failure becomes UnreadableInput."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def write_records(scores: Scores, path) -> None:
+    labels = [""] * len(scores) if scores.label is None else scores.label.tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(HEADER)
-        for r in records:
-            w.writerow([format_proba(r.proba), r.group,
-                        "" if r.label is None else r.label])
+        w.writerows(zip(map(format_proba, scores.proba.tolist()), scores.group.tolist(),
+                        labels))
 
 
-def read_records(path, require_labels: bool = False) -> list[ScoredRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or reader.fieldnames[:2] != HEADER[:2]:
-            raise InvalidProbability(f"{path}: expected header {','.join(HEADER)}")
-        has_label_col = "label" in reader.fieldnames
-        for row in reader:
-            label_raw = row.get("label") if has_label_col else None
-            label = None if label_raw in (None, "") else int(label_raw)
-            if require_labels and label is None:
-                raise MissingLabels(f"{path}: label required on every row")
-            records.append(ScoredRecord(proba=float(row["proba"]),
-                                        group=int(row["group"]), label=label))
-    if not records:
+def read_records(path, require_labels: bool = False) -> Scores:
+    proba, group, label = [], [], []
+    with open_input(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header not in (HEADER, HEADER[:2]):
+                raise InvalidProbability(
+                    f"{path}: expected header proba,group or proba,group,label, "
+                    f"got {','.join(header or [])!r}")
+            width = len(header)
+            labelled = width == 3
+            for row_number, row in enumerate(reader, 1):
+                if len(row) != width:
+                    if not row:
+                        continue  # blank line
+                    raise InvalidProbability(f"{path}: row {row_number} has {len(row)} "
+                                             f"cells, expected {width}")
+                proba.append(float(row[0]))
+                group.append(int(row[1]))
+                if labelled:
+                    label.append(int(row[2]) if row[2] else None)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise UnreadableInput(f"cannot read {path}: {exc}") from None
+        except ValueError:  # from float() or int() on a cell of `row`
+            raise InvalidProbability(_bad_cell(path, row_number, row)) from None
+    if not proba:
         raise EmptyPopulation(f"{path}: no records")
-    return records
+    if not labelled or None in label:
+        if require_labels:
+            raise MissingLabels(f"{path}: label required on every row")
+        label = None
+    return Scores(np.array(proba), np.array(group),
+                  None if label is None else np.array(label))
+
+
+def _bad_cell(path, row_number: int, row: list) -> str:
+    """Name the cell of `row` that `read_records` failed to parse."""
+    for name, parse, cell in zip(HEADER, (float, int, int), row):
+        try:
+            if cell or name != "label":  # an empty label is allowed
+                parse(cell)
+        except ValueError:
+            kind = "a number" if parse is float else "an integer"
+            return f"{path}: row {row_number}: {name} {cell!r} is not {kind}"

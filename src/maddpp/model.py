@@ -7,6 +7,7 @@ L2 penalty: zero initialization, no external learner.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 
@@ -19,6 +20,7 @@ from .errors import (
     NotTrained,
     TrainingDiverged,
 )
+from .io import open_input
 
 # Known ordinal level orders for the course-data bands; anything else falls
 # back to numeric parsing or sorted-unique ranks (recorded in the manifest).
@@ -66,10 +68,8 @@ class TabularDataset:
 
 def load_dataset(path, sensitive: str, label_column: str = "label") -> TabularDataset:
     """Read a flat CSV; rows with any missing value are dropped and counted."""
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        reader = _csv.DictReader(fh)
+    with open_input(path) as fh:
+        reader = csv.DictReader(fh)
         if reader.fieldnames is None or label_column not in reader.fieldnames:
             raise EncodingError(f"label column {label_column!r} missing from {path}")
         feature_names = [c for c in reader.fieldnames if c != label_column]

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import G0, build_density_vector
+from .densities import Scores, build_density_vector
 from .errors import (
-    EmptyGroup,
     EmptyPopulation,
     InvalidLambda,
     InvalidObjective,
@@ -117,13 +116,11 @@ def accuracy_loss(preds, labels) -> float:
     return float(np.mean(preds != labels))
 
 
-def fairness_loss(records, m: int) -> float:
+def fairness_loss(scores: Scores, m: int) -> float:
     """Half the MADD between the two groups' density vectors, in [0, 1]."""
-    p0 = [r.proba for r in records if r.group == G0]
-    p1 = [r.proba for r in records if r.group != G0]
-    if not p0 or not p1:
-        raise EmptyGroup("both groups must be non-empty")
-    return _half_l1(build_density_vector(p0, m).bins, build_density_vector(p1, m).bins)
+    mask0 = scores.g0_mask()
+    return _half_l1(build_density_vector(scores.proba[mask0], m).bins,
+                    build_density_vector(scores.proba[~mask0], m).bins)
 
 
 def _half_l1(proportions0, proportions1) -> float:
@@ -131,11 +128,12 @@ def _half_l1(proportions0, proportions1) -> float:
     return 0.5 * float(np.abs(proportions0 - proportions1).sum())
 
 
-def total_loss(acc: float, fair: float, theta: float) -> float:
+def total_loss(acc, fair, theta: float):
+    """(1 - theta) * accuracy loss + theta * fairness loss, elementwise on arrays."""
     return (1.0 - theta) * acc + theta * fair
 
 
-def sweep(records, config: ObjectiveConfig) -> SweepResult:
+def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     """Evaluate the objective on every grid lambda and select lambda_star.
 
     The remap is non-decreasing in a record's quantile under its own
@@ -148,14 +146,10 @@ def sweep(records, config: ObjectiveConfig) -> SweepResult:
     O(n log n + G * m * log n) for n records and G grid points, and its
     losses are bit-identical to remapping every record at every lambda.
     """
-    labels = np.array([-1 if r.label is None else r.label for r in records])
-    if np.any(labels < 0):
+    if scores.label is None:
         raise MissingLabels("every record needs a label to sweep")
-    groups = np.array([r.group for r in records])
-    probas = np.array([r.proba for r in records], dtype=float)
-    mask0 = groups == G0
-    if not mask0.any() or mask0.all():
-        raise EmptyGroup("both groups must be non-empty")
+    probas, labels = scores.proba, scores.label
+    mask0 = scores.g0_mask()
 
     base = FipMap.from_probas(probas[mask0], probas[~mask0], 0.0, config.m)
     # per group: quantiles under the group's own CDF, sorted, and the number
@@ -187,7 +181,7 @@ def sweep(records, config: ObjectiveConfig) -> SweepResult:
         acc[i] = wrong / probas.size
         fair[i] = _half_l1(*proportions)
 
-    tot = (1.0 - config.theta) * acc + config.theta * fair
+    tot = total_loss(acc, fair, config.theta)
     # argmin with ties broken toward the largest lambda
     best = grid.size - 1 - int(np.argmin(tot[::-1]))
     return SweepResult(lambdas=grid, accuracy_losses=acc, fairness_losses=fair,

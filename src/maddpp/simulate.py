@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import G0, G1, ScoredRecord
+from .densities import G0, G1, Scores
 
 GAMMA_4_FACTORIAL = 6.0  # Gamma(4) for the integer-shape closed form
 CDF_TABLE_NODES = 10_001
@@ -86,11 +86,7 @@ def tabulated_cdf(pdf_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _inverse_transform(u: np.ndarray, cdf: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    return np.interp(u, cdf, xs)
-
-
-def sample(spec: SimulationSpec) -> list[ScoredRecord]:
+def sample(spec: SimulationSpec) -> Scores:
     """Draw the full record set: group 0 first, then group 1.
 
     A single seeded generator drives both the inverse-transform probability
@@ -102,12 +98,11 @@ def sample(spec: SimulationSpec) -> list[ScoredRecord]:
     cdf1 = tabulated_cdf(pdf_g1(xs, spec), xs)
 
     rng = np.random.default_rng(spec.seed)
-    records = []
+    probas, groups, labels = [], [], []
     for group, cdf, count in ((G0, cdf0, spec.n_g0), (G1, cdf1, spec.n_g1)):
         draws = rng.random((count, 2))
-        probas = _inverse_transform(draws[:, 0], cdf, xs)
-        labels = (draws[:, 1] < probas).astype(int)
-        records.extend(
-            ScoredRecord(proba=float(p), group=group, label=int(y))
-            for p, y in zip(probas, labels))
-    return records
+        p = np.interp(draws[:, 0], cdf, xs)  # inverse transform
+        probas.append(p)
+        groups.append(np.full(count, group))
+        labels.append((draws[:, 1] < p).astype(int))
+    return Scores(np.concatenate(probas), np.concatenate(groups), np.concatenate(labels))

@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import DensityVector, G0, G1, build_density_vector, pool_density_vectors
-from .errors import EmptyGroup, InvalidLambda, InvalidQuantile
+from .densities import (DensityVector, G0, G1, Scores, build_density_vector,
+                        pool_density_vectors)
+from .errors import (EmptyGroup, InvalidLambda, InvalidProbability, InvalidQuantile,
+                     LengthMismatch)
 
 
 @dataclass(frozen=True)
@@ -27,9 +29,12 @@ class PiecewiseLinearCdf:
         object.__setattr__(self, "knots_x", np.asarray(self.knots_x, dtype=float))
         object.__setattr__(self, "knots_y", np.asarray(self.knots_y, dtype=float))
         y = self.knots_y
-        assert len(self.knots_x) == len(y)
-        assert abs(y[0]) <= 1e-9 and abs(y[-1] - 1.0) <= 1e-9
-        assert np.all(np.diff(y) >= -1e-12), "CDF must be non-decreasing"
+        if self.knots_x.ndim != 1 or self.knots_x.shape != y.shape or y.size < 2:
+            raise LengthMismatch("a CDF needs 1-d knots_x and knots_y of one length >= 2")
+        if not (abs(y[0]) <= 1e-9 and abs(y[-1] - 1.0) <= 1e-9):
+            raise InvalidProbability(f"a CDF must run from 0 to 1, got {y[0]} to {y[-1]}")
+        if not np.all(np.diff(y) >= -1e-12):
+            raise InvalidProbability("a CDF must be non-decreasing")
 
     def __call__(self, x):
         return np.interp(x, self.knots_x, self.knots_y)
@@ -107,17 +112,12 @@ def _mix(cdf_group: PiecewiseLinearCdf, cdf_all: PiecewiseLinearCdf, lam: float)
     )
 
 
-def fip(records, lam: float, m: int) -> list[float]:
-    """Remap a batch of ScoredRecords; output order matches input order."""
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidLambda(f"lambda must be in [0, 1], got {lam}")
-    groups = np.array([r.group for r in records])
-    probas = np.array([r.proba for r in records], dtype=float)
-    mask0 = groups == G0
-    if not mask0.any() or mask0.all():
-        raise EmptyGroup("both groups must be non-empty")
+def fip(scores: Scores, lam: float, m: int) -> np.ndarray:
+    """Remapped probabilities of a batch of scores, in input order."""
+    mask0 = scores.g0_mask()
+    probas = scores.proba
     fm = FipMap.from_probas(probas[mask0], probas[~mask0], lam, m)
     out = np.empty_like(probas)
     out[mask0] = fm.remap(probas[mask0], G0)
     out[~mask0] = fm.remap(probas[~mask0], G1)
-    return out.tolist()
+    return out

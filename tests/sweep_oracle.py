@@ -7,21 +7,17 @@ O(G * n * log m) for a grid of G lambdas and n records.
 
 import numpy as np
 
-from maddpp.densities import G0, bin_index
-from maddpp.errors import EmptyGroup, MissingLabels
+from maddpp.densities import Scores, bin_index
+from maddpp.errors import MissingLabels
 from maddpp.objective import ObjectiveConfig, SweepResult, apply_threshold
 from maddpp.transport import FipMap, generalized_inverse
 
 
-def oracle_sweep(records, config: ObjectiveConfig) -> SweepResult:
-    labels = np.array([-1 if r.label is None else r.label for r in records])
-    if np.any(labels < 0):
+def oracle_sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
+    if scores.label is None:
         raise MissingLabels("every record needs a label to sweep")
-    groups = np.array([r.group for r in records])
-    probas = np.array([r.proba for r in records], dtype=float)
-    mask0 = groups == G0
-    if not mask0.any() or mask0.all():
-        raise EmptyGroup("both groups must be non-empty")
+    probas, labels = scores.proba, scores.label
+    mask0 = scores.g0_mask()
 
     base = FipMap.from_probas(probas[mask0], probas[~mask0], 0.0, config.m)
     # per-record quantile under its own group's CDF, fixed across lambdas

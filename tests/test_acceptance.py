@@ -12,7 +12,7 @@ import pytest
 
 from maddpp.densities import (
     DensityVector,
-    ScoredRecord,
+    Scores,
     build_density_vector,
     madd,
     pool_density_vectors,
@@ -110,17 +110,17 @@ def test_criterion_4_fip_properties():
         groups = rng.integers(0, 2, n)
         groups[0], groups[1] = 0, 1
         probas = rng.random(n)
-        records = [ScoredRecord(float(p), int(g)) for p, g in zip(probas, groups)]
+        records = Scores(probas, groups)
         lam = float(rng.random())
-        out = np.array(fip(records, lam, m))
+        out = fip(records, lam, m)
         ok = ok and bool(np.all((out >= 0.0) & (out <= 1.0)))
         for g in (0, 1):
             mask = groups == g
             order = np.argsort(probas[mask], kind="stable")
             ok = ok and bool(np.all(np.diff(out[mask][order]) >= -1e-12))
-        out0 = np.array(fip(records, 0.0, m))
+        out0 = fip(records, 0.0, m)
         max_dev0 = max(max_dev0, float(np.abs(out0 - probas).max() - 1 / m))
-        ok = ok and fip(records, lam, m) == out.tolist()  # deterministic
+        ok = ok and np.array_equal(fip(records, lam, m), out)  # deterministic
     ok = ok and max_dev0 <= 1e-12
     report(4, ok, f"1000 random batches; lambda=0 deviation beyond 1/m: {max_dev0:.2e}")
 
@@ -134,9 +134,9 @@ def test_criterion_5_threshold_crossing():
         groups = rng.integers(0, 2, n)
         groups[0], groups[1] = 0, 1
         probas = rng.random(n)
-        records = [ScoredRecord(float(p), int(g)) for p, g in zip(probas, groups)]
+        records = Scores(probas, groups)
         lam = float(rng.random())
-        new_p = np.array(fip(records, lam, 20))
+        new_p = fip(records, lam, 20)
         flipped = set(np.nonzero(apply_threshold(new_p, t)
                                  != apply_threshold(probas, t))[0])
         straddle = set(np.nonzero((probas >= t) != (new_p >= t))[0])
@@ -173,7 +173,7 @@ def test_criterion_7_sampler_fidelity():
     xs = np.linspace(0, 1, 10_001)
     ks_stats = []
     for group, pdf in ((0, pdf_g0), (1, pdf_g1)):
-        probas = np.sort([r.proba for r in records if r.group == group])
+        probas = np.sort(records.proba[records.group == group])
         theory = np.interp(probas, xs, tabulated_cdf(pdf(xs, spec), xs))
         n = probas.size
         ks = max(np.abs(np.arange(1, n + 1) / n - theory).max(),

@@ -6,7 +6,7 @@ import pytest
 
 from maddpp.cli import main
 from maddpp.io import read_records, write_records
-from maddpp.densities import ScoredRecord
+from maddpp.densities import Scores
 
 
 def run(tmp_path, *argv):
@@ -19,7 +19,7 @@ class TestSimulateCommand:
                    "--seed", "1") == 0
         records = read_records(tmp_path / "records.csv")
         assert len(records) == 90
-        assert sum(1 for r in records if r.group == 0) == 50
+        assert (records.group == 0).sum() == 50
         manifest = json.loads((tmp_path / "records.manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["group_counts"] == {"g0": 50, "g1": 40}
@@ -41,8 +41,8 @@ class TestSimulateCommand:
 
 class TestMaddCommand:
     def test_identical_groups_zero(self, tmp_path):
-        recs = [ScoredRecord(0.2, g) for g in (0, 1)] + \
-               [ScoredRecord(0.7, g) for g in (0, 1)]
+        recs = Scores(*zip(*([(0.2, g) for g in (0, 1)] +
+                             [(0.7, g) for g in (0, 1)])))
         path = tmp_path / "r.csv"
         write_records(recs, path)
         assert run(tmp_path, "madd", str(path), "--m", "10") == 0
@@ -50,7 +50,7 @@ class TestMaddCommand:
         assert result["madd"] == 0.0
 
     def test_kde_curves_optional(self, tmp_path):
-        recs = [ScoredRecord(0.2, 0)] * 3 + [ScoredRecord(0.7, 1)] * 3
+        recs = Scores(*zip(*([(0.2, 0)] * 3 + [(0.7, 1)] * 3)))
         path = tmp_path / "r.csv"
         write_records(recs, path)
         run(tmp_path, "madd", str(path), "--m", "10", "--kde-bandwidth", "0.05")
@@ -58,7 +58,7 @@ class TestMaddCommand:
         assert len(result["kde_g0"]) == len(result["kde_g1"]) > 0
 
     def test_disjoint_groups_two(self, tmp_path):
-        recs = [ScoredRecord(0.1, 0)] * 5 + [ScoredRecord(0.9, 1)] * 5
+        recs = Scores(*zip(*([(0.1, 0)] * 5 + [(0.9, 1)] * 5)))
         path = tmp_path / "r.csv"
         write_records(recs, path)
         run(tmp_path, "madd", str(path), "--m", "10")
@@ -71,8 +71,8 @@ class TestMaddCommand:
 class TestFipCommand:
     def make_records(self, tmp_path, n=200, seed=0):
         rng = np.random.default_rng(seed)
-        recs = [ScoredRecord(float(p), 0) for p in rng.random(n) * 0.6] + \
-               [ScoredRecord(float(p), 1) for p in rng.random(n) * 0.6 + 0.4]
+        recs = Scores(*zip(*([(float(p), 0) for p in rng.random(n) * 0.6] +
+                             [(float(p), 1) for p in rng.random(n) * 0.6 + 0.4])))
         path = tmp_path / "r.csv"
         write_records(recs, path)
         return path
@@ -107,10 +107,11 @@ class TestFipCommand:
 class TestSweepCommand:
     def test_outputs(self, tmp_path):
         rng = np.random.default_rng(1)
-        recs = [ScoredRecord(float(p), 0, int(rng.random() < p))
+        recs = [(float(p), 0, int(rng.random() < p))
                 for p in rng.random(200) * 0.6]
-        recs += [ScoredRecord(float(p), 1, int(rng.random() < p))
+        recs += [(float(p), 1, int(rng.random() < p))
                  for p in rng.random(200) * 0.6 + 0.4]
+        recs = Scores(*zip(*recs))
         path = tmp_path / "r.csv"
         write_records(recs, path)
         assert run(tmp_path, "sweep", str(path), "--m", "20", "--grid", "21") == 0
@@ -121,7 +122,7 @@ class TestSweepCommand:
         assert 0.0 <= payload["lambda_star"] <= 1.0
 
     def test_missing_labels_exit_code(self, tmp_path, capsys):
-        recs = [ScoredRecord(0.4, 0), ScoredRecord(0.6, 1)]
+        recs = Scores([0.4, 0.6], [0, 1])
         path = tmp_path / "r.csv"
         write_records(recs, path)
         assert run(tmp_path, "sweep", str(path)) == 19
@@ -131,7 +132,7 @@ class TestSweepCommand:
                                         ["--grid", "-1"]])
     def test_invalid_objective_exit_code(self, tmp_path, capsys, option):
         path = tmp_path / "r.csv"
-        write_records([ScoredRecord(0.4, 0, 0), ScoredRecord(0.6, 1, 1)], path)
+        write_records(Scores([0.4, 0.6], [0, 1], [0, 1]), path)
         assert run(tmp_path, "sweep", str(path), *option) == 24
         err = capsys.readouterr().err
         assert err.startswith("InvalidObjective: ") and err.count("\n") == 1
@@ -207,3 +208,36 @@ class TestPipelineCommand:
                             f"{rng.normal():.4f}", rng.integers(0, 2)])
         assert run(tmp_path, "pipeline", str(data), "--sensitive", "region") == 21
         assert "EncodingError" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    LABELLED = "proba,group,label\n"
+
+    @pytest.mark.parametrize("argv, content, code, error, detail", [
+        (["madd"], LABELLED + "0.2,0,1\nabc,1,0\n", 11, "InvalidProbability",
+         "row 2: proba 'abc' is not a number"),
+        (["sweep"], LABELLED + "0.2,0,x\n0.7,1,0\n", 11, "InvalidProbability",
+         "row 1: label 'x' is not an integer"),
+        (["fip", "--lambda", "0.5"], LABELLED + "0.2,0.0,1\n0.7,1,0\n", 11,
+         "InvalidProbability", "row 1: group '0.0' is not an integer"),
+        (["madd"], LABELLED + "0.2,0,1\n1.5,1,0\n", 11, "InvalidProbability",
+         "row 2 has 1.5"),
+        (["madd"], "proba,group\n0.2,0\n0.7\n", 11, "InvalidProbability",
+         "row 2 has 1 cells, expected 2"),
+        (["madd"], "proba,group,lable\n0.2,0,1\n0.7,1,0\n", 11, "InvalidProbability",
+         "expected header proba,group or proba,group,label"),
+        (["madd"], None, 25, "UnreadableInput", "No such file or directory"),
+        (["fip", "--lambda", "0.5"], None, 25, "UnreadableInput",
+         "No such file or directory"),
+        (["sweep"], None, 25, "UnreadableInput", "No such file or directory"),
+        (["pipeline", "--sensitive", "gender"], None, 25, "UnreadableInput",
+         "No such file or directory"),
+    ])
+    def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
+        path = tmp_path / "input.csv"
+        if content is not None:
+            path.write_text(content)
+        assert run(tmp_path, argv[0], str(path), *argv[1:]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{error}: ") and err.count("\n") == 1, err
+        assert detail in err

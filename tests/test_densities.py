@@ -3,7 +3,7 @@ import pytest
 
 from maddpp.densities import (
     DensityVector,
-    ScoredRecord,
+    Scores,
     build_density_vector,
     kde_plot_curve,
     madd,
@@ -11,10 +11,12 @@ from maddpp.densities import (
 )
 from maddpp.errors import (
     BinCountMismatch,
+    EmptyGroup,
     EmptyPopulation,
     InvalidBandwidth,
     InvalidBinCount,
     InvalidProbability,
+    LengthMismatch,
 )
 
 
@@ -171,15 +173,32 @@ class TestKdePlotCurve:
             kde_plot_curve(d, bandwidth=0.0)
 
 
-class TestScoredRecord:
+class TestScores:
     def test_rejects_out_of_range_proba(self):
         with pytest.raises(InvalidProbability):
-            ScoredRecord(proba=1.5, group=0)
+            Scores(proba=[1.5], group=[0])
 
     def test_rejects_bad_group(self):
         with pytest.raises(InvalidProbability):
-            ScoredRecord(proba=0.5, group=2)
+            Scores(proba=[0.5], group=[2])
 
     def test_label_optional(self):
-        assert ScoredRecord(proba=0.5, group=1).label is None
-        assert ScoredRecord(proba=0.5, group=1, label=1).label == 1
+        assert Scores(proba=[0.5], group=[1]).label is None
+        assert Scores(proba=[0.5], group=[1], label=[1]).label.tolist() == [1]
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"proba": [0.5, 0.5], "group": [0]}, LengthMismatch),
+        ({"proba": [0.5], "group": [0], "label": [1, 0]}, LengthMismatch),
+        ({"proba": [[0.5]], "group": [[0]]}, LengthMismatch),
+        ({"proba": [float("nan")], "group": [0]}, InvalidProbability),
+        ({"proba": [-0.1], "group": [0]}, InvalidProbability),
+        ({"proba": [0.5], "group": [0], "label": [2]}, InvalidProbability),
+    ])
+    def test_typed_errors(self, kwargs, error):
+        with pytest.raises(error):
+            Scores(**kwargs)
+
+    def test_g0_mask_needs_both_groups(self):
+        assert Scores([0.1, 0.2, 0.3], [0, 1, 0]).g0_mask().tolist() == [True, False, True]
+        with pytest.raises(EmptyGroup):
+            Scores([0.1, 0.2], [1, 1]).g0_mask()

@@ -1,0 +1,49 @@
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from maddpp.densities import Scores
+from maddpp.errors import MissingLabels
+from maddpp.io import read_records, write_records
+
+EXTREMES = [0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0))]
+
+
+@st.composite
+def scores(draw):
+    n = draw(st.integers(1, 30))
+    size = {"min_size": n, "max_size": n}
+    proba = draw(st.lists(st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, 1.0)), **size))
+    group = draw(st.lists(st.integers(0, 1), **size))
+    label = draw(st.one_of(st.none(), st.lists(st.integers(0, 1), **size)))
+    return Scores(proba, group, label)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scores())
+@example(Scores(EXTREMES, [0, 1, 0, 1], [1, 0, 0, 1]))
+@example(Scores(EXTREMES, [1, 0, 1, 0]))
+def test_records_csv_round_trip(tmp_path_factory, s):
+    path = tmp_path_factory.mktemp("records") / "r.csv"
+    write_records(s, path)
+    back = read_records(path)
+    assert np.array_equal(back.proba, s.proba)
+    assert np.array_equal(back.group, s.group)
+    assert (back.label is None) == (s.label is None)
+    assert s.label is None or np.array_equal(back.label, s.label)
+
+
+def test_any_empty_label_reads_as_unlabelled(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("proba,group,label\n0.2,0,1\n0.7,1,\n")
+    assert read_records(path).label is None
+    with pytest.raises(MissingLabels):
+        read_records(path, require_labels=True)
+
+
+def test_two_column_header_and_blank_lines(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("proba,group\n0.2,0\n\n0.7,1\n")
+    s = read_records(path)
+    assert s.proba.tolist() == [0.2, 0.7] and s.group.tolist() == [0, 1] and s.label is None

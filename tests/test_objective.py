@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import maddpp
-from maddpp.densities import ScoredRecord, build_density_vector, madd
+from maddpp.densities import Scores, build_density_vector, madd
 from maddpp.errors import (
     EmptyGroup,
     EmptyPopulation,
@@ -63,28 +63,28 @@ class TestAccuracyLoss:
 
 class TestFairnessLoss:
     def test_identical_groups(self):
-        records = [ScoredRecord(0.3, 0), ScoredRecord(0.3, 1)]
+        records = Scores([0.3, 0.3], [0, 1])
         assert fairness_loss(records, 10) == 0.0
 
     def test_disjoint_supports(self):
-        records = [ScoredRecord(0.1, 0), ScoredRecord(0.9, 1)]
+        records = Scores([0.1, 0.9], [0, 1])
         assert fairness_loss(records, 2) == pytest.approx(1.0)
 
     def test_hand_value(self):
         # group densities [0.6, 0.4] and [0.4, 0.6] -> half of 0.4
-        records = ([ScoredRecord(0.2, 0)] * 3 + [ScoredRecord(0.8, 0)] * 2 +
-                   [ScoredRecord(0.2, 1)] * 2 + [ScoredRecord(0.8, 1)] * 3)
+        records = Scores(*zip(*([(0.2, 0)] * 3 + [(0.8, 0)] * 2 +
+                                [(0.2, 1)] * 2 + [(0.8, 1)] * 3)))
         assert fairness_loss(records, 2) == pytest.approx(0.2)
 
     def test_empty_group(self):
         with pytest.raises(EmptyGroup):
-            fairness_loss([ScoredRecord(0.1, 0)], 2)
+            fairness_loss(Scores([0.1], [0]), 2)
 
     def test_is_half_the_madd(self):
         rng = np.random.default_rng(11)
         recs = labeled_records(rng, 300)
-        d0 = build_density_vector([r.proba for r in recs if r.group == 0], 30)
-        d1 = build_density_vector([r.proba for r in recs if r.group == 1], 30)
+        d0 = build_density_vector(recs.proba[recs.group == 0], 30)
+        d1 = build_density_vector(recs.proba[recs.group == 1], 30)
         assert fairness_loss(recs, 30) == 0.5 * madd(d0, d1)
 
 
@@ -112,16 +112,27 @@ class TestObjectiveConfig:
             default_lambda_grid(0)
 
     def test_validation_holds_under_optimize(self):
-        code = ("from maddpp.errors import InvalidObjective\n"
+        code = ("from maddpp.densities import Scores\n"
+                "from maddpp.errors import InvalidObjective, InvalidProbability\n"
                 "from maddpp.objective import ObjectiveConfig\n"
+                "from maddpp.transport import PiecewiseLinearCdf\n"
                 "try:\n"
                 "    ObjectiveConfig(theta=5, threshold=3)\n"
                 "except InvalidObjective:\n"
-                "    print(__debug__, 'InvalidObjective')\n")
+                "    print(__debug__, 'InvalidObjective')\n"
+                "try:\n"
+                "    PiecewiseLinearCdf(knots_x=[0, 1], knots_y=[0.5, 0.2])\n"
+                "except InvalidProbability:\n"
+                "    print('PiecewiseLinearCdf')\n"
+                "try:\n"
+                "    Scores([1.5], [0])\n"
+                "except InvalidProbability:\n"
+                "    print('Scores')\n")
         src = str(Path(maddpp.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert out.stdout.split() == ["False", "InvalidObjective"], out.stderr
+        assert out.stdout.split() == ["False", "InvalidObjective", "PiecewiseLinearCdf",
+                                      "Scores"], out.stderr
 
 
 class TestTotalLoss:
@@ -138,9 +149,9 @@ def labeled_records(rng, n, shift=0.35):
     """Two groups with shifted probability distributions and Bernoulli labels."""
     p0 = np.clip(rng.random(n) * 0.6, 0, 1)
     p1 = np.clip(rng.random(n) * 0.6 + shift, 0, 1)
-    recs = [ScoredRecord(float(p), 0, int(rng.random() < p)) for p in p0]
-    recs += [ScoredRecord(float(p), 1, int(rng.random() < p)) for p in p1]
-    return recs
+    recs = [(float(p), 0, int(rng.random() < p)) for p in p0]
+    recs += [(float(p), 1, int(rng.random() < p)) for p in p1]
+    return Scores(*zip(*recs))
 
 
 class TestSweep:
@@ -156,8 +167,8 @@ class TestSweep:
     def test_identical_groups_flat(self):
         rng = np.random.default_rng(1)
         base = rng.random(400)
-        recs = [ScoredRecord(float(p), g, int(rng.random() < p))
-                for g in (0, 1) for p in base]
+        recs = Scores(*zip(*[(float(p), g, int(rng.random() < p))
+                             for g in (0, 1) for p in base]))
         res = sweep(recs, ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(11)))
         assert res.fairness_losses.max() < 0.1
         assert 0.0 <= res.lambda_star <= 1.0
@@ -173,19 +184,19 @@ class TestSweep:
         # theta=1 with identical groups: fairness is 0 everywhere, all ties
         rng = np.random.default_rng(3)
         base = rng.random(100)
-        recs = [ScoredRecord(float(p), g, 1) for g in (0, 1) for p in base]
+        recs = Scores(*zip(*[(float(p), g, 1) for g in (0, 1) for p in base]))
         res = sweep(recs, ObjectiveConfig(theta=1.0, m=2,
                                           lambda_grid=default_lambda_grid(5)))
         ties = np.isclose(res.total_losses, res.min_total_loss)
         assert res.lambda_star == res.lambdas[ties].max()
 
     def test_missing_labels(self):
-        recs = [ScoredRecord(0.5, 0), ScoredRecord(0.5, 1, label=1)]
+        recs = Scores([0.5, 0.5], [0, 1])
         with pytest.raises(MissingLabels):
             sweep(recs, ObjectiveConfig(m=2, lambda_grid=[0.0]))
 
     def test_empty_group_propagates(self):
-        recs = [ScoredRecord(0.5, 0, 1), ScoredRecord(0.6, 0, 0)]
+        recs = Scores([0.5, 0.6], [0, 0], [1, 0])
         with pytest.raises(EmptyGroup):
             sweep(recs, ObjectiveConfig(m=2, lambda_grid=[0.0]))
 
@@ -194,8 +205,8 @@ class TestSweep:
         recs = labeled_records(rng, 500)
         m = 50
         res = sweep(recs, ObjectiveConfig(m=m, lambda_grid=default_lambda_grid(3)))
-        probas = [r.proba for r in recs]
-        labels = [r.label for r in recs]
+        probas = recs.proba
+        labels = recs.label
         acc0 = accuracy_loss(apply_threshold(probas, 0.5), labels)
         fair0 = fairness_loss(recs, m)
         # lambda=0 remap moves each record by at most one bin
@@ -220,8 +231,8 @@ class TestThresholdCrossing:
             recs = labeled_records(rng, int(rng.integers(20, 200)))
             lam = float(rng.random())
             t = 0.5
-            probas = np.array([r.proba for r in recs])
-            new_p = np.array(fip(recs, lam, 25))
+            probas = recs.proba
+            new_p = fip(recs, lam, 25)
             flipped = set(np.nonzero(apply_threshold(new_p, t)
                                      != apply_threshold(probas, t))[0])
             straddle = set(np.nonzero((probas >= t) != (new_p >= t))[0])

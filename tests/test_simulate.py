@@ -58,33 +58,34 @@ class TestPdfs:
 class TestSample:
     def test_counts_and_groups(self, spec, records):
         assert len(records) == spec.n_g0 + spec.n_g1
-        assert sum(1 for r in records if r.group == G0) == spec.n_g0
+        assert (records.group == G0).sum() == spec.n_g0
 
     def test_all_probas_in_range(self, records):
-        assert all(0.0 <= r.proba <= 1.0 for r in records)
+        assert all(0.0 <= p <= 1.0 for p in records.proba)
 
     def test_empirical_mean_matches_quadrature(self, spec, records):
         expected = simpson(lambda x: x * pdf_g0(x, spec), 0, 1)
-        observed = np.mean([r.proba for r in records if r.group == G0])
+        observed = np.mean(records.proba[records.group == G0])
         assert observed == pytest.approx(expected, abs=0.01)
 
     def test_label_rate_matches_mean_proba(self, records):
         for g in (G0, G1):
-            probas = np.array([r.proba for r in records if r.group == g])
-            labels = np.array([r.label for r in records if r.group == g])
+            probas = records.proba[records.group == g]
+            labels = records.label[records.group == g]
             assert labels.mean() == pytest.approx(probas.mean(), abs=0.02)
 
     def test_deterministic_from_seed(self, spec, records):
         again = sample(SimulationSpec(seed=spec.seed))
-        assert again == records
+        for name in ("proba", "group", "label"):
+            assert np.array_equal(getattr(again, name), getattr(records, name))
 
     def test_different_seed_differs(self, records):
         other = sample(SimulationSpec(seed=1))
-        assert other != records
+        assert not np.array_equal(other.proba, records.proba)
 
     @pytest.mark.parametrize("group,pdf", [(G0, pdf_g0), (G1, pdf_g1)])
     def test_ks_distance_against_quadrature_cdf(self, spec, records, group, pdf):
-        probas = np.sort([r.proba for r in records if r.group == group])
+        probas = np.sort(records.proba[records.group == group])
         xs = np.linspace(0, 1, 10_001)
         cdf = tabulated_cdf(pdf(xs, spec), xs)
         theory = np.interp(probas, xs, cdf)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maddpp.densities import ScoredRecord
+from maddpp.densities import Scores
 from maddpp.objective import ObjectiveConfig, default_lambda_grid, sweep
 from maddpp.simulate import SimulationSpec, sample
 from sweep_oracle import oracle_sweep
@@ -24,8 +24,8 @@ def assert_identical(records, config):
 
 def edge_records(m, extra_g0=()):
     """Both groups with one record on every bin edge k/m, 0.0 and 1.0 included."""
-    recs = [ScoredRecord(k / m, g, k % 2) for g in (0, 1) for k in range(m + 1)]
-    return recs + [ScoredRecord(p, 0, 1) for p in extra_g0]
+    recs = [(k / m, g, k % 2) for g in (0, 1) for k in range(m + 1)]
+    return recs + [(p, 0, 1) for p in extra_g0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -41,7 +41,8 @@ def test_bin_edge_probas_at_lambda_zero_need_repair(m, t):
     # quantiles that sit on CDF knots make the plain searchsorted candidate
     # wrong, so this exercises the bisection that re-finds the suffix start
     recs = edge_records(m, extra_g0=[k / m for k in range(m + 1)])
-    res = assert_identical(recs, ObjectiveConfig(m=m, threshold=t, lambda_grid=[0.0]))
+    res = assert_identical(Scores(*zip(*recs)),
+                           ObjectiveConfig(m=m, threshold=t, lambda_grid=[0.0]))
     assert res.repairs > 0
 
 
@@ -50,26 +51,28 @@ def test_bin_edge_probas_at_lambda_zero_need_repair(m, t):
 def test_bin_edges_threshold_on_and_off_edge(m, t):
     rng = np.random.default_rng(m)
     recs = edge_records(m)
-    recs += [ScoredRecord(float(k) / m, int(g), int(lbl)) for k, g, lbl in
+    recs += [(float(k) / m, int(g), int(lbl)) for k, g, lbl in
              zip(rng.integers(0, m + 1, 200), rng.integers(0, 2, 200), rng.integers(0, 2, 200))]
-    assert_identical(recs, ObjectiveConfig(m=m, threshold=t,
+    assert_identical(Scores(*zip(*recs)), ObjectiveConfig(m=m, threshold=t,
                                            lambda_grid=default_lambda_grid(51)))
 
 
 def test_empty_bins():
     # two clusters on 50 bins: most bins, and so most CDF segments, are flat
     rng = np.random.default_rng(7)
-    recs = [ScoredRecord(float(p), 0, int(rng.random() < p)) for p in rng.uniform(0.1, 0.12, 80)]
-    recs += [ScoredRecord(float(p), 1, int(rng.random() < p)) for p in rng.uniform(0.8, 0.84, 60)]
-    assert_identical(recs, ObjectiveConfig(m=50, lambda_grid=default_lambda_grid(101)))
+    recs = [(float(p), 0, int(rng.random() < p)) for p in rng.uniform(0.1, 0.12, 80)]
+    recs += [(float(p), 1, int(rng.random() < p)) for p in rng.uniform(0.8, 0.84, 60)]
+    assert_identical(Scores(*zip(*recs)),
+                     ObjectiveConfig(m=50, lambda_grid=default_lambda_grid(101)))
 
 
 @pytest.mark.parametrize("proba", [0.0, 0.5, 0.73, 1.0])
 def test_group_of_size_one(proba):
     rng = np.random.default_rng(3)
-    recs = [ScoredRecord(proba, 1, 1)]
-    recs += [ScoredRecord(float(p), 0, int(rng.random() < p)) for p in rng.random(50)]
-    assert_identical(recs, ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(21)))
+    recs = [(proba, 1, 1)]
+    recs += [(float(p), 0, int(rng.random() < p)) for p in rng.random(50)]
+    assert_identical(Scores(*zip(*recs)),
+                     ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(21)))
 
 
 @st.composite
@@ -79,9 +82,9 @@ def sweep_cases(draw):
                       st.sampled_from([0.0, 1.0]),
                       st.floats(0.0, 1.0))
     record = st.tuples(proba, st.integers(0, 1))
-    recs = [ScoredRecord(p, g, lbl)
-            for g in (0, 1)
-            for p, lbl in draw(st.lists(record, min_size=1, max_size=40))]
+    recs = Scores(*zip(*[(p, g, lbl)
+                         for g in (0, 1)
+                         for p, lbl in draw(st.lists(record, min_size=1, max_size=40))]))
     t = draw(st.one_of(st.integers(1, m - 1).map(lambda k: k / m),
                        st.floats(0.01, 0.99)))
     inner = draw(st.lists(st.floats(0.0, 1.0), max_size=6))

@@ -3,13 +3,19 @@ import pytest
 
 from maddpp.densities import (
     DensityVector,
-    ScoredRecord,
+    Scores,
     build_density_vector,
     madd,
     pool_density_vectors,
 )
-from maddpp.errors import EmptyGroup, InvalidLambda, InvalidQuantile
-from maddpp.transport import FipMap, build_cdf, fip, generalized_inverse
+from maddpp.errors import (
+    EmptyGroup,
+    InvalidLambda,
+    InvalidProbability,
+    InvalidQuantile,
+    LengthMismatch,
+)
+from maddpp.transport import FipMap, PiecewiseLinearCdf, build_cdf, fip, generalized_inverse
 
 
 def scan_inverse(cdf, u, steps=200_001):
@@ -37,6 +43,19 @@ class TestBuildCdf:
         cdf = build_cdf(DensityVector(bins=np.full(m, 1 / m), m=m, n=m))
         xs = np.arange(m + 1) / m
         np.testing.assert_allclose(cdf(xs), xs, atol=1e-12)
+
+
+class TestPiecewiseLinearCdf:
+    @pytest.mark.parametrize("knots_x, knots_y, error", [
+        ([0, 1], [0.0], LengthMismatch),
+        ([0], [0.0], LengthMismatch),
+        ([0, 1], [0.5, 0.2], InvalidProbability),
+        ([0, 0.5, 1], [0.0, 0.7, 0.9], InvalidProbability),
+        ([0, 0.5, 1], [0.0, 1.2, 1.0], InvalidProbability),
+    ])
+    def test_typed_errors(self, knots_x, knots_y, error):
+        with pytest.raises(error):
+            PiecewiseLinearCdf(knots_x=knots_x, knots_y=knots_y)
 
 
 class TestGeneralizedInverse:
@@ -71,7 +90,7 @@ class TestGeneralizedInverse:
 def random_records(rng, n):
     groups = rng.integers(0, 2, n)
     groups[0], groups[1] = 0, 1  # both groups always present
-    return [ScoredRecord(float(p), int(g)) for p, g in zip(rng.random(n), groups)]
+    return Scores(rng.random(n), groups)
 
 
 class TestFip:
@@ -81,24 +100,24 @@ class TestFip:
             m = int(rng.integers(2, 50))
             records = random_records(rng, int(rng.integers(2, 80)))
             out = fip(records, 0.0, m)
-            for r, p in zip(records, out):
-                assert abs(p - r.proba) <= 1 / m + 1e-12
+            for proba, p in zip(records.proba, out):
+                assert abs(p - proba) <= 1 / m + 1e-12
 
     def test_identical_groups_near_identity(self):
         rng = np.random.default_rng(4)
         base = rng.random(200)
-        records = [ScoredRecord(float(p), 0) for p in base] + \
-                  [ScoredRecord(float(p), 1) for p in base]
+        records = Scores(*zip(*([(float(p), 0) for p in base] +
+                                [(float(p), 1) for p in base])))
         m = 25
         for lam in (0.0, 0.3, 1.0):
             out = fip(records, lam, m)
-            for r, p in zip(records, out):
-                assert abs(p - r.proba) <= 1 / m + 1e-12
+            for proba, p in zip(records.proba, out):
+                assert abs(p - proba) <= 1 / m + 1e-12
 
     def test_two_point_full_convergence_oracle(self):
-        records = [ScoredRecord(0.25, 0) for _ in range(1000)] + \
-                  [ScoredRecord(0.75, 1) for _ in range(1000)]
-        out = np.array(fip(records, 1.0, 2))
+        records = Scores(*zip(*([(0.25, 0) for _ in range(1000)] +
+                                [(0.75, 1) for _ in range(1000)])))
+        out = fip(records, 1.0, 2)
         # oracle: knot-by-knot CDFs and a scanning inverse
         d0 = build_density_vector([0.25] * 1000, 2)
         d1 = build_density_vector([0.75] * 1000, 2)
@@ -114,9 +133,9 @@ class TestFip:
         rng = np.random.default_rng(9)
         for _ in range(100):
             records = random_records(rng, int(rng.integers(4, 60)))
-            out = np.array(fip(records, float(rng.random()), int(rng.integers(2, 40))))
-            groups = np.array([r.group for r in records])
-            probas = np.array([r.proba for r in records])
+            out = fip(records, float(rng.random()), int(rng.integers(2, 40)))
+            groups = records.group
+            probas = records.proba
             for g in (0, 1):
                 order = np.argsort(probas[groups == g], kind="stable")
                 mapped = out[groups == g][order]
@@ -129,8 +148,7 @@ class TestFip:
         assert all(0.0 <= p <= 1.0 for p in out)
 
     def test_preserves_order_of_records(self):
-        records = [ScoredRecord(0.9, 0), ScoredRecord(0.1, 1),
-                   ScoredRecord(0.2, 0), ScoredRecord(0.8, 1)]
+        records = Scores([0.9, 0.1, 0.2, 0.8], [0, 1, 0, 1])
         out = fip(records, 0.0, 4)
         # group-0 outputs in positions 0 and 2, group-1 in 1 and 3
         assert out[0] > out[2]
@@ -141,14 +159,14 @@ class TestFip:
         records = random_records(rng, 150)
         a = fip(records, 0.42, 33)
         b = fip(records, 0.42, 33)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_empty_group(self):
         with pytest.raises(EmptyGroup):
-            fip([ScoredRecord(0.5, 0)], 0.5, 4)
+            fip(Scores([0.5], [0]), 0.5, 4)
 
     def test_invalid_lambda(self):
-        records = [ScoredRecord(0.5, 0), ScoredRecord(0.5, 1)]
+        records = Scores([0.5, 0.5], [0, 1])
         with pytest.raises(InvalidLambda):
             fip(records, 1.5, 4)
 
@@ -156,9 +174,9 @@ class TestFip:
         """Remapped groups at lambda=1 get closer as n grows (no exact overlap)."""
         def residual(n, seed):
             rng = np.random.default_rng(seed)
-            records = [ScoredRecord(float(p), 0) for p in rng.random(n)] + \
-                      [ScoredRecord(float(p), 1) for p in rng.random(n)]
-            out = np.array(fip(records, 1.0, 50))
+            records = Scores(*zip(*([(float(p), 0) for p in rng.random(n)] +
+                                    [(float(p), 1) for p in rng.random(n)])))
+            out = fip(records, 1.0, 50)
             d0 = build_density_vector(out[:n], 50)
             d1 = build_density_vector(out[n:], 50)
             return madd(d0, d1)
