@@ -8,7 +8,6 @@ error class mapped to its own exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import os
@@ -26,7 +25,7 @@ from .densities import (
     madd,
     pool_density_vectors,
 )
-from .io import format_proba, read_records, write_records
+from .io import read_records, write_columns, write_records
 from .model import encode, load_dataset, split, train
 from .objective import (
     ObjectiveConfig,
@@ -137,11 +136,8 @@ def cmd_fip(args) -> int:
     new_probas = fip(scores, args.lam, args.m)
     out_dir = _out_dir(args)
     out = Path(args.out) if args.out else out_dir / "fip.csv"
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["proba", "new_proba", "group"])
-        w.writerows(zip(map(format_proba, scores.proba.tolist()),
-                        map(format_proba, new_probas.tolist()), scores.group.tolist()))
+    write_columns(out, ["proba", "new_proba", "group"], "{:.17g},{:.17g},{}\r\n",
+                  scores.proba.tolist(), new_probas.tolist(), scores.group.tolist())
     _write_manifest(out.with_suffix(".manifest.json"), "fip",
                     {"lambda": args.lam, "m": args.m},
                     inputs=[args.records], outputs=[out],

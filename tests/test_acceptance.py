@@ -17,7 +17,7 @@ from maddpp.densities import (
     madd,
     pool_density_vectors,
 )
-from maddpp.model import loss_and_gradient
+from maddpp.model import gradient, loss
 from maddpp.objective import ObjectiveConfig, apply_threshold, sweep
 from maddpp.simulate import SimulationSpec, pdf_g0, pdf_g1, sample, tabulated_cdf
 from maddpp.transport import fip
@@ -152,17 +152,15 @@ def test_criterion_6_logistic_gradient():
         y = rng.integers(0, 2, 25).astype(float)
         w = rng.normal(size=5)
         b = float(rng.normal())
-        _, gw, gb = loss_and_gradient(w, b, X, y, 1e-4)
+        gw, gb = gradient(w, b, X, y, 1e-4)
         step = 1e-5
         for j in range(5):
             wp, wm = w.copy(), w.copy()
             wp[j] += step
             wm[j] -= step
-            fd = (loss_and_gradient(wp, b, X, y, 1e-4)[0]
-                  - loss_and_gradient(wm, b, X, y, 1e-4)[0]) / (2 * step)
+            fd = (loss(wp, b, X, y, 1e-4) - loss(wm, b, X, y, 1e-4)) / (2 * step)
             worst = max(worst, abs(gw[j] - fd) / max(abs(fd), 1e-8))
-        fd = (loss_and_gradient(w, b + step, X, y, 1e-4)[0]
-              - loss_and_gradient(w, b - step, X, y, 1e-4)[0]) / (2 * step)
+        fd = (loss(w, b + step, X, y, 1e-4) - loss(w, b - step, X, y, 1e-4)) / (2 * step)
         worst = max(worst, abs(gb - fd) / max(abs(fd), 1e-8))
     report(6, worst <= 1e-5, f"10 random instances, worst relative error {worst:.2e}")
 

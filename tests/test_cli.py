@@ -212,6 +212,7 @@ class TestPipelineCommand:
 
 class TestMalformedInput:
     LABELLED = "proba,group,label\n"
+    COURSE = "gender,score,label\n"
 
     @pytest.mark.parametrize("argv, content, code, error, detail", [
         (["madd"], LABELLED + "0.2,0,1\nabc,1,0\n", 11, "InvalidProbability",
@@ -232,12 +233,22 @@ class TestMalformedInput:
         (["sweep"], None, 25, "UnreadableInput", "No such file or directory"),
         (["pipeline", "--sensitive", "gender"], None, 25, "UnreadableInput",
          "No such file or directory"),
+        (["pipeline", "--sensitive", "gender"], b"\xff\xfegender,label\nF,0\nM,1\n", 25,
+         "UnreadableInput", "can't decode byte 0xff"),
+        (["pipeline", "--sensitive", "gender"], COURSE + "F,1.5,0\n\nM,inf,1\n", 21,
+         "EncodingError", "column 'score', row 3: 'inf' is not a finite number"),
+        (["pipeline", "--sensitive", "gender"], COURSE + "F,nan,0\nM,2.5,1\n", 21,
+         "EncodingError", "column 'score', row 1: 'nan' is not a finite number"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"
-        if content is not None:
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
             path.write_text(content)
         assert run(tmp_path, argv[0], str(path), *argv[1:]) == code
         err = capsys.readouterr().err
         assert err.startswith(f"{error}: ") and err.count("\n") == 1, err
         assert detail in err
+        if code != 21:  # an encoding error names the column and row instead
+            assert str(path) in err, err

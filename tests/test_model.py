@@ -1,15 +1,20 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maddpp.errors import EncodingError, InvalidRatios, NotTrained
+from maddpp import model
+from maddpp.errors import EmptyPopulation, EncodingError, InvalidRatios, NotTrained
 from maddpp.model import (
     LogisticModel,
     Standardizer,
     encode,
+    gradient,
     load_dataset,
-    loss_and_gradient,
+    loss,
     split,
     train,
 )
@@ -55,7 +60,26 @@ class TestLoadAndEncode:
                   [["M", "1.0", "1"], ["F", "", "0"], ["F", "3.0", "1"]])
         ds = load_dataset(path, sensitive="gender")
         assert ds.dropped_rows == 1
-        assert len(ds.rows) == 2
+        assert len(ds.labels) == 2
+
+    def test_label_error_names_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["gender", "label"], [["M", "1"], ["F", ""], ["F", "2"]])
+        with pytest.raises(EncodingError, match=r"row 3: label must be 0 or 1, got '2'"):
+            load_dataset(path, sensitive="gender")
+
+    def test_repeated_column_name_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["gender", "score", "score", "label"], [["M", "1", "2", "1"]])
+        with pytest.raises(EncodingError, match="repeated column name"):
+            load_dataset(path, sensitive="gender")
+
+    def test_non_finite_numeric_cell(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["gender", "score", "label"],
+                  [["M", "1.0", "1"], ["F", "", "0"], ["F", "-inf", "1"]])
+        with pytest.raises(EncodingError, match=r"column 'score', row 3: '-inf'"):
+            encode(load_dataset(path, sensitive="gender"))
 
     def test_non_binary_sensitive(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -64,6 +88,54 @@ class TestLoadAndEncode:
         ds = load_dataset(path, sensitive="region")
         with pytest.raises(EncodingError):
             ds.sensitive_groups()
+
+
+def dictreader_load(path):
+    """The row handling of csv.DictReader: (feature columns, labels, dropped)."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        features = [c for c in reader.fieldnames if c != "label"]
+        rows, dropped = [], 0
+        for raw in reader:
+            if any(raw[c] is None or raw[c] == "" for c in reader.fieldnames):
+                dropped += 1
+            else:
+                rows.append(raw)
+    return ({c: [r[c] for r in rows] for c in features},
+            [int(r["label"]) for r in rows], dropped)
+
+
+CELLS = st.sampled_from(["", "a", "b", "1.5", "-2", " "])
+
+
+@st.composite
+def course_rows(draw):
+    """Rows of 0 to 5 cells under a 3-column header, the label third."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = draw(st.lists(CELLS, max_size=5))
+        if len(row) > 2:
+            row[2] = draw(st.sampled_from(["0", "1", ""]))
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(course_rows())
+def test_load_matches_dictreader(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("course") / "d.csv"
+    write_csv(path, ["g", "x", "label"], rows)
+    columns, labels, dropped = dictreader_load(path)
+    if not labels:
+        with pytest.raises(EmptyPopulation):
+            load_dataset(path, sensitive="g")
+        return
+    with mock.patch.object(model, "CHUNK_ROWS", 3):  # rows cross chunk boundaries
+        ds = load_dataset(path, sensitive="g")
+    assert ds.feature_names == ["g", "x"]
+    assert ds.columns == columns
+    assert ds.labels.tolist() == labels
+    assert ds.dropped_rows == dropped
 
 
 class TestStandardizer:
@@ -115,27 +187,22 @@ class TestTrain:
             w = rng.normal(size=5)
             b = float(rng.normal())
             l2 = 1e-4
-            _, gw, gb = loss_and_gradient(w, b, X, y, l2)
+            gw, gb = gradient(w, b, X, y, l2)
             step = 1e-5
             for j in range(5):
                 wp, wm = w.copy(), w.copy()
                 wp[j] += step
                 wm[j] -= step
-                lp, _, _ = loss_and_gradient(wp, b, X, y, l2)
-                lm, _, _ = loss_and_gradient(wm, b, X, y, l2)
-                fd = (lp - lm) / (2 * step)
+                fd = (loss(wp, b, X, y, l2) - loss(wm, b, X, y, l2)) / (2 * step)
                 assert abs(gw[j] - fd) / max(abs(fd), 1e-8) <= 1e-5
-            lp, _, _ = loss_and_gradient(w, b + step, X, y, l2)
-            lm, _, _ = loss_and_gradient(w, b - step, X, y, l2)
-            fd = (lp - lm) / (2 * step)
+            fd = (loss(w, b + step, X, y, l2) - loss(w, b - step, X, y, l2)) / (2 * step)
             assert abs(gb - fd) / max(abs(fd), 1e-8) <= 1e-5
 
     def test_separable_toy_set(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
         model = train(X, y, standardize=False)
-        loss, _, _ = loss_and_gradient(model.weights, model.bias, X, y, 1e-4)
-        assert loss < 0.1
+        assert loss(model.weights, model.bias, X, y, 1e-4) < 0.1
 
     def test_constant_labels(self):
         X = np.array([[0.5], [0.1], [0.9]])
@@ -152,9 +219,10 @@ class TestTrain:
         b = 0.0
         prev = np.inf
         for _ in range(200):
-            loss, gw, gb = loss_and_gradient(w, b, X, y, 1e-4)
-            assert loss <= prev + 1e-12
-            prev = loss
+            value = loss(w, b, X, y, 1e-4)
+            assert value <= prev + 1e-12
+            prev = value
+            gw, gb = gradient(w, b, X, y, 1e-4)
             w -= 0.1 * gw
             b -= 0.1 * gb
 
