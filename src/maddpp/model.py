@@ -169,11 +169,23 @@ class Standardizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, X: np.ndarray, columns: np.ndarray | None = None) -> "Standardizer":
-        """`columns` is a boolean mask of features to scale; others pass through."""
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        std = np.where(std ** 2 < 1e-12, 1.0, std)  # variance floor for constant columns
+    def fit(cls, X: np.ndarray, columns: np.ndarray | None = None,
+            names: list[str] | None = None) -> "Standardizer":
+        """`columns` is a boolean mask of features to scale; others pass through.
+
+        A scaled column whose mean or std overflows raises EncodingError,
+        naming it from `names` (else by index).
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = X.mean(axis=0)
+            std = X.std(axis=0)
+            scaled = np.ones(mean.size, dtype=bool) if columns is None else columns
+            bad = np.flatnonzero(scaled & ~(np.isfinite(mean) & np.isfinite(std)))
+            if bad.size:
+                k = int(bad[0])
+                raise EncodingError(f"column {names[k] if names else k!r}: values too large "
+                                    f"to standardize (mean {mean[k]}, std {std[k]})")
+            std = np.where(std ** 2 < 1e-12, 1.0, std)  # variance floor for constant columns
         if columns is not None:
             mean = np.where(columns, mean, 0.0)
             std = np.where(columns, std, 1.0)
@@ -273,7 +285,7 @@ def train(X: np.ndarray, y: np.ndarray, l2: float = 1e-4, lr: float = 0.1,
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    std = Standardizer.fit(X, numeric_columns) if standardize else None
+    std = Standardizer.fit(X, numeric_columns, feature_names) if standardize else None
     Xs = std.transform(X) if std is not None else X
     w = np.zeros(X.shape[1])
     b = 0.0

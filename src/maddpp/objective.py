@@ -7,7 +7,6 @@ the largest lambda, i.e. toward more fairness).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -21,11 +20,14 @@ from .errors import (
     LengthMismatch,
     MissingLabels,
 )
-from .transport import FipMap, generalized_inverse
+from .io import write_columns
+from .transport import FipMap, PiecewiseLinearCdf, generalized_inverse, mix
 
 DEFAULT_THETA = 0.5
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_GRID_SIZE = 1000
+# bound on B * (m + 1), the mixture knots of a block of B lambdas in `sweep`
+BLOCK_ELEMENTS = 8192
 
 
 def default_lambda_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -68,16 +70,16 @@ class SweepResult:
     config: ObjectiveConfig
     repairs: int = 0  # (lambda, group, cut) suffix starts re-found by bisection
 
+    def columns(self) -> list[list[float]]:
+        return [self.lambdas.tolist(), self.accuracy_losses.tolist(),
+                self.fairness_losses.tolist(), self.total_losses.tolist()]
+
     def rows(self):
-        return zip(self.lambdas.tolist(), self.accuracy_losses.tolist(),
-                   self.fairness_losses.tolist(), self.total_losses.tolist())
+        return zip(*self.columns())
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "accuracy_loss", "fairness_loss", "total_loss"])
-            for row in self.rows():
-                w.writerow([format(v, ".17g") for v in row])
+        write_columns(path, ["lambda", "accuracy_loss", "fairness_loss", "total_loss"],
+                      "{:.17g},{:.17g},{:.17g},{:.17g}\r\n", *self.columns())
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,13 +121,14 @@ def accuracy_loss(preds, labels) -> float:
 def fairness_loss(scores: Scores, m: int) -> float:
     """Half the MADD between the two groups' density vectors, in [0, 1]."""
     mask0 = scores.g0_mask()
-    return _half_l1(build_density_vector(scores.proba[mask0], m).bins,
-                    build_density_vector(scores.proba[~mask0], m).bins)
+    return float(_half_l1(build_density_vector(scores.proba[mask0], m).bins,
+                          build_density_vector(scores.proba[~mask0], m).bins))
 
 
-def _half_l1(proportions0, proportions1) -> float:
-    """Half the L1 distance between two groups' bin proportions: half the MADD."""
-    return 0.5 * float(np.abs(proportions0 - proportions1).sum())
+def _half_l1(proportions0, proportions1):
+    """Half the L1 distance between two groups' bin proportions: half the MADD;
+    one distance per row for 2-d proportions."""
+    return 0.5 * np.abs(proportions0 - proportions1).sum(axis=-1)
 
 
 def total_loss(acc, fair, theta: float):
@@ -142,9 +145,15 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     once; a grid point then only finds, per group, where that suffix starts
     for each of the m - 1 interior bin edges and the threshold.  Bin counts
     are differences of those starts and wrong predictions come from label
-    counts before the threshold's start.  The sweep costs
-    O(n log n + G * m * log n) for n records and G grid points, and its
-    losses are bit-identical to remapping every record at every lambda.
+    counts before the threshold's start.
+
+    The grid is processed in blocks of lambdas, B at a time with
+    B * (m + 1) <= BLOCK_ELEMENTS: each block's mixture CDFs form one
+    (B, m + 1) stack, and its suffix starts come from array operations on
+    that stack.  The sweep costs O(n log n + G * m * log n) time for n
+    records and G grid points, and O(n + BLOCK_ELEMENTS) memory.  Its losses
+    are bit-identical to remapping every record at every lambda
+    (`tests/sweep_oracle.py`).
     """
     if scores.label is None:
         raise MissingLabels("every record needs a label to sweep")
@@ -152,13 +161,13 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     mask0 = scores.g0_mask()
 
     base = FipMap.from_probas(probas[mask0], probas[~mask0], 0.0, config.m)
-    # per group: quantiles under the group's own CDF, sorted, and the number
-    # of positive labels before each sorted position
-    sorted_groups = []
+    # per group: its CDF, its quantiles under that CDF, sorted, and the
+    # number of positive labels before each sorted position
+    groups = []
     for mask, cdf in ((mask0, base.cdf_g0), (~mask0, base.cdf_g1)):
         u = np.clip(cdf(probas[mask]), 0.0, 1.0)
         order = np.argsort(u, kind="stable")
-        sorted_groups.append((u[order], np.concatenate(([0], np.cumsum(labels[mask][order])))))
+        groups.append((cdf, u[order], np.concatenate(([0], np.cumsum(labels[mask][order])))))
     # interior bin edges exactly as `bin_index` computes them, then the threshold
     cuts = np.append(np.arange(1, config.m) / config.m, config.threshold)
 
@@ -166,20 +175,21 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     acc = np.empty(grid.size)
     fair = np.empty(grid.size)
     repairs = 0
-    for i, lam in enumerate(grid.tolist()):
-        fm = FipMap(lam=lam, cdf_g0=base.cdf_g0, cdf_g1=base.cdf_g1, cdf_all=base.cdf_all)
+    block = max(1, BLOCK_ELEMENTS // (config.m + 1))
+    for lo in range(0, grid.size, block):
+        lams = grid[lo:lo + block, None]
         wrong = 0
         proportions = []
-        for (su, ones_before), mixed in zip(sorted_groups, (fm.mixed_g0, fm.mixed_g1)):
-            starts, repaired = _suffix_starts(mixed, su, cuts)
+        for cdf, su, ones_before in groups:
+            starts, repaired = _suffix_starts(mix(cdf, base.cdf_all, lams), su, cuts)
             repairs += repaired
-            c_t = int(starts[-1])
+            c_t = starts[:, -1]
             # predicted 1 from c_t on: positives before it and negatives after it are wrong
-            wrong += 2 * int(ones_before[c_t]) + (su.size - c_t) - int(ones_before[-1])
-            counts = np.diff(np.concatenate(([0], starts[:-1], [su.size])))
+            wrong = wrong + 2 * ones_before[c_t] + (su.size - c_t) - ones_before[-1]
+            counts = np.diff(starts[:, :-1], axis=1, prepend=0, append=su.size)
             proportions.append(counts / su.size)
-        acc[i] = wrong / probas.size
-        fair[i] = _half_l1(*proportions)
+        acc[lo:lo + block] = wrong / probas.size
+        fair[lo:lo + block] = _half_l1(*proportions)
 
     tot = total_loss(acc, fair, config.theta)
     # argmin with ties broken toward the largest lambda
@@ -189,30 +199,40 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
                        min_total_loss=float(tot[best]), config=config, repairs=repairs)
 
 
-def _suffix_starts(mixed, sorted_u, cuts) -> tuple[np.ndarray, int]:
-    """For each cut q, the first index i with remap(sorted_u[i]) >= q, or
-    sorted_u.size if there is none; also the number of cuts re-found.
+def _suffix_starts(mixed: PiecewiseLinearCdf, sorted_u, cuts) -> tuple[np.ndarray, int]:
+    """For a stack of B mixture CDFs, a (B, cuts.size) array whose entry
+    (i, k) is the first index j with remap_i(sorted_u[j]) >= cuts[k], or
+    sorted_u.size if there is none; also the number of entries re-found.
 
-    The candidate is the first quantile above mixed(q).  One
-    `generalized_inverse` call on its two neighbours confirms it.  Rounding
-    can make it wrong when quantiles sit on knots; such cuts are re-found by
-    bisection over `sorted_u` with the same function, one call per step.
+    The candidate is the first quantile above mixed_i(cuts[k]).  The interior
+    cuts k/m are knots, where `np.interp` returns the knot value exactly, so
+    only the threshold is interpolated.  One `generalized_inverse` call on
+    each candidate's two neighbours confirms the block.  Rounding can make a
+    candidate wrong when quantiles sit on knots; such entries are re-found by
+    bisection over `sorted_u` with the same function, one call per step for
+    the rows of the block that have any.
     """
     n = sorted_u.size
-    c = np.searchsorted(sorted_u, mixed(cuts), side="right")
+    y = mixed.knots_y
+    levels = np.column_stack((y[:, 1:-1], [np.interp(cuts[-1], mixed.knots_x, row) for row in y]))
+    c = np.searchsorted(sorted_u, levels, side="right")
     v = generalized_inverse(mixed, sorted_u[np.concatenate((np.maximum(c - 1, 0),
-                                                            np.minimum(c, n - 1)))])
-    ok = ((c == 0) | (v[:c.size] < cuts)) & ((c == n) | (v[c.size:] >= cuts))
+                                                            np.minimum(c, n - 1)), axis=1)])
+    k = cuts.size
+    ok = ((c == 0) | (v[:, :k] < cuts)) & ((c == n) | (v[:, k:] >= cuts))
     if ok.all():
         return c, 0
-    q = cuts[~ok]
-    lo = np.zeros(q.size, dtype=c.dtype)
-    hi = np.full(q.size, n, dtype=c.dtype)
+    # bisection on the rows with a failed entry; entries that passed start
+    # with lo == hi == c and so stay put
+    rows = np.flatnonzero(~ok.all(axis=1))
+    failed = ~ok[rows]
+    stack = PiecewiseLinearCdf(mixed.knots_x, y[rows])
+    lo = np.where(failed, 0, c[rows])
+    hi = np.where(failed, n, c[rows])
     while (active := lo < hi).any():
         mid = (lo + hi) // 2
-        reached = np.zeros_like(active)
-        reached[active] = generalized_inverse(mixed, sorted_u[mid[active]]) >= q[active]
+        reached = generalized_inverse(stack, sorted_u[np.minimum(mid, n - 1)]) >= cuts
         hi = np.where(active & reached, mid, hi)
         lo = np.where(active & ~reached, mid + 1, lo)
-    c[~ok] = lo
-    return c, q.size
+    c[rows] = lo
+    return c, int(failed.sum())

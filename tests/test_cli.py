@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maddpp
 from maddpp.cli import main
 from maddpp.io import read_records, write_records
 from maddpp.densities import Scores
@@ -196,6 +201,23 @@ class TestPipelineCommand:
         metrics = json.loads((tmp_path / "test_metrics.json").read_text())
         assert metrics["before"]["fairness_loss"] < 0.25
         assert "lambda_star" in metrics
+
+    def test_overflowing_numeric_column_exit_code(self, tmp_path):
+        # finite cells whose square overflows: the std is not finite
+        data = tmp_path / "course.csv"
+        with open(data, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["gender", "score", "label"])
+            w.writerows([["MF"[i % 3 == 0], ("-1e300", "1e300")[i % 2], i % 2]
+                         for i in range(200)])
+        src = str(Path(maddpp.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from maddpp.cli import main; sys.exit(main())",
+             "--out-dir", str(tmp_path), "pipeline", str(data), "--sensitive", "gender"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 21, proc.stderr
+        assert proc.stderr.startswith("EncodingError: column 'score': ")
+        assert proc.stderr.count("\n") == 1 and "RuntimeWarning" not in proc.stderr
 
     def test_non_binary_sensitive_exit_code(self, tmp_path, capsys):
         data = tmp_path / "course.csv"

@@ -9,6 +9,7 @@ from maddpp.densities import Scores
 from maddpp.errors import MissingLabels
 from maddpp.cli import main
 from maddpp.io import read_records, write_records
+from maddpp.objective import ObjectiveConfig, default_lambda_grid, sweep
 from maddpp.transport import fip
 
 EXTREMES = [0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0))]
@@ -80,3 +81,10 @@ def test_writers_match_csv_writer(tmp_path_factory, s):
         remapped = fip(s, 0.5, 10).tolist()
         assert (d / "fip.csv").read_bytes() == csv_writer_bytes(
             d / "expected.csv", ["proba", "new_proba", "group"], zip(proba, remapped, group))
+    if 0 < sum(group) < len(s) and s.label is not None:
+        assert main(["--out-dir", str(d), "sweep", str(d / "records.csv"), "--m", "10",
+                     "--grid", "7"]) == 0
+        result = sweep(s, ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(7)))
+        assert (d / "sweep.csv").read_bytes() == csv_writer_bytes(
+            d / "expected.csv", ["lambda", "accuracy_loss", "fairness_loss", "total_loss"],
+            result.rows())

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from maddpp.objective import (
     sweep,
     total_loss,
 )
+from maddpp.simulate import SimulationSpec, sample
 
 
 class TestApplyThreshold:
@@ -220,6 +222,20 @@ class TestSweep:
         assert res.fairness_losses[-1] < res.fairness_losses[0]
         corr = np.corrcoef(res.lambdas, res.fairness_losses)[0, 1]
         assert corr <= -0.95
+
+
+@pytest.mark.parametrize("m", [100, 500])
+def test_sweep_memory_is_bounded(m):
+    # blocks of lambdas keep the temporaries at O(BLOCK_ELEMENTS); one unblocked
+    # (1000, 1000) float64 temporary alone would be 7.6 MiB
+    scores = sample(SimulationSpec(seed=0))
+    tracemalloc.start()
+    try:
+        sweep(scores, ObjectiveConfig(m=m, lambda_grid=default_lambda_grid(1000)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 class TestThresholdCrossing:
