@@ -1,8 +1,8 @@
 """Command-line surface: simulate, madd, fip, sweep and the full pipeline.
 
 Every command writes its outputs plus a run manifest; all failures exit
-nonzero with a one-line `ErrorName: message` diagnostic on stderr, each
-error class mapped to its own exit code.
+nonzero with a one-line `ErrorName: message` diagnostic on stderr and the
+error class's own `exit_code`.
 """
 
 from __future__ import annotations
@@ -39,25 +39,6 @@ from .simulate import SimulationSpec, sample
 from .transport import fip
 
 OUT_DIR_ENV = "MADDPP_OUT_DIR"
-
-EXIT_CODES = {
-    errors.EmptyPopulation: 10,
-    errors.InvalidProbability: 11,
-    errors.InvalidBinCount: 12,
-    errors.BinCountMismatch: 13,
-    errors.InvalidBandwidth: 14,
-    errors.InvalidQuantile: 15,
-    errors.EmptyGroup: 16,
-    errors.InvalidLambda: 17,
-    errors.LengthMismatch: 18,
-    errors.MissingLabels: 19,
-    errors.InvalidRatios: 20,
-    errors.EncodingError: 21,
-    errors.TrainingDiverged: 22,
-    errors.NotTrained: 23,
-    errors.InvalidObjective: 24,
-    errors.UnreadableInput: 25,
-}
 
 
 def _out_dir(args) -> Path:
@@ -278,9 +259,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OSError as exc:
+        # inputs are opened by io.open_input, which raises UnreadableInput
+        # instead, so this comes from creating or writing an output
+        err = errors.UnwritableOutput(
+            f"cannot write {exc.filename or 'an output'}: {exc.strerror or exc}")
     except errors.MaddError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(type(exc), 1)
+        err = exc
+    print(f"{type(err).__name__}: {err}", file=sys.stderr)
+    return err.exit_code
 
 
 if __name__ == "__main__":

@@ -1,72 +1,78 @@
 """Exception hierarchy shared by all maddpp modules.
 
-Each error maps to a distinct CLI exit code (see cli.EXIT_CODES).
+Each error class carries its own CLI exit code as `exit_code`.
 """
 
 
 class MaddError(Exception):
     """Base class for all maddpp errors."""
 
+    exit_code = 1
+
 
 class EmptyPopulation(MaddError):
-    pass
+    exit_code = 10
 
 
 class InvalidProbability(MaddError):
-    pass
+    exit_code = 11
 
 
 class InvalidBinCount(MaddError):
-    pass
+    exit_code = 12
 
 
 class BinCountMismatch(MaddError):
-    pass
+    exit_code = 13
 
 
 class InvalidBandwidth(MaddError):
-    pass
+    exit_code = 14
 
 
 class InvalidQuantile(MaddError):
-    pass
+    exit_code = 15
 
 
 class EmptyGroup(MaddError):
-    pass
+    exit_code = 16
 
 
 class InvalidLambda(MaddError):
-    pass
+    exit_code = 17
 
 
 class LengthMismatch(MaddError):
-    pass
+    exit_code = 18
 
 
 class MissingLabels(MaddError):
-    pass
+    exit_code = 19
 
 
 class InvalidRatios(MaddError):
-    pass
+    exit_code = 20
 
 
 class EncodingError(MaddError):
-    pass
+    exit_code = 21
 
 
 class TrainingDiverged(MaddError):
-    pass
+    exit_code = 22
 
 
 class NotTrained(MaddError):
-    pass
+    exit_code = 23
 
 
 class InvalidObjective(MaddError):
-    pass
+    exit_code = 24
 
 
 class UnreadableInput(MaddError):
-    pass
+    exit_code = 25
+
+
+class UnwritableOutput(MaddError):
+    exit_code = 26

@@ -160,7 +160,7 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     probas, labels = scores.proba, scores.label
     mask0 = scores.g0_mask()
 
-    base = FipMap.from_probas(probas[mask0], probas[~mask0], 0.0, config.m)
+    base = FipMap.from_probas(probas[mask0], probas[~mask0], config.m)
     # per group: its CDF, its quantiles under that CDF, sorted, and the
     # number of positive labels before each sorted position
     groups = []

@@ -19,6 +19,10 @@ import numpy as np
 from .densities import G0, G1, Scores
 
 GAMMA_4_FACTORIAL = 6.0  # Gamma(4) for the integer-shape closed form
+GAMMA_XSCALE = 11.0
+NORMAL_MEAN = 0.55
+NORMAL_SD = 1.0
+NORMAL_XSCALE = 10.0
 CDF_TABLE_NODES = 10_001
 
 
@@ -28,54 +32,42 @@ def _gamma41_pdf(z):
     return np.where(z >= 0, z ** 3 * np.exp(-np.minimum(z, 700.0)) / GAMMA_4_FACTORIAL, 0.0)
 
 
-def _normal_pdf(z, mean, sd):
-    z = np.asarray(z, dtype=float)
-    return np.exp(-0.5 * ((z - mean) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
-
-
-def _trapezoid_integral(fx, xs):
-    return float(np.trapezoid(fx, xs))
+def _raw_g1(x):
+    """normal(NORMAL_MEAN, NORMAL_SD) density squeezed by NORMAL_XSCALE about
+    its mean, which keeps the peak at NORMAL_MEAN."""
+    z = NORMAL_MEAN + NORMAL_XSCALE * (np.asarray(x, dtype=float) - NORMAL_MEAN)
+    return (np.exp(-0.5 * ((z - NORMAL_MEAN) / NORMAL_SD) ** 2)
+            / (NORMAL_SD * math.sqrt(2 * math.pi)))
 
 
 @dataclass(frozen=True)
 class SimulationSpec:
     n_g0: int = 10_000
     n_g1: int = 10_000
-    gamma_shape: float = 4.0
-    gamma_rate: float = 1.0
-    gamma_xscale: float = 11.0
-    normal_mean: float = 0.55
-    normal_sd: float = 1.0
-    normal_xscale: float = 10.0
     seed: int = 0
     c0: float = field(init=False)
     c1: float = field(init=False)
 
-    def _raw_g1(self, x):
-        # squeeze about the mean keeps the normal's peak at normal_mean
-        z = self.normal_mean + self.normal_xscale * (np.asarray(x, dtype=float) - self.normal_mean)
-        return _normal_pdf(z, self.normal_mean, self.normal_sd)
-
     def __post_init__(self):
         xs = np.linspace(0.0, 1.0, CDF_TABLE_NODES)
-        c0 = _trapezoid_integral(_gamma41_pdf(self.gamma_xscale * xs), xs)
-        c1 = _trapezoid_integral(self._raw_g1(xs), xs)
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
+        c0 = np.trapezoid(_gamma41_pdf(GAMMA_XSCALE * xs), xs)
+        c1 = np.trapezoid(_raw_g1(xs), xs)
+        object.__setattr__(self, "c0", float(c0))
+        object.__setattr__(self, "c1", float(c1))
 
 
 def pdf_g0(x, spec: SimulationSpec):
     """Normalized truncated density of group 0 probabilities; 0 outside [0, 1]."""
     x = np.asarray(x, dtype=float)
     inside = (x >= 0.0) & (x <= 1.0)
-    return np.where(inside, _gamma41_pdf(spec.gamma_xscale * x) / spec.c0, 0.0)
+    return np.where(inside, _gamma41_pdf(GAMMA_XSCALE * x) / spec.c0, 0.0)
 
 
 def pdf_g1(x, spec: SimulationSpec):
     """Normalized truncated density of group 1 probabilities; 0 outside [0, 1]."""
     x = np.asarray(x, dtype=float)
     inside = (x >= 0.0) & (x <= 1.0)
-    return np.where(inside, spec._raw_g1(x) / spec.c1, 0.0)
+    return np.where(inside, _raw_g1(x) / spec.c1, 0.0)
 
 
 def tabulated_cdf(pdf_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 fip (fairness_improved_prediction) moves each group's predicted
 probabilities toward the pooled distribution: a record with probability p
 in group g is remapped to inv(mix_g)(cdf_g(p)), where mix_g is the
-convex combination (1 - lam) * cdf_g + lam * cdf_pooled.
+convex combination (1 - lam) * cdf_g + lam * cdf_pooled.  The CDFs are
+fitted once (`FipMap`); only the mixture depends on lam.
 """
 
 from __future__ import annotations
@@ -84,38 +85,29 @@ def generalized_inverse(cdf: PiecewiseLinearCdf, u) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class FipMap:
-    """The remapping for one lambda: group CDFs, pooled CDF and their mixtures."""
+    """The fitted remap: both group CDFs and the pooled CDF, for any lambda."""
 
-    lam: float
     cdf_g0: PiecewiseLinearCdf
     cdf_g1: PiecewiseLinearCdf
     cdf_all: PiecewiseLinearCdf
-    mixed_g0: PiecewiseLinearCdf = field(init=False)
-    mixed_g1: PiecewiseLinearCdf = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise InvalidLambda(f"lambda must be in [0, 1], got {self.lam}")
-        object.__setattr__(self, "mixed_g0", mix(self.cdf_g0, self.cdf_all, self.lam))
-        object.__setattr__(self, "mixed_g1", mix(self.cdf_g1, self.cdf_all, self.lam))
 
     @classmethod
-    def from_probas(cls, probas_g0, probas_g1, lam: float, m: int) -> "FipMap":
+    def from_probas(cls, probas_g0, probas_g1, m: int) -> "FipMap":
         if len(probas_g0) == 0 or len(probas_g1) == 0:
             raise EmptyGroup("both groups must be non-empty")
         d0 = build_density_vector(probas_g0, m)
         d1 = build_density_vector(probas_g1, m)
         pooled = pool_density_vectors(d0, d1)
-        return cls(lam=lam, cdf_g0=build_cdf(d0), cdf_g1=build_cdf(d1),
-                   cdf_all=build_cdf(pooled))
+        return cls(cdf_g0=build_cdf(d0), cdf_g1=build_cdf(d1), cdf_all=build_cdf(pooled))
 
-    def remap(self, probas, group: int) -> np.ndarray:
-        """New probabilities for records of one group, order preserved."""
+    def remap(self, probas, group: int, lam: float) -> np.ndarray:
+        """New probabilities for records of one group at `lam`, order preserved."""
+        if not 0.0 <= lam <= 1.0:
+            raise InvalidLambda(f"lambda must be in [0, 1], got {lam}")
         cdf = self.cdf_g0 if group == G0 else self.cdf_g1
-        mixed = self.mixed_g0 if group == G0 else self.mixed_g1
         u = cdf(np.asarray(probas, dtype=float))
         u = np.clip(u, 0.0, 1.0)
-        return np.atleast_1d(generalized_inverse(mixed, u))
+        return np.atleast_1d(generalized_inverse(mix(cdf, self.cdf_all, lam), u))
 
 
 def mix(cdf_group: PiecewiseLinearCdf, cdf_all: PiecewiseLinearCdf, lam) -> PiecewiseLinearCdf:
@@ -131,8 +123,8 @@ def fip(scores: Scores, lam: float, m: int) -> np.ndarray:
     """Remapped probabilities of a batch of scores, in input order."""
     mask0 = scores.g0_mask()
     probas = scores.proba
-    fm = FipMap.from_probas(probas[mask0], probas[~mask0], lam, m)
+    fm = FipMap.from_probas(probas[mask0], probas[~mask0], m)
     out = np.empty_like(probas)
-    out[mask0] = fm.remap(probas[mask0], G0)
-    out[~mask0] = fm.remap(probas[~mask0], G1)
+    out[mask0] = fm.remap(probas[mask0], G0, lam)
+    out[~mask0] = fm.remap(probas[~mask0], G1, lam)
     return out

@@ -10,7 +10,7 @@ import numpy as np
 from maddpp.densities import Scores, bin_index
 from maddpp.errors import MissingLabels
 from maddpp.objective import ObjectiveConfig, SweepResult, apply_threshold
-from maddpp.transport import FipMap, generalized_inverse
+from maddpp.transport import FipMap, generalized_inverse, mix
 
 
 def oracle_sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
@@ -19,7 +19,7 @@ def oracle_sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     probas, labels = scores.proba, scores.label
     mask0 = scores.g0_mask()
 
-    base = FipMap.from_probas(probas[mask0], probas[~mask0], 0.0, config.m)
+    base = FipMap.from_probas(probas[mask0], probas[~mask0], config.m)
     # per-record quantile under its own group's CDF, fixed across lambdas
     u = np.empty_like(probas)
     u[mask0] = np.clip(base.cdf_g0(probas[mask0]), 0.0, 1.0)
@@ -33,10 +33,9 @@ def oracle_sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     n1 = int((~mask0).sum())
 
     for i, lam in enumerate(grid.tolist()):
-        fm = FipMap(lam=lam, cdf_g0=base.cdf_g0, cdf_g1=base.cdf_g1, cdf_all=base.cdf_all)
         new_p = np.empty_like(probas)
-        new_p[mask0] = generalized_inverse(fm.mixed_g0, u[mask0])
-        new_p[~mask0] = generalized_inverse(fm.mixed_g1, u[~mask0])
+        new_p[mask0] = generalized_inverse(mix(base.cdf_g0, base.cdf_all, lam), u[mask0])
+        new_p[~mask0] = generalized_inverse(mix(base.cdf_g1, base.cdf_all, lam), u[~mask0])
         acc[i] = float(np.mean(apply_threshold(new_p, config.threshold) != labels))
         c0 = np.bincount(bin_index(new_p[mask0], edges_bins), minlength=edges_bins)
         c1 = np.bincount(bin_index(new_p[~mask0], edges_bins), minlength=edges_bins)

@@ -10,6 +10,7 @@ import pytest
 
 import maddpp
 from maddpp.cli import main
+from maddpp.errors import MaddError
 from maddpp.io import read_records, write_records
 from maddpp.densities import Scores
 
@@ -235,32 +236,42 @@ class TestPipelineCommand:
 class TestMalformedInput:
     LABELLED = "proba,group,label\n"
     COURSE = "gender,score,label\n"
+    RECORDS = LABELLED + "0.2,0,1\n0.7,1,0\n"
 
     @pytest.mark.parametrize("argv, content, code, error, detail", [
-        (["madd"], LABELLED + "0.2,0,1\nabc,1,0\n", 11, "InvalidProbability",
+        (["madd", "{input}"], LABELLED + "0.2,0,1\nabc,1,0\n", 11, "InvalidProbability",
          "row 2: proba 'abc' is not a number"),
-        (["sweep"], LABELLED + "0.2,0,x\n0.7,1,0\n", 11, "InvalidProbability",
+        (["sweep", "{input}"], LABELLED + "0.2,0,x\n0.7,1,0\n", 11, "InvalidProbability",
          "row 1: label 'x' is not an integer"),
-        (["fip", "--lambda", "0.5"], LABELLED + "0.2,0.0,1\n0.7,1,0\n", 11,
+        (["fip", "{input}", "--lambda", "0.5"], LABELLED + "0.2,0.0,1\n0.7,1,0\n", 11,
          "InvalidProbability", "row 1: group '0.0' is not an integer"),
-        (["madd"], LABELLED + "0.2,0,1\n1.5,1,0\n", 11, "InvalidProbability",
+        (["madd", "{input}"], LABELLED + "0.2,0,1\n1.5,1,0\n", 11, "InvalidProbability",
          "row 2 has 1.5"),
-        (["madd"], "proba,group\n0.2,0\n0.7\n", 11, "InvalidProbability",
+        (["madd", "{input}"], "proba,group\n0.2,0\n0.7\n", 11, "InvalidProbability",
          "row 2 has 1 cells, expected 2"),
-        (["madd"], "proba,group,lable\n0.2,0,1\n0.7,1,0\n", 11, "InvalidProbability",
-         "expected header proba,group or proba,group,label"),
-        (["madd"], None, 25, "UnreadableInput", "No such file or directory"),
-        (["fip", "--lambda", "0.5"], None, 25, "UnreadableInput",
+        (["madd", "{input}"], "proba,group,lable\n0.2,0,1\n0.7,1,0\n", 11,
+         "InvalidProbability", "expected header proba,group or proba,group,label"),
+        (["madd", "{input}"], None, 25, "UnreadableInput", "No such file or directory"),
+        (["fip", "{input}", "--lambda", "0.5"], None, 25, "UnreadableInput",
          "No such file or directory"),
-        (["sweep"], None, 25, "UnreadableInput", "No such file or directory"),
-        (["pipeline", "--sensitive", "gender"], None, 25, "UnreadableInput",
+        (["sweep", "{input}"], None, 25, "UnreadableInput", "No such file or directory"),
+        (["pipeline", "{input}", "--sensitive", "gender"], None, 25, "UnreadableInput",
          "No such file or directory"),
-        (["pipeline", "--sensitive", "gender"], b"\xff\xfegender,label\nF,0\nM,1\n", 25,
-         "UnreadableInput", "can't decode byte 0xff"),
-        (["pipeline", "--sensitive", "gender"], COURSE + "F,1.5,0\n\nM,inf,1\n", 21,
-         "EncodingError", "column 'score', row 3: 'inf' is not a finite number"),
-        (["pipeline", "--sensitive", "gender"], COURSE + "F,nan,0\nM,2.5,1\n", 21,
-         "EncodingError", "column 'score', row 1: 'nan' is not a finite number"),
+        (["pipeline", "{input}", "--sensitive", "gender"],
+         b"\xff\xfegender,label\nF,0\nM,1\n", 25, "UnreadableInput", "can't decode byte 0xff"),
+        (["pipeline", "{input}", "--sensitive", "gender"], COURSE + "F,1.5,0\n\nM,inf,1\n",
+         21, "EncodingError", "column 'score', row 3: 'inf' is not a finite number"),
+        (["pipeline", "{input}", "--sensitive", "gender"], COURSE + "F,nan,0\nM,2.5,1\n",
+         21, "EncodingError", "column 'score', row 1: 'nan' is not a finite number"),
+        (["madd", "{input}", "--out", "{tmp}/missing/x.json"], RECORDS, 26,
+         "UnwritableOutput", "cannot write {tmp}/missing/x.json: No such file or directory"),
+        (["fip", "{input}", "--lambda", "0.5", "--out", "{tmp}/missing/fip.csv"], RECORDS,
+         26, "UnwritableOutput", "cannot write {tmp}/missing/fip.csv: No such file or directory"),
+        (["sweep", "{input}", "--out", "{tmp}/missing/sweep"], RECORDS, 26,
+         "UnwritableOutput", "cannot write {tmp}/missing/sweep.csv: No such file or directory"),
+        # a second --out-dir overrides the one every row gets
+        (["--out-dir", "{input}/out", "madd", "{input}"], RECORDS, 26,
+         "UnwritableOutput", "cannot write {input}/out: Not a directory"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"
@@ -268,9 +279,17 @@ class TestMalformedInput:
             path.write_bytes(content)
         elif content is not None:
             path.write_text(content)
-        assert run(tmp_path, argv[0], str(path), *argv[1:]) == code
+        argv = [arg.format(tmp=tmp_path, input=path) for arg in argv]
+        assert run(tmp_path, *argv) == code
         err = capsys.readouterr().err
         assert err.startswith(f"{error}: ") and err.count("\n") == 1, err
-        assert detail in err
-        if code != 21:  # an encoding error names the column and row instead
+        assert detail.format(tmp=tmp_path, input=path) in err
+        # an encoding error names the column and row instead, an output error its output
+        if code not in (21, 26):
             assert str(path) in err, err
+
+
+def test_every_error_class_has_its_own_exit_code():
+    codes = [cls.exit_code for cls in MaddError.__subclasses__()]
+    assert len(set(codes)) == len(codes)
+    assert min(codes) >= 10

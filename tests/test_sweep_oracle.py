@@ -167,7 +167,7 @@ def test_interior_cuts_are_knots_of_every_mixture():
     m = 100
     s = sample(SimulationSpec(n_g0=600, n_g1=400, seed=1))
     mask0 = s.g0_mask()
-    base = FipMap.from_probas(s.proba[mask0], s.proba[~mask0], 0.0, m)
+    base = FipMap.from_probas(s.proba[mask0], s.proba[~mask0], m)
     x = base.cdf_all.knots_x
     assert np.array_equal(np.arange(1, m) / m, x[1:m])
     for cdf in (base.cdf_g0, base.cdf_g1):

@@ -224,11 +224,25 @@ class TestFip:
 class TestFipMap:
     def test_mixture_knots_are_convex_combinations(self):
         rng = np.random.default_rng(6)
-        fm = FipMap.from_probas(rng.random(50), rng.random(80), lam=0.3, m=10)
+        fm = FipMap.from_probas(rng.random(50), rng.random(80), m=10)
         expected = 0.7 * fm.cdf_g0.knots_y + 0.3 * fm.cdf_all.knots_y
-        np.testing.assert_allclose(fm.mixed_g0.knots_y, expected, atol=1e-15)
+        np.testing.assert_allclose(mix(fm.cdf_g0, fm.cdf_all, 0.3).knots_y, expected,
+                                   atol=1e-15)
 
     def test_invalid_lambda(self):
         rng = np.random.default_rng(6)
-        with pytest.raises(InvalidLambda):
-            FipMap.from_probas(rng.random(5), rng.random(5), lam=-0.1, m=4)
+        fm = FipMap.from_probas(rng.random(5), rng.random(5), m=4)
+        with pytest.raises(InvalidLambda, match=r"lambda must be in \[0, 1\], got -0.1"):
+            fm.remap(rng.random(3), 0, lam=-0.1)
+
+    def test_one_fit_remaps_like_fip_at_every_lambda(self):
+        rng = np.random.default_rng(8)
+        records = random_records(rng, 300)
+        mask0 = records.g0_mask()
+        m = 17
+        fm = FipMap.from_probas(records.proba[mask0], records.proba[~mask0], m)
+        for lam in (0.0, 0.3, 0.97, 1.0):
+            out = np.empty_like(records.proba)
+            out[mask0] = fm.remap(records.proba[mask0], 0, lam)
+            out[~mask0] = fm.remap(records.proba[~mask0], 1, lam)
+            assert np.array_equal(out, fip(records, lam, m))
