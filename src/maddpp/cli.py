@@ -36,7 +36,7 @@ from .objective import (
     sweep,
 )
 from .simulate import SimulationSpec, sample
-from .transport import fip
+from .transport import check_lambda, fip
 
 OUT_DIR_ENV = "MADDPP_OUT_DIR"
 
@@ -53,7 +53,7 @@ def _timestamp() -> str:
 
 
 def _write_manifest(path: Path, command: str, config: dict, inputs: list,
-                    outputs: list, group: np.ndarray) -> None:
+                    outputs: list, group: np.ndarray, **extra) -> None:
     n0 = int((group == G0).sum())
     manifest = {
         "command": command,
@@ -61,6 +61,7 @@ def _write_manifest(path: Path, command: str, config: dict, inputs: list,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "group_counts": {"g0": n0, "g1": group.size - n0},
+        **extra,
         "timestamp": _timestamp(),
         "version": __version__,
     }
@@ -113,6 +114,7 @@ def cmd_madd(args) -> int:
 
 
 def cmd_fip(args) -> int:
+    check_lambda(args.lam)
     scores = read_records(args.records)
     new_probas = fip(scores, args.lam, args.m)
     out_dir = _out_dir(args)
@@ -197,7 +199,7 @@ def cmd_pipeline(args) -> int:
                      "encodings": rules, "dropped_rows": dataset.dropped_rows},
                     inputs=[args.dataset],
                     outputs=[model_path, sweep_csv, sweep_json, metrics_path],
-                    group=groups)
+                    group=groups, training=model.training)
     print(json.dumps(test_metrics))
     return 0
 

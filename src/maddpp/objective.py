@@ -15,6 +15,7 @@ import numpy as np
 from .densities import Scores, build_density_vector
 from .errors import (
     EmptyPopulation,
+    InvalidBinCount,
     InvalidLambda,
     InvalidObjective,
     LengthMismatch,
@@ -51,6 +52,8 @@ class ObjectiveConfig:
             raise InvalidObjective(f"theta must be in [0, 1], got {self.theta}")
         if not 0.0 < self.threshold < 1.0:
             raise InvalidObjective(f"threshold must be in (0, 1), got {self.threshold}")
+        if self.m < 2:
+            raise InvalidBinCount(f"m must be >= 2, got {self.m}")
         if g.ndim != 1 or g.size == 0 or not np.all(np.diff(g) >= 0):
             raise InvalidObjective("lambda grid must be a sorted, non-empty 1-d array")
         if not (g[0] >= 0.0 and g[-1] <= 1.0):

@@ -102,12 +102,17 @@ class FipMap:
 
     def remap(self, probas, group: int, lam: float) -> np.ndarray:
         """New probabilities for records of one group at `lam`, order preserved."""
-        if not 0.0 <= lam <= 1.0:
-            raise InvalidLambda(f"lambda must be in [0, 1], got {lam}")
+        check_lambda(lam)
         cdf = self.cdf_g0 if group == G0 else self.cdf_g1
         u = cdf(np.asarray(probas, dtype=float))
         u = np.clip(u, 0.0, 1.0)
         return np.atleast_1d(generalized_inverse(mix(cdf, self.cdf_all, lam), u))
+
+
+def check_lambda(lam: float) -> None:
+    """Raise InvalidLambda unless 0 <= lam <= 1."""
+    if not 0.0 <= lam <= 1.0:
+        raise InvalidLambda(f"lambda must be in [0, 1], got {lam}")
 
 
 def mix(cdf_group: PiecewiseLinearCdf, cdf_all: PiecewiseLinearCdf, lam) -> PiecewiseLinearCdf:

@@ -17,10 +17,11 @@ from maddpp.densities import (
     madd,
     pool_density_vectors,
 )
-from maddpp.model import gradient, loss
+from maddpp.model import gradient
 from maddpp.objective import ObjectiveConfig, apply_threshold, sweep
 from maddpp.simulate import SimulationSpec, pdf_g0, pdf_g1, sample, tabulated_cdf
 from maddpp.transport import fip
+from train_oracle import loss
 
 SEEDS = (0, 1, 2)
 

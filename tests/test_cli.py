@@ -12,6 +12,7 @@ import maddpp
 from maddpp.cli import main
 from maddpp.errors import MaddError
 from maddpp.io import read_records, write_records
+from maddpp.model import LogisticModel
 from maddpp.densities import Scores
 
 
@@ -193,6 +194,12 @@ class TestPipelineCommand:
         assert (tmp_path / "validation_sweep.csv").exists()
         manifest = json.loads((tmp_path / "pipeline.manifest.json").read_text())
         assert manifest["command"] == "pipeline"
+        training = manifest["training"]
+        assert training["l2"] == 1e-4 and training["gradient_norm"] <= 1e-9
+        assert 0 < training["newton_steps"] <= 20
+        # model.json keeps its format: the training outcome is not saved with it
+        model = LogisticModel.load(tmp_path / "model.json")
+        assert model.training == {}
 
     def test_independent_sensitive_column(self, tmp_path):
         data = tmp_path / "course.csv"
@@ -272,6 +279,13 @@ class TestMalformedInput:
         # a second --out-dir overrides the one every row gets
         (["--out-dir", "{input}/out", "madd", "{input}"], RECORDS, 26,
          "UnwritableOutput", "cannot write {input}/out: Not a directory"),
+        # options are checked before the input is read, so a missing file is not reached
+        (["fip", "{input}", "--lambda", "2"], None, 17, "InvalidLambda",
+         "lambda must be in [0, 1], got 2.0"),
+        (["sweep", "{input}", "--m", "1"], None, 12, "InvalidBinCount",
+         "m must be >= 2, got 1"),
+        (["pipeline", "{input}", "--sensitive", "gender", "--m", "1"],
+         COURSE + "F,1.5,0\nM,2.5,1\n", 12, "InvalidBinCount", "m must be >= 2, got 1"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"
@@ -284,9 +298,11 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"{error}: ") and err.count("\n") == 1, err
         assert detail.format(tmp=tmp_path, input=path) in err
-        # an encoding error names the column and row instead, an output error its output
-        if code not in (21, 26):
+        # an encoding error names the column and row instead, an output error its
+        # output, an option error the option's value
+        if code not in (12, 17, 21, 26):
             assert str(path) in err, err
+        assert not (tmp_path / "model.json").exists()
 
 
 def test_every_error_class_has_its_own_exit_code():

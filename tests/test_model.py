@@ -13,11 +13,12 @@ from maddpp.model import (
     Standardizer,
     encode,
     gradient,
+    hessian,
     load_dataset,
-    loss,
     split,
     train,
 )
+from train_oracle import loss
 
 
 def write_csv(path, header, rows):
@@ -197,6 +198,23 @@ class TestTrain:
                 assert abs(gw[j] - fd) / max(abs(fd), 1e-8) <= 1e-5
             fd = (loss(w, b + step, X, y, l2) - loss(w, b - step, X, y, l2)) / (2 * step)
             assert abs(gb - fd) / max(abs(fd), 1e-8) <= 1e-5
+
+    def test_hessian_matches_finite_differences_of_gradient(self):
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            X = rng.normal(size=(20, 4))
+            y = rng.integers(0, 2, 20).astype(float)
+            w = rng.normal(size=4)
+            b = float(rng.normal())
+            h = hessian(w, b, X, 1e-4)
+            step = 1e-6
+            for j in range(5):
+                e = np.zeros(5)
+                e[j] = step
+                gp = np.append(*gradient(w + e[:4], b + e[4], X, y, 1e-4))
+                gm = np.append(*gradient(w - e[:4], b - e[4], X, y, 1e-4))
+                np.testing.assert_allclose(h[:, j], (gp - gm) / (2 * step),
+                                           rtol=1e-6, atol=1e-9)
 
     def test_separable_toy_set(self):
         X = np.array([[-1.0], [1.0]])

@@ -14,6 +14,7 @@ from maddpp.densities import Scores, build_density_vector, madd
 from maddpp.errors import (
     EmptyGroup,
     EmptyPopulation,
+    InvalidBinCount,
     InvalidLambda,
     InvalidObjective,
     LengthMismatch,
@@ -104,6 +105,8 @@ class TestObjectiveConfig:
         ({"lambda_grid": [-0.5, 0.5]}, InvalidLambda),
         ({"lambda_grid": [0.0, 1.5]}, InvalidLambda),
         ({"lambda_grid": [float("nan")]}, InvalidLambda),
+        ({"m": 1}, InvalidBinCount),
+        ({"m": 0}, InvalidBinCount),
     ])
     def test_typed_errors(self, kwargs, error):
         with pytest.raises(error):
