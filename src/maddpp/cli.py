@@ -21,6 +21,8 @@ from .densities import (
     G0,
     Scores,
     build_density_vector,
+    check_bandwidth,
+    check_bin_count,
     kde_plot_curve,
     madd,
     pool_density_vectors,
@@ -86,6 +88,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_madd(args) -> int:
+    check_bin_count(args.m)
+    if args.kde_bandwidth is not None:
+        check_bandwidth(args.kde_bandwidth)
     scores = read_records(args.records)
     mask0 = scores.g0_mask()
     d0 = build_density_vector(scores.proba[mask0], args.m)
@@ -115,6 +120,7 @@ def cmd_madd(args) -> int:
 
 def cmd_fip(args) -> int:
     check_lambda(args.lam)
+    check_bin_count(args.m)
     scores = read_records(args.records)
     new_probas = fip(scores, args.lam, args.m)
     out_dir = _out_dir(args)
@@ -159,9 +165,11 @@ def cmd_pipeline(args) -> int:
                            label_column=args.label_column)
     X, y, rules = encode(dataset)
     groups = dataset.sensitive_groups()
+    feature_names, dropped_rows = dataset.feature_names, dataset.dropped_rows
+    del dataset  # its raw cells, one str each, are not needed past encoding
     idx_train, idx_val, idx_test = split(len(y), seed=args.seed)
-    numeric = np.array([rules[name] == "numeric" for name in dataset.feature_names])
-    model = train(X[idx_train], y[idx_train], feature_names=dataset.feature_names,
+    numeric = np.array([rules[name] == "numeric" for name in feature_names])
+    model = train(X[idx_train], y[idx_train], feature_names=feature_names,
                   numeric_columns=numeric)
 
     def scores(idx):
@@ -196,7 +204,7 @@ def cmd_pipeline(args) -> int:
     _write_manifest(out_dir / "pipeline.manifest.json", "pipeline",
                     {"sensitive": args.sensitive, "theta": args.theta, "t": args.t,
                      "m": args.m, "grid": args.grid, "seed": args.seed,
-                     "encodings": rules, "dropped_rows": dataset.dropped_rows},
+                     "encodings": rules, "dropped_rows": dropped_rows},
                     inputs=[args.dataset],
                     outputs=[model_path, sweep_csv, sweep_json, metrics_path],
                     group=groups, training=model.training)

@@ -77,14 +77,25 @@ class DensityVector:
 
     def __post_init__(self):
         object.__setattr__(self, "bins", np.asarray(self.bins, dtype=float))
-        if self.m < 2:
-            raise InvalidBinCount(f"m must be >= 2, got {self.m}")
+        check_bin_count(self.m)
         if len(self.bins) != self.m:
             raise InvalidBinCount(f"expected {self.m} bins, got {len(self.bins)}")
         if np.any(self.bins < 0):
             raise InvalidProbability("bin proportions must be non-negative")
         if self.n > 0 and abs(float(self.bins.sum()) - 1.0) > 1e-9:
             raise InvalidProbability("bin proportions must sum to 1")
+
+
+def check_bin_count(m: int) -> None:
+    """Raise InvalidBinCount unless m >= 2."""
+    if m < 2:
+        raise InvalidBinCount(f"m must be >= 2, got {m}")
+
+
+def check_bandwidth(bandwidth: float) -> None:
+    """Raise InvalidBandwidth unless the KDE bandwidth is positive."""
+    if not bandwidth > 0:
+        raise InvalidBandwidth(f"bandwidth must be positive, got {bandwidth}")
 
 
 def bin_index(probas, m: int) -> np.ndarray:
@@ -101,8 +112,7 @@ def build_density_vector(probas, m: int = DEFAULT_BINS) -> DensityVector:
     Proportions are exact count ratios, so they sum to 1 up to one division
     per bin.
     """
-    if m < 2:
-        raise InvalidBinCount(f"m must be >= 2, got {m}")
+    check_bin_count(m)
     p = np.asarray(probas, dtype=float)
     if p.size == 0:
         raise EmptyPopulation("cannot build a density vector from no samples")
@@ -142,8 +152,7 @@ def kde_plot_curve(d: DensityVector, bandwidth: float = 0.05, grid: int = 200):
     of (x, density) pairs on an even grid over [0, 1].  Never used by the
     MADD or the probability remapping.
     """
-    if not bandwidth > 0:
-        raise InvalidBandwidth(f"bandwidth must be positive, got {bandwidth}")
+    check_bandwidth(bandwidth)
     if grid < 2:
         raise InvalidBandwidth(f"grid must have at least 2 points, got {grid}")
     centers = (np.arange(d.m) + 0.5) / d.m

@@ -286,6 +286,19 @@ class TestMalformedInput:
          "m must be >= 2, got 1"),
         (["pipeline", "{input}", "--sensitive", "gender", "--m", "1"],
          COURSE + "F,1.5,0\nM,2.5,1\n", 12, "InvalidBinCount", "m must be >= 2, got 1"),
+        (["madd", "{input}", "--m", "1"], None, 12, "InvalidBinCount", "m must be >= 2, got 1"),
+        (["madd", "{input}", "--kde-bandwidth", "-1"], None, 14, "InvalidBandwidth",
+         "bandwidth must be positive, got -1.0"),
+        (["fip", "{input}", "--m", "1", "--lambda", "0.5"], None, 12, "InvalidBinCount",
+         "m must be >= 2, got 1"),
+        # files numpy's reader rejects, re-read by the row parser
+        (["madd", "{input}"], LABELLED, 10, "EmptyPopulation", "no records"),
+        (["madd", "{input}"], LABELLED.encode() + b"0.2,0,1\n0.7,1,0\xff\n", 25,
+         "UnreadableInput", "can't decode byte 0xff"),
+        (["fip", "{input}", "--lambda", "0.5"], LABELLED.encode() + b"0.2,0,1\n0.7,1,0\xff\n",
+         25, "UnreadableInput", "can't decode byte 0xff"),
+        (["sweep", "{input}"], LABELLED + "0.2,0,1\n0.7,1,\n", 19, "MissingLabels",
+         "label required on every row"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"
@@ -300,9 +313,33 @@ class TestMalformedInput:
         assert detail.format(tmp=tmp_path, input=path) in err
         # an encoding error names the column and row instead, an output error its
         # output, an option error the option's value
-        if code not in (12, 17, 21, 26):
+        if code not in (12, 14, 17, 21, 26):
             assert str(path) in err, err
         assert not (tmp_path / "model.json").exists()
+
+
+def test_header_only_records_print_one_line(tmp_path):
+    # numpy's reader warns on a file with no rows; the warning must not reach stderr
+    path = tmp_path / "r.csv"
+    path.write_text("proba,group,label\n")
+    src = str(Path(maddpp.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from maddpp.cli import main; sys.exit(main())",
+         "--out-dir", str(tmp_path), "madd", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
+    assert proc.returncode == 10
+    assert proc.stderr == f"EmptyPopulation: {path}: no records\n"
+
+
+def test_empty_label_cell_reads_as_unlabelled(tmp_path):
+    # madd and fip accept it; sweep exits 19 (TestMalformedInput)
+    path = tmp_path / "r.csv"
+    path.write_text("proba,group,label\n0.2,0,1\n0.7,1,\n0.4,1,0\n")
+    assert run(tmp_path, "madd", str(path), "--m", "10") == 0
+    manifest = json.loads((tmp_path / "madd.manifest.json").read_text())
+    assert manifest["group_counts"] == {"g0": 1, "g1": 2}
+    assert run(tmp_path, "fip", str(path), "--lambda", "0.5", "--m", "10") == 0
 
 
 def test_every_error_class_has_its_own_exit_code():

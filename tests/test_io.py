@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import maddpp.io
 from maddpp.densities import Scores
-from maddpp.errors import MissingLabels
+from maddpp.errors import MaddError, MissingLabels
 from maddpp.cli import main
-from maddpp.io import read_records, write_records
+from maddpp.io import read_records, read_rows, write_records
 from maddpp.objective import ObjectiveConfig, default_lambda_grid, sweep
+from maddpp.simulate import SimulationSpec, sample
 from maddpp.transport import fip
 
 EXTREMES = [0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0))]
@@ -88,3 +90,141 @@ def test_writers_match_csv_writer(tmp_path_factory, s):
         assert (d / "sweep.csv").read_bytes() == csv_writer_bytes(
             d / "expected.csv", ["lambda", "accuracy_loss", "fairness_loss", "total_loss"],
             result.rows())
+
+
+def outcome(read, path, require_labels):
+    """What `read` makes of `path`: each column's dtype and bits, or the error."""
+    try:
+        s = read(path, require_labels)
+    except MaddError as exc:
+        return type(exc), str(exc)
+    return [None if a is None else (a.dtype.str, a.view(np.int64).tolist())
+            for a in (s.proba, s.group, s.label)]
+
+
+def assert_agrees_with_row_parser(path):
+    for require_labels in (False, True):
+        assert (outcome(read_records, path, require_labels)
+                == outcome(read_rows, path, require_labels))
+
+
+LABELLED = b"proba,group,label\n"
+# files the C reader takes, files it rejects, and files both parsers reject
+ODD_FILES = {
+    "plain": LABELLED + b"0.2,0,1\n0.7,1,0\n",
+    "two_columns": b"proba,group\n0.2,0\n0.7,1\n",
+    "crlf": b"proba,group,label\r\n0.2,0,1\r\n0.7,1,0\r\n",
+    "lone_cr": b"proba,group,label\r0.2,0,1\r0.7,1,0\r",
+    "blank_lines": LABELLED + b"\n0.2,0,1\n\r\n\n0.7,1,0\n\n",
+    "no_final_newline": LABELLED + b"0.2,0,1\n0.7,1,0",
+    "plus_signs": LABELLED + b"+0.2,+0,+1\n0.7,1,0\n",
+    "padded": LABELLED + b" 0.2 , 0 , 1 \n\t0.7,1\t,0\n",
+    "nbsp_padded": LABELLED + "\xa00.2,0,1\u2003\n0.7,1,0\n".encode(),
+    "leading_zeros": LABELLED + b"00.2,00,01\n.7,1,0\n",
+    "negative_zero": LABELLED + b"-0.0,-0,0\n0.7,1,0\n",
+    "exponents": LABELLED + b"2E-1,0,1\n1e-400,1,0\n5e-324,0,0\n",
+    "long_digits": LABELLED + b"0.1000000000000000055511151231257827021181583404541015625,0,1\n",
+    "nan": LABELLED + b"0.2,0,1\nnan,1,0\n",
+    "negative_nan": LABELLED + b"-nan,1,0\n",
+    "inf": LABELLED + b"inf,1,0\n",
+    "infinity": LABELLED + b"0.2,0,1\n-Infinity,1,0\n",
+    "float_group": LABELLED + b"0.2,1.0,1\n",
+    "float_group_two_columns": b"proba,group\n0.2,0\n0.7,1.0\n",
+    "exponent_group": LABELLED + b"0.2,1e0,1\n",
+    "float_label": LABELLED + b"0.2,1,1.0\n",
+    "underscore_proba": LABELLED + b"1_0,0,1\n",
+    "underscore_group": LABELLED + b"0.2,0_1,1\n",
+    "hex_proba": LABELLED + b"0x1p-3,0,1\n",
+    "arabic_digit": LABELLED + "\u0661,0,1\n".encode(),
+    "group_two": LABELLED + b"0.2,0,1\n0.7,2,0\n",
+    "label_minus_one": LABELLED + b"0.2,0,-1\n",
+    "proba_above_one": LABELLED + b"0.2,0,1\n1.5,1,0\n",
+    "not_a_number": LABELLED + b"0.2,0,1\nabc,1,0\n",
+    "quoted_cell": LABELLED + b'"0.2",0,1\n0.7,"1",0\n',
+    "quoted_header": b'"proba",group,label\n0.2,0,1\n',
+    "comment_line": LABELLED + b"0.2,0,1\n#x\n0.7,1,0\n",
+    "hash_cell": LABELLED + b"0.2,0,1 # note\n",
+    "trailing_comma": LABELLED + b"0.2,0,1,\n",
+    "short_row": LABELLED + b"0.2,0,1\n0.7,1\n",
+    "three_cells_under_two": b"proba,group\n0.2,0,1\n",
+    "whitespace_line": LABELLED + b"0.2,0,1\n   \n0.7,1,0\n",
+    "group_2_pow_63": LABELLED + b"0.2,9223372036854775808,1\n",
+    "group_below_int64": LABELLED + b"0.2,-9223372036854775809,1\n",
+    "group_2_pow_64": LABELLED + b"0.2,18446744073709551616,1\n",
+    "empty_label": LABELLED + b"0.2,0,1\n0.7,1,\n",
+    "all_labels_empty": LABELLED + b"0.2,0,\n0.7,1,\n",
+    "empty_proba": LABELLED + b",0,1\n",
+    "nul_byte": LABELLED + b"0.2,0,1\x00\n",
+    "byte_0xff": LABELLED + b"0.2,0,1\n0.7,1,0\xff\n",
+    "byte_0xff_in_header": b"proba,group,label\xff\n0.2,0,1\n",
+    "bom": b"\xef\xbb\xbfproba,group,label\n0.2,0,1\n",
+    "header_only": LABELLED,
+    "header_only_no_newline": b"proba,group,label",
+    "header_and_blank_lines": LABELLED + b"\n\r\n\n",
+    "misspelt_header": b"proba,group,lable\n0.2,0,1\n",
+    "padded_header": b" proba,group,label \n0.2,0,1\n",
+    "empty_file": b"",
+}
+
+
+@pytest.mark.parametrize("content", ODD_FILES.values(), ids=ODD_FILES.keys())
+def test_agrees_with_row_parser_on_odd_files(tmp_path, content):
+    path = tmp_path / "r.csv"
+    path.write_bytes(content)
+    assert_agrees_with_row_parser(path)
+
+
+def test_well_formed_files_skip_the_row_parser(tmp_path, monkeypatch):
+    def row_parser_called(*_):
+        raise AssertionError("fell back to the row parser")
+
+    write_records(sample(SimulationSpec(n_g0=300, n_g1=200, seed=3)), tmp_path / "sim.csv")
+    oracle = read_rows(tmp_path / "sim.csv")
+    monkeypatch.setattr(maddpp.io, "read_rows", row_parser_called)
+    s = read_records(tmp_path / "sim.csv")
+    assert s.proba.tobytes() == oracle.proba.tobytes()
+    assert s.group.tobytes() == oracle.group.tobytes()
+    assert s.label.tobytes() == oracle.label.tobytes()
+    for name in ("plain", "two_columns", "crlf", "blank_lines", "plus_signs", "padded"):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(ODD_FILES[name])
+        read_records(path)
+
+
+# cells one defect away from a well-formed file
+ODD_CELLS = ["", " 1 ", "+1", "01", "1.0", "1e0", "1_0", "nan", "-nan", "inf", "-0.0",
+             "1e-400", '"1"', "#x", "0x1p-3", "\xa01", "\u0661", "2", "-1", str(2**63),
+             "abc", "1\x00"]
+
+
+@st.composite
+def records_files(draw):
+    """Bytes of a records file: well-formed rows under a drawn header, with
+    perhaps odd cells, extra or missing cells, blank lines and a bad byte."""
+    header = draw(st.sampled_from(["proba,group,label"] * 4 + ["proba,group"] * 2 +
+                                  ["proba,group,lable", '"proba",group,label']))
+    width = header.count(",") + 1
+    n = draw(st.integers(0, 12))
+    rows = [[repr(draw(st.floats(0.0, 1.0)))] + draw(st.lists(
+        st.sampled_from(["0", "1"]), min_size=width - 1, max_size=width - 1))
+        for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            row = rows[draw(st.integers(0, n - 1))]
+            col = draw(st.integers(0, width))  # width: one cell too many
+            cell = draw(st.sampled_from(ODD_CELLS))
+            row[col:col + 1] = [cell] if draw(st.booleans()) else []
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " "])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    content = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return content.encode() + draw(st.sampled_from([b""] * 7 + [b"\xff"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(records_files())
+def test_agrees_with_row_parser_on_generated_files(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("oracle") / "r.csv"
+    path.write_bytes(content)
+    assert_agrees_with_row_parser(path)
