@@ -49,58 +49,73 @@ def write_records(scores: Scores, path) -> None:
 def read_records(path, require_labels: bool = False) -> Scores:
     """Read a records CSV into `Scores`, exactly as `read_rows` would.
 
-    Files of plain numeric cells under an exact header line go through one
-    `np.loadtxt` call; anything it rejects is re-read by `read_rows`,
-    which accepts it or raises the typed error naming the bad header, row
-    or cell.
+    The file is opened once.  A regular file of plain numeric cells under an
+    exact header line goes through one `np.loadtxt` call on the open handle;
+    the row parser reads anything else from the start, and accepts it or
+    raises the typed error naming the bad header, row or cell.
     """
+    import os
+    import stat
+
+    with open_input(path) as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe cannot be read twice
+            body = _load_body(fh)
+            if body is not None:
+                label = body["label"].copy() if "label" in body.dtype.names else None
+                return _scores(path, body["proba"].copy(), body["group"].copy(), label,
+                               require_labels)
+            fh.seek(0)
+        return _parse_rows(fh, path, require_labels)
+
+
+def _load_body(fh):
+    """The rows of `fh` under its header line as one structured array, or
+    None if `np.loadtxt` does not take them all."""
     import warnings
 
     try:
-        with open_input(path) as fh:
-            dtype = BODY_DTYPES[fh.readline().rstrip("\r\n")]
-            encoding = fh.encoding
+        dtype = BODY_DTYPES[fh.readline().rstrip("\r\n")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns when there are no rows
-            # a path, not `fh`: loadtxt reads a Python file object ~50% slower
-            body = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1,
-                              comments=None, ndmin=1, encoding=encoding)
+            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     # not an exact header, a cell or row loadtxt rejects, no rows, or bytes
     # that do not decode (a UnicodeDecodeError is a ValueError)
     except (KeyError, ValueError, UserWarning):
-        return read_rows(path, require_labels)
-    label = body["label"].copy() if "label" in body.dtype.names else None
-    return _scores(path, body["proba"].copy(), body["group"].copy(), label, require_labels)
+        return None
 
 
 def read_rows(path, require_labels: bool = False) -> Scores:
     """Row-by-row records parser (`csv.reader`, then `float()`/`int()` per
     cell): the fallback of `read_records` and the reference it must match."""
-    proba, group, label = [], [], []
     with open_input(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header not in (HEADER, HEADER[:2]):
-                raise InvalidProbability(
-                    f"{path}: expected header proba,group or proba,group,label, "
-                    f"got {','.join(header or [])!r}")
-            width = len(header)
-            labelled = width == 3
-            for row_number, row in enumerate(reader, 1):
-                if len(row) != width:
-                    if not row:
-                        continue  # blank line
-                    raise InvalidProbability(f"{path}: row {row_number} has {len(row)} "
-                                             f"cells, expected {width}")
-                proba.append(float(row[0]))
-                group.append(int(row[1]))
-                if labelled:
-                    label.append(int(row[2]) if row[2] else None)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise UnreadableInput(f"cannot read {path}: {exc}") from None
-        except ValueError:  # from float() or int() on a cell of `row`
-            raise InvalidProbability(_bad_cell(path, row_number, row)) from None
+        return _parse_rows(fh, path, require_labels)
+
+
+def _parse_rows(fh, path, require_labels: bool) -> Scores:
+    proba, group, label = [], [], []
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header not in (HEADER, HEADER[:2]):
+            raise InvalidProbability(
+                f"{path}: expected header proba,group or proba,group,label, "
+                f"got {','.join(header or [])!r}")
+        width = len(header)
+        labelled = width == 3
+        for row_number, row in enumerate(reader, 1):
+            if len(row) != width:
+                if not row:
+                    continue  # blank line
+                raise InvalidProbability(f"{path}: row {row_number} has {len(row)} "
+                                         f"cells, expected {width}")
+            proba.append(float(row[0]))
+            group.append(int(row[1]))
+            if labelled:
+                label.append(int(row[2]) if row[2] else None)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc}") from None
+    except ValueError:  # from float() or int() on a cell of `row`
+        raise InvalidProbability(_bad_cell(path, row_number, row)) from None
     if not proba:
         raise EmptyPopulation(f"{path}: no records")
     label = np.array(label) if labelled and None not in label else None

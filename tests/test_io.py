@@ -1,4 +1,6 @@
 import csv
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -180,7 +182,7 @@ def test_well_formed_files_skip_the_row_parser(tmp_path, monkeypatch):
 
     write_records(sample(SimulationSpec(n_g0=300, n_g1=200, seed=3)), tmp_path / "sim.csv")
     oracle = read_rows(tmp_path / "sim.csv")
-    monkeypatch.setattr(maddpp.io, "read_rows", row_parser_called)
+    monkeypatch.setattr(maddpp.io, "_parse_rows", row_parser_called)
     s = read_records(tmp_path / "sim.csv")
     assert s.proba.tobytes() == oracle.proba.tobytes()
     assert s.group.tobytes() == oracle.group.tobytes()
@@ -189,6 +191,45 @@ def test_well_formed_files_skip_the_row_parser(tmp_path, monkeypatch):
         path = tmp_path / f"{name}.csv"
         path.write_bytes(ODD_FILES[name])
         read_records(path)
+
+
+# names that np.loadtxt, given a path, would decompress
+SUFFIXED_NAMES = ["r.csv.gz", "r.csv.bz2", "r.csv.xz", "r.csv.lzma"]
+
+
+@pytest.mark.parametrize("name", SUFFIXED_NAMES)
+@pytest.mark.parametrize("content", ["plain", "empty_label", "byte_0xff"])
+def test_names_do_not_change_how_a_file_reads(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(ODD_FILES[content])
+    assert_agrees_with_row_parser(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("label", ["1", ""])  # the C reader's rows, the row parser's
+@pytest.mark.parametrize("n", [3, 3000])  # within, and well past, one read buffer
+def test_reads_every_row_of_a_pipe(tmp_path, n, label):
+    """A pipe, as `<(zcat r.csv.gz)` gives, can be read only once."""
+    content = LABELLED + b"".join(b"0.%d,%d,%s\n" % (i, i % 2, label.encode())
+                                  for i in range(1, n + 1))
+    (tmp_path / "r.csv").write_bytes(content)
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(content)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        s = read_records(f"/dev/fd/{r}")
+    finally:
+        os.close(r)  # a writer still blocked then fails rather than hangs
+        writer.join()
+    expected = read_rows(tmp_path / "r.csv")
+    assert len(s) == n
+    assert s.proba.tobytes() == expected.proba.tobytes()
+    assert (s.label is None) == (label == "")
 
 
 # cells one defect away from a well-formed file
