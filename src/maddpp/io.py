@@ -3,11 +3,13 @@
 The header is exactly `proba,group,label` or `proba,group`: proba as a
 decimal with 17 significant digits (lossless float round trip), group in
 {0, 1}, label in {0, 1} or empty when absent.  A file with any empty label
-cell reads as unlabelled.
+cell reads as unlabelled.  `write_records` writes unlabelled scores under
+`proba,group`, which `read_records` reads with numpy's C reader.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 
 import numpy as np
@@ -41,9 +43,12 @@ def write_columns(path, header: list[str], row_format: str, *columns: list) -> N
 
 
 def write_records(scores: Scores, path) -> None:
-    labels = [""] * len(scores) if scores.label is None else scores.label.tolist()
-    write_columns(path, HEADER, "{:.17g},{},{}\r\n", scores.proba.tolist(),
-                  scores.group.tolist(), labels)
+    """Write `scores` as a records CSV; unlabelled ones without a label column."""
+    columns = [scores.proba.tolist(), scores.group.tolist()]
+    if scores.label is None:
+        write_columns(path, HEADER[:2], "{:.17g},{}\r\n", *columns)
+    else:
+        write_columns(path, HEADER, "{:.17g},{},{}\r\n", *columns, scores.label.tolist())
 
 
 def read_records(path, require_labels: bool = False) -> Scores:
@@ -52,7 +57,9 @@ def read_records(path, require_labels: bool = False) -> Scores:
     The file is opened once.  A regular file of plain numeric cells under an
     exact header line goes through one `np.loadtxt` call on the open handle;
     the row parser reads anything else from the start, and accepts it or
-    raises the typed error naming the bad header, row or cell.
+    raises the typed error naming the bad header, row or cell.  It also
+    re-reads a file whose values fail `Scores` validation, since only it
+    knows where the blank lines were that the error's row number counts.
     """
     import os
     import stat
@@ -62,8 +69,11 @@ def read_records(path, require_labels: bool = False) -> Scores:
             body = _load_body(fh)
             if body is not None:
                 label = body["label"].copy() if "label" in body.dtype.names else None
-                return _scores(path, body["proba"].copy(), body["group"].copy(), label,
-                               require_labels)
+                try:
+                    return _scores(path, body["proba"].copy(), body["group"].copy(), label,
+                                   require_labels)
+                except InvalidProbability:
+                    pass
             fh.seek(0)
         return _parse_rows(fh, path, require_labels)
 
@@ -93,6 +103,7 @@ def read_rows(path, require_labels: bool = False) -> Scores:
 
 def _parse_rows(fh, path, require_labels: bool) -> Scores:
     proba, group, label = [], [], []
+    blanks = []  # the number of records before each blank line
     reader = csv.reader(fh)
     try:
         header = next(reader, None)
@@ -105,7 +116,8 @@ def _parse_rows(fh, path, require_labels: bool) -> Scores:
         for row_number, row in enumerate(reader, 1):
             if len(row) != width:
                 if not row:
-                    continue  # blank line
+                    blanks.append(len(proba))
+                    continue
                 raise InvalidProbability(f"{path}: row {row_number} has {len(row)} "
                                          f"cells, expected {width}")
             proba.append(float(row[0]))
@@ -119,17 +131,20 @@ def _parse_rows(fh, path, require_labels: bool) -> Scores:
     if not proba:
         raise EmptyPopulation(f"{path}: no records")
     label = np.array(label) if labelled and None not in label else None
-    return _scores(path, np.array(proba), np.array(group), label, require_labels)
+    return _scores(path, np.array(proba), np.array(group), label, require_labels, blanks)
 
 
-def _scores(path, proba, group, label, require_labels: bool) -> Scores:
-    """Validated `Scores` of parsed columns; errors name `path`."""
+def _scores(path, proba, group, label, require_labels: bool, blanks=()) -> Scores:
+    """Validated `Scores` of parsed columns; errors name `path`, and the row
+    of a bad value counts the blank lines before it, as a parse error does."""
     if label is None and require_labels:
         raise MissingLabels(f"{path}: label required on every row")
     try:
         return Scores(proba, group, label)
     except InvalidProbability as exc:
-        raise InvalidProbability(f"{path}: {exc}") from None
+        row = exc.row + bisect.bisect_left(blanks, exc.row)
+        msg = str(exc).replace(f"row {exc.row} has", f"row {row} has")
+        raise InvalidProbability(f"{path}: {msg}") from None
 
 
 def _bad_cell(path, row_number: int, row: list) -> str:

@@ -27,7 +27,7 @@ DEFAULT_THETA = 0.5
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_GRID_SIZE = 1000
 # bound on B * (m + 1), the mixture knots of a block of B lambdas in `sweep`
-BLOCK_ELEMENTS = 8192
+BLOCK_ELEMENTS = 16384
 
 
 def default_lambda_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -151,10 +151,13 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     The grid is processed in blocks of lambdas, B at a time with
     B * (m + 1) <= BLOCK_ELEMENTS: each block's mixture CDFs form one
     (B, m + 1) stack, and its suffix starts come from array operations on
-    that stack.  The sweep costs O(n log n + G * m * log n) time for n
-    records and G grid points, and O(n + BLOCK_ELEMENTS) memory.  Its losses
-    are bit-identical to remapping every record at every lambda
-    (`tests/sweep_oracle.py`).
+    that stack.  Per block and group, one `searchsorted` of the sorted
+    quantiles finds every candidate start; the candidates at the interior
+    bin edges are checked in closed form, and only the threshold's two per
+    lambda go through `generalized_inverse` (`_suffix_starts`).  The sweep
+    costs O(n log n + G * m * log n) time for n records and G grid points,
+    and O(n + BLOCK_ELEMENTS) memory.  Its losses are bit-identical to
+    remapping every record at every lambda (`tests/sweep_oracle.py`).
     """
     if scores.label is None:
         raise MissingLabels("every record needs a label to sweep")
@@ -205,22 +208,37 @@ def _suffix_starts(mixed: PiecewiseLinearCdf, sorted_u, cuts) -> tuple[np.ndarra
     (i, k) is the first index j with remap_i(sorted_u[j]) >= cuts[k], or
     sorted_u.size if there is none; also the number of entries re-found.
 
-    The candidate is the first quantile above mixed_i(cuts[k]).  The interior
-    cuts k/m are knots, where `np.interp` returns the knot value exactly, so
-    only the threshold is interpolated.  One `generalized_inverse` call on
-    each candidate's two neighbours confirms the block.  Rounding can make a
-    candidate wrong when quantiles sit on knots; such entries are re-found by
-    bisection over `sorted_u` with the same function, one call per step for
-    the rows of the block that have any.
+    The candidate c is the first quantile above the level mixed_i(cuts[k]).
+    It is right when sorted_u[c - 1] remaps below the cut and sorted_u[c] to
+    at least the cut.  The interior cuts k/m are the knots x[k], where
+    `np.interp` returns the knot value exactly, so their level is y[k] and
+    their candidates are checked in closed form, with no knot search:
+
+    (i) a quantile u > y[k] has its first knot >= u at an index j >= k + 1,
+        so it remaps to x[j - 1] >= k/m plus a non-negative term: the upper
+        candidate always passes;
+    (ii) a lower candidate u <= y[k - 1] remaps to at most x[k - 1] < k/m;
+    (iii) a lower candidate u in (y[k - 1], y[k]] lies in segment k, where
+        `generalized_inverse` gives clip(x[k - 1] + (u - y[k - 1]) /
+        (y[k] - y[k - 1]) * (x[k] - x[k - 1]), 0, 1); `_lower_reaches_cut`
+        evaluates that expression elementwise on the knot columns.
+
+    Only the interpolated threshold's two candidates per row go through
+    `generalized_inverse`: one call on (B, 2) quantiles.  Rounding can make
+    a candidate wrong when quantiles sit on knots; such entries are re-found
+    by bisection over `sorted_u` with `generalized_inverse`, one call per
+    step for the rows of the block that have any.
     """
     n = sorted_u.size
     y = mixed.knots_y
-    levels = np.column_stack((y[:, 1:-1], [np.interp(cuts[-1], mixed.knots_x, row) for row in y]))
+    t = cuts[-1]
+    levels = np.column_stack((y[:, 1:-1], [np.interp(t, mixed.knots_x, row) for row in y]))
     c = np.searchsorted(sorted_u, levels, side="right")
-    v = generalized_inverse(mixed, sorted_u[np.concatenate((np.maximum(c - 1, 0),
-                                                            np.minimum(c, n - 1)), axis=1)])
-    k = cuts.size
-    ok = ((c == 0) | (v[:, :k] < cuts)) & ((c == n) | (v[:, k:] >= cuts))
+    ct = c[:, -1:]
+    v = generalized_inverse(mixed, sorted_u[np.column_stack((np.maximum(ct - 1, 0),
+                                                             np.minimum(ct, n - 1)))])
+    ok = np.column_stack((~_lower_reaches_cut(mixed, sorted_u, c[:, :-1]),
+                          ((ct == 0) | (v[:, :1] < t)) & ((ct == n) | (v[:, 1:] >= t))))
     if ok.all():
         return c, 0
     # bisection on the rows with a failed entry; entries that passed start
@@ -237,3 +255,15 @@ def _suffix_starts(mixed: PiecewiseLinearCdf, sorted_u, cuts) -> tuple[np.ndarra
         lo = np.where(active & ~reached, mid + 1, lo)
     c[rows] = lo
     return c, int(failed.sum())
+
+
+def _lower_reaches_cut(mixed: PiecewiseLinearCdf, sorted_u, c) -> np.ndarray:
+    """Whether the lower candidate sorted_u[c - 1] <= y[k] of each interior
+    cut k/m exists and remaps to at least k/m, by (ii) and (iii) of
+    `_suffix_starts`.  The clip of (iii) cannot change a comparison with
+    0 < k/m < 1."""
+    x, y = mixed.knots_x, mixed.knots_y
+    lower = np.concatenate(([-np.inf], sorted_u))[c]  # -inf where c == 0: no candidate
+    inside = lower > y[:, :-2]  # so y[k] - y[k - 1] > 0 there
+    frac = (lower - y[:, :-2]) / np.where(inside, y[:, 1:-1] - y[:, :-2], 1.0)
+    return inside & (x[:-2] + frac * (x[1:-1] - x[:-2]) >= x[1:-1])

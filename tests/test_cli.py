@@ -299,6 +299,9 @@ class TestMalformedInput:
          25, "UnreadableInput", "can't decode byte 0xff"),
         (["sweep", "{input}"], LABELLED + "0.2,0,1\n0.7,1,\n", 19, "MissingLabels",
          "label required on every row"),
+        # a row number counts blank lines, for a value out of range as for a bad cell
+        (["madd", "{input}"], LABELLED + "\n0.2,0,1\n1.5,1,0\n", 11, "InvalidProbability",
+         "row 3 has 1.5"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"

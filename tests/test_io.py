@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import maddpp.io
 from maddpp.densities import Scores
-from maddpp.errors import MaddError, MissingLabels
+from maddpp.errors import InvalidProbability, MaddError, MissingLabels
 from maddpp.cli import main
 from maddpp.io import read_records, read_rows, write_records
 from maddpp.objective import ObjectiveConfig, default_lambda_grid, sweep
@@ -75,10 +75,13 @@ def csv_writer_bytes(path, header, rows):
 def test_writers_match_csv_writer(tmp_path_factory, s):
     d = tmp_path_factory.mktemp("writers")
     proba, group = s.proba.tolist(), s.group.tolist()
-    labels = [""] * len(s) if s.label is None else s.label.tolist()
     write_records(s, d / "records.csv")
-    assert (d / "records.csv").read_bytes() == csv_writer_bytes(
-        d / "expected.csv", ["proba", "group", "label"], zip(proba, group, labels))
+    if s.label is None:  # no label column
+        expected = csv_writer_bytes(d / "expected.csv", ["proba", "group"], zip(proba, group))
+    else:
+        expected = csv_writer_bytes(d / "expected.csv", ["proba", "group", "label"],
+                                    zip(proba, group, s.label.tolist()))
+    assert (d / "records.csv").read_bytes() == expected
     if 0 < sum(group) < len(s):  # fip needs both groups
         assert main(["--out-dir", str(d), "fip", str(d / "records.csv"), "--lambda", "0.5",
                      "--m", "10"]) == 0
@@ -142,6 +145,8 @@ ODD_FILES = {
     "label_minus_one": LABELLED + b"0.2,0,-1\n",
     "proba_above_one": LABELLED + b"0.2,0,1\n1.5,1,0\n",
     "not_a_number": LABELLED + b"0.2,0,1\nabc,1,0\n",
+    "blank_line_then_proba_above_one": LABELLED + b"\n0.2,0,1\n\r\n1.5,1,0\n",
+    "blank_lines_then_group_two": LABELLED + b"\n\n0.2,2,1\n",
     "quoted_cell": LABELLED + b'"0.2",0,1\n0.7,"1",0\n',
     "quoted_header": b'"proba",group,label\n0.2,0,1\n',
     "comment_line": LABELLED + b"0.2,0,1\n#x\n0.7,1,0\n",
@@ -180,13 +185,17 @@ def test_well_formed_files_skip_the_row_parser(tmp_path, monkeypatch):
     def row_parser_called(*_):
         raise AssertionError("fell back to the row parser")
 
-    write_records(sample(SimulationSpec(n_g0=300, n_g1=200, seed=3)), tmp_path / "sim.csv")
+    sim = sample(SimulationSpec(n_g0=300, n_g1=200, seed=3))
+    write_records(sim, tmp_path / "sim.csv")
+    write_records(Scores(sim.proba, sim.group), tmp_path / "unlabelled.csv")
     oracle = read_rows(tmp_path / "sim.csv")
     monkeypatch.setattr(maddpp.io, "_parse_rows", row_parser_called)
     s = read_records(tmp_path / "sim.csv")
     assert s.proba.tobytes() == oracle.proba.tobytes()
     assert s.group.tobytes() == oracle.group.tobytes()
     assert s.label.tobytes() == oracle.label.tobytes()
+    unlabelled = read_records(tmp_path / "unlabelled.csv")
+    assert unlabelled.proba.tobytes() == oracle.proba.tobytes() and unlabelled.label is None
     for name in ("plain", "two_columns", "crlf", "blank_lines", "plus_signs", "padded"):
         path = tmp_path / f"{name}.csv"
         path.write_bytes(ODD_FILES[name])
@@ -205,14 +214,9 @@ def test_names_do_not_change_how_a_file_reads(tmp_path, name, content):
     assert_agrees_with_row_parser(path)
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
-@pytest.mark.parametrize("label", ["1", ""])  # the C reader's rows, the row parser's
-@pytest.mark.parametrize("n", [3, 3000])  # within, and well past, one read buffer
-def test_reads_every_row_of_a_pipe(tmp_path, n, label):
-    """A pipe, as `<(zcat r.csv.gz)` gives, can be read only once."""
-    content = LABELLED + b"".join(b"0.%d,%d,%s\n" % (i, i % 2, label.encode())
-                                  for i in range(1, n + 1))
-    (tmp_path / "r.csv").write_bytes(content)
+def read_through_pipe(content):
+    """`read_records` of `content` fed through a pipe, as `<(zcat r.csv.gz)`
+    gives: an input that can be read only once."""
     r, w = os.pipe()
 
     def feed():
@@ -222,10 +226,20 @@ def test_reads_every_row_of_a_pipe(tmp_path, n, label):
     writer = threading.Thread(target=feed)
     writer.start()
     try:
-        s = read_records(f"/dev/fd/{r}")
+        return read_records(f"/dev/fd/{r}")
     finally:
         os.close(r)  # a writer still blocked then fails rather than hangs
         writer.join()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("label", ["1", ""])  # the C reader's rows, the row parser's
+@pytest.mark.parametrize("n", [3, 3000])  # within, and well past, one read buffer
+def test_reads_every_row_of_a_pipe(tmp_path, n, label):
+    content = LABELLED + b"".join(b"0.%d,%d,%s\n" % (i, i % 2, label.encode())
+                                  for i in range(1, n + 1))
+    (tmp_path / "r.csv").write_bytes(content)
+    s = read_through_pipe(content)
     expected = read_rows(tmp_path / "r.csv")
     assert len(s) == n
     assert s.proba.tobytes() == expected.proba.tobytes()
@@ -269,3 +283,17 @@ def test_agrees_with_row_parser_on_generated_files(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("oracle") / "r.csv"
     path.write_bytes(content)
     assert_agrees_with_row_parser(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("cell, detail", [("1.5", "row 3 has 1.5"),
+                                          ("abc", "row 3: proba 'abc' is not a number")])
+def test_bad_values_and_bad_cells_name_the_same_row(tmp_path, cell, detail):
+    # row 3 of the file, counting the blank line, whichever reader finds the fault
+    content = LABELLED + b"\n0.2,0,1\n" + cell.encode() + b",1,0\n"
+    path = tmp_path / "r.csv"
+    path.write_bytes(content)
+    for read in (read_records, read_rows, lambda _: read_through_pipe(content)):
+        with pytest.raises(InvalidProbability) as exc:
+            read(path)
+        assert detail in str(exc.value)

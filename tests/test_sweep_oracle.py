@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maddpp.densities import Scores
-from maddpp.objective import BLOCK_ELEMENTS, ObjectiveConfig, default_lambda_grid, sweep
+import maddpp.objective
+from maddpp.objective import (BLOCK_ELEMENTS, ObjectiveConfig, _lower_reaches_cut,
+                              default_lambda_grid, sweep)
 from maddpp.simulate import SimulationSpec, sample
-from maddpp.transport import FipMap, mix
+from maddpp.transport import FipMap, generalized_inverse, mix
 from sweep_oracle import oracle_sweep
 
 
@@ -173,3 +175,83 @@ def test_interior_cuts_are_knots_of_every_mixture():
     for cdf in (base.cdf_g0, base.cdf_g1):
         for y in mix(cdf, base.cdf_all, default_lambda_grid(257)[:, None]).knots_y:
             assert np.array_equal(np.interp(x[1:m], x, y), y[1:m])
+
+
+def binned_probas(counts):
+    """counts[k] probabilities at the centre of bin k of len(counts) bins."""
+    m = len(counts)
+    return np.repeat((np.arange(m) + 0.5) / m, counts)
+
+
+# a grid plus lambdas where (1 - lam) * y + lam * y rounds away from y;
+# (1 - lam) + lam rounds to 1 for every lam in [0, 1], so the last knot stays 1
+MIX_LAMBDAS = np.concatenate((default_lambda_grid(101), [0.1, 1 / 3, 0.7, 1 - 2**-40, 2**-40]))
+
+
+def adversarial_fits():
+    """(m, FipMap) pairs with empty bins, and with a last bin left empty
+    under group CDF knots that sum above 1.0 before it."""
+    rng = np.random.default_rng(11)
+    sparse = rng.multinomial(600, rng.dirichlet(np.full(499, 0.3)))
+    fits = [(2, [3, 0], [1, 2]), (3, [0, 5, 0], [2, 0, 1]), (3, [1, 1, 1], [0, 0, 4]),
+            (5, [4, 2, 3, 1, 0], [0, 1, 0, 0, 2]),
+            (500, [*sparse, 0], rng.multinomial(300, np.full(500, 1 / 500)))]
+    out = [(m, FipMap.from_probas(binned_probas(c0), binned_probas(c1), m))
+           for m, c0, c1 in fits]
+    # the cases are there: a knot above 1.0 before an empty last bin, and
+    # mixtures of equal knots that round away from them
+    assert any(fm.cdf_g0.knots_y[-2] > 1.0 for _, fm in out)
+    assert any(((1 - lam) * fm.cdf_g0.knots_y + lam * fm.cdf_g0.knots_y
+                != fm.cdf_g0.knots_y).any() for _, fm in out for lam in MIX_LAMBDAS)
+    return out
+
+
+def quantile_sets(y, own):
+    """Sorted quantile sets placing lower and upper candidates on the knots
+    of stack `y`, one ulp to either side of them, and elsewhere."""
+    knots = np.unique(y)
+    sets = [knots, np.nextafter(knots, -1.0), np.nextafter(knots, 2.0), own,
+            np.random.default_rng(5).random(400)]
+    return [np.unique(np.clip(q, 0.0, 1.0)) for q in sets]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_interior_cut_checks_match_the_generalized_inverse(case):
+    # (i)-(iii) of `_suffix_starts`: at an interior cut k/m the upper
+    # candidate always remaps to >= k/m, and the closed-form verdict on the
+    # lower candidate is `generalized_inverse`'s
+    m, fm = adversarial_fits()[case]
+    cuts = np.arange(1, m) / m
+    reached = 0
+    for cdf in (fm.cdf_g0, fm.cdf_g1):
+        mixed = mix(cdf, fm.cdf_all, MIX_LAMBDAS[:, None])
+        own = np.clip(cdf(binned_probas(np.ones(m, int))), 0.0, 1.0)
+        for su in quantile_sets(mixed.knots_y, own):
+            n = su.size
+            c = np.searchsorted(su, mixed.knots_y[:, 1:-1], side="right")
+            upper = generalized_inverse(mixed, su[np.minimum(c, n - 1)])
+            assert ((c == n) | (upper >= cuts)).all()
+            lower = generalized_inverse(mixed, su[np.maximum(c - 1, 0)])
+            expected = (c > 0) & (lower >= cuts)
+            assert np.array_equal(_lower_reaches_cut(mixed, su, c), expected)
+            reached += expected.sum()
+    assert reached > 0  # some lower candidates on knots do reach their cut
+
+
+def test_sweep_inverts_only_the_threshold_candidates(monkeypatch):
+    # with no repair, each block and group makes one `generalized_inverse`
+    # call, on the threshold's two candidates per lambda
+    sizes = []
+
+    def spy(cdf, u):
+        sizes.append(np.size(u))
+        return generalized_inverse(cdf, u)
+
+    m = 500
+    config = ObjectiveConfig(m=m, lambda_grid=default_lambda_grid(1000))
+    monkeypatch.setattr(maddpp.objective, "generalized_inverse", spy)
+    res = sweep(sample(SimulationSpec(seed=0)), config)
+    assert res.repairs == 0
+    b = block_size(m)
+    assert len(sizes) == 2 * -(-1000 // b)
+    assert max(sizes) <= 2 * b
