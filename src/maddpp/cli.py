@@ -71,7 +71,14 @@ def _write_manifest(path: Path, command: str, config: dict, inputs: list,
         json.dump(manifest, fh, indent=2)
 
 
+def _check_seed(seed: int) -> None:
+    """Raise InvalidSeed for a negative seed, which numpy's generators reject."""
+    if seed < 0:
+        raise errors.InvalidSeed(f"seed must be >= 0, got {seed}")
+
+
 def cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     spec = SimulationSpec(n_g0=args.n_g0, n_g1=args.n_g1, seed=args.seed)
     if spec.n_g0 <= 0 or spec.n_g1 <= 0:
         raise errors.EmptyPopulation("both group sizes must be positive")
@@ -161,6 +168,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_pipeline(args) -> int:
     config = _sweep_config(args)
+    _check_seed(args.seed)
     dataset = load_dataset(args.dataset, sensitive=args.sensitive,
                            label_column=args.label_column)
     X, y, rules = encode(dataset)

@@ -76,3 +76,7 @@ class UnreadableInput(MaddError):
 
 class UnwritableOutput(MaddError):
     exit_code = 26
+
+
+class InvalidSeed(MaddError):
+    exit_code = 27

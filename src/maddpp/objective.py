@@ -21,7 +21,7 @@ from .errors import (
     MissingLabels,
 )
 from .io import write_columns
-from .transport import FipMap, PiecewiseLinearCdf, generalized_inverse, mix
+from .transport import FipMap, mix_knots
 
 DEFAULT_THETA = 0.5
 DEFAULT_THRESHOLD = 0.5
@@ -149,12 +149,10 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     counts before the threshold's start.
 
     The grid is processed in blocks of lambdas, B at a time with
-    B * (m + 1) <= BLOCK_ELEMENTS: each block's mixture CDFs form one
-    (B, m + 1) stack, and its suffix starts come from array operations on
-    that stack.  Per block and group, one `searchsorted` of the sorted
-    quantiles finds every candidate start; the candidates at the interior
-    bin edges are checked in closed form, and only the threshold's two per
-    lambda go through `generalized_inverse` (`_suffix_starts`).  The sweep
+    B * (m + 1) <= BLOCK_ELEMENTS: a block's mixtures are one (B, m + 1)
+    array of knot values (`mix_knots`).  Per block and group, one
+    `searchsorted` of the sorted quantiles finds every candidate start, and
+    one closed-form test checks them all (`_suffix_starts`).  The sweep
     costs O(n log n + G * m * log n) time for n records and G grid points,
     and O(n + BLOCK_ELEMENTS) memory.  Its losses are bit-identical to
     remapping every record at every lambda (`tests/sweep_oracle.py`).
@@ -174,6 +172,7 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
         groups.append((cdf, u[order], np.concatenate(([0], np.cumsum(labels[mask][order])))))
     # interior bin edges exactly as `bin_index` computes them, then the threshold
     cuts = np.append(np.arange(1, config.m) / config.m, config.threshold)
+    x = base.cdf_all.knots_x
 
     grid = config.lambda_grid
     acc = np.empty(grid.size)
@@ -185,7 +184,7 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
         wrong = 0
         proportions = []
         for cdf, su, ones_before in groups:
-            starts, repaired = _suffix_starts(mix(cdf, base.cdf_all, lams), su, cuts)
+            starts, repaired = _suffix_starts(x, mix_knots(cdf, base.cdf_all, lams), su, cuts)
             repairs += repaired
             c_t = starts[:, -1]
             # predicted 1 from c_t on: positives before it and negatives after it are wrong
@@ -203,67 +202,71 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
                        min_total_loss=float(tot[best]), config=config, repairs=repairs)
 
 
-def _suffix_starts(mixed: PiecewiseLinearCdf, sorted_u, cuts) -> tuple[np.ndarray, int]:
-    """For a stack of B mixture CDFs, a (B, cuts.size) array whose entry
-    (i, k) is the first index j with remap_i(sorted_u[j]) >= cuts[k], or
-    sorted_u.size if there is none; also the number of entries re-found.
+def _suffix_starts(x, y, sorted_u, cuts) -> tuple[np.ndarray, int]:
+    """For B mixture CDFs with knots (x, y[i]), a (B, cuts.size) array whose
+    entry (i, k) is the first index j with remap_i(sorted_u[j]) >= cuts[k],
+    or sorted_u.size if there is none; also the number of entries re-found.
 
-    The candidate c is the first quantile above the level mixed_i(cuts[k]).
-    It is right when sorted_u[c - 1] remaps below the cut and sorted_u[c] to
-    at least the cut.  The interior cuts k/m are the knots x[k], where
-    `np.interp` returns the knot value exactly, so their level is y[k] and
-    their candidates are checked in closed form, with no knot search:
-
-    (i) a quantile u > y[k] has its first knot >= u at an index j >= k + 1,
-        so it remaps to x[j - 1] >= k/m plus a non-negative term: the upper
-        candidate always passes;
-    (ii) a lower candidate u <= y[k - 1] remaps to at most x[k - 1] < k/m;
-    (iii) a lower candidate u in (y[k - 1], y[k]] lies in segment k, where
-        `generalized_inverse` gives clip(x[k - 1] + (u - y[k - 1]) /
-        (y[k] - y[k - 1]) * (x[k] - x[k - 1]), 0, 1); `_lower_reaches_cut`
-        evaluates that expression elementwise on the knot columns.
-
-    Only the interpolated threshold's two candidates per row go through
-    `generalized_inverse`: one call on (B, 2) quantiles.  Rounding can make
-    a candidate wrong when quantiles sit on knots; such entries are re-found
-    by bisection over `sorted_u` with `generalized_inverse`, one call per
-    step for the rows of the block that have any.
+    The candidate c is the first quantile above the level mixture_i(cuts[k])
+    (`_levels`).  It is right when sorted_u[c - 1] remaps below the cut and
+    sorted_u[c] to at least the cut, which `_reaches` checks for every cut.
+    Rounding can make a candidate wrong; such entries are re-found by
+    bisection over `sorted_u` with the same test.
     """
     n = sorted_u.size
-    y = mixed.knots_y
-    t = cuts[-1]
-    levels = np.column_stack((y[:, 1:-1], [np.interp(t, mixed.knots_x, row) for row in y]))
-    c = np.searchsorted(sorted_u, levels, side="right")
-    ct = c[:, -1:]
-    v = generalized_inverse(mixed, sorted_u[np.column_stack((np.maximum(ct - 1, 0),
-                                                             np.minimum(ct, n - 1)))])
-    ok = np.column_stack((~_lower_reaches_cut(mixed, sorted_u, c[:, :-1]),
-                          ((ct == 0) | (v[:, :1] < t)) & ((ct == n) | (v[:, 1:] >= t))))
+    s = np.searchsorted(x, cuts)  # first knot >= each cut: x[s - 1] < cut <= x[s]
+    c = np.searchsorted(sorted_u, _levels(x, y, s, cuts), side="right")
+    # sorted_u[c - 1] and sorted_u[c]; a missing one, -inf or +inf, passes
+    padded = np.concatenate(([-np.inf], sorted_u, [np.inf]))
+    reached = _reaches(padded[np.stack((c, c + 1))], x, y, s, cuts)
+    ok = ~reached[0] & reached[1]
     if ok.all():
         return c, 0
     # bisection on the rows with a failed entry; entries that passed start
     # with lo == hi == c and so stay put
     rows = np.flatnonzero(~ok.all(axis=1))
     failed = ~ok[rows]
-    stack = PiecewiseLinearCdf(mixed.knots_x, y[rows])
+    y = y[rows]
     lo = np.where(failed, 0, c[rows])
     hi = np.where(failed, n, c[rows])
     while (active := lo < hi).any():
         mid = (lo + hi) // 2
-        reached = generalized_inverse(stack, sorted_u[np.minimum(mid, n - 1)]) >= cuts
+        reached = _reaches(sorted_u[np.minimum(mid, n - 1)], x, y, s, cuts)
         hi = np.where(active & reached, mid, hi)
         lo = np.where(active & ~reached, mid + 1, lo)
     c[rows] = lo
     return c, int(failed.sum())
 
 
-def _lower_reaches_cut(mixed: PiecewiseLinearCdf, sorted_u, c) -> np.ndarray:
-    """Whether the lower candidate sorted_u[c - 1] <= y[k] of each interior
-    cut k/m exists and remaps to at least k/m, by (ii) and (iii) of
-    `_suffix_starts`.  The clip of (iii) cannot change a comparison with
-    0 < k/m < 1."""
-    x, y = mixed.knots_x, mixed.knots_y
-    lower = np.concatenate(([-np.inf], sorted_u))[c]  # -inf where c == 0: no candidate
-    inside = lower > y[:, :-2]  # so y[k] - y[k - 1] > 0 there
-    frac = (lower - y[:, :-2]) / np.where(inside, y[:, 1:-1] - y[:, :-2], 1.0)
-    return inside & (x[:-2] + frac * (x[1:-1] - x[:-2]) >= x[1:-1])
+def _levels(x, y, s, cuts) -> np.ndarray:
+    """np.interp(cuts, x, y[i]) for every row i at once, bit for bit, with
+    every cut but the last on a knot: y[i, s] for a cut on knot x[s], and
+    interp's own formula for a last cut strictly inside segment s."""
+    levels = y[:, s]
+    k, t = s[-1], cuts[-1]
+    if x[k] != t:
+        slope = (y[:, k] - y[:, k - 1]) / (x[k] - x[k - 1])
+        levels[:, -1] = slope * (t - x[k - 1]) + y[:, k - 1]
+    return levels
+
+
+def _reaches(u, x, y, s, cuts) -> np.ndarray:
+    """Whether quantile u[..., i, k] remaps to at least cuts[k] under the
+    mixture with knots (x, y[i]): `generalized_inverse(mixture_i, u) >=
+    cuts[k]`, read off segment s = s[k] alone, where x[s - 1] < cuts[k] <= x[s].
+
+    The knots rise from y[0] = 0 to y[m] = 1 (rounding can lift only y[m - 1]
+    just above 1), so for u <= 1 the first knot j with y[j] >= u exists, and
+    u remaps to 0 if j == 0, else to clip(x[j - 1] + (u - y[j - 1]) /
+    (y[j] - y[j - 1]) * (x[j] - x[j - 1]), 0, 1).  So for a cut in (0, 1):
+    (i) u > y[s]: j > s, and u remaps to x[j - 1] >= x[s] >= cut plus a
+        non-negative term;
+    (ii) u <= y[s - 1]: j < s, and u remaps to at most x[j] <= x[s - 1] < cut;
+    (iii) else j = s, and the value is the expression below; the clip cannot
+        change its comparison with the cut.
+    u = -inf never reaches a cut and u = +inf always does.
+    """
+    y_lo, y_hi = y[:, s - 1], y[:, s]
+    inside = (u > y_lo) & (u <= y_hi)  # so 0 < u - y_lo <= y_hi - y_lo there
+    frac = (u - y_lo) / np.where(inside, y_hi - y_lo, 1.0)
+    return (u > y_hi) | (inside & (x[s - 1] + frac * (x[s] - x[s - 1]) >= cuts))

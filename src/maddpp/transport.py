@@ -21,11 +21,7 @@ from .errors import (EmptyGroup, InvalidLambda, InvalidProbability, InvalidQuant
 
 @dataclass(frozen=True)
 class PiecewiseLinearCdf:
-    """Monotone CDF on [0, 1], linear between bin-edge knots.
-
-    A 2-d `knots_y` is a stack of such CDFs over the same `knots_x`, one per
-    row; each row is checked as a 1-d one would be.
-    """
+    """Monotone CDF on [0, 1], linear between bin-edge knots."""
 
     knots_x: np.ndarray = field(repr=False)
     knots_y: np.ndarray = field(repr=False)
@@ -33,16 +29,13 @@ class PiecewiseLinearCdf:
     def __post_init__(self):
         object.__setattr__(self, "knots_x", np.asarray(self.knots_x, dtype=float))
         object.__setattr__(self, "knots_y", np.asarray(self.knots_y, dtype=float))
-        y = self.knots_y
-        if (self.knots_x.ndim != 1 or y.ndim not in (1, 2)
-                or y.shape[-1] != self.knots_x.size or y.shape[-1] < 2):
-            raise LengthMismatch("a CDF needs 1-d knots_x and 1-d or 2-d knots_y, "
-                                 "one y per x and at least 2 knots")
-        ends = (np.abs(y[..., 0]) <= 1e-9) & (np.abs(y[..., -1] - 1.0) <= 1e-9)
-        if not ends.all():
-            row = y.reshape(-1, y.shape[-1])[np.argmin(ends)]
-            raise InvalidProbability(f"a CDF must run from 0 to 1, got {row[0]} to {row[-1]}")
-        if not np.all(np.diff(y, axis=-1) >= -1e-12):
+        x, y = self.knots_x, self.knots_y
+        if x.ndim != 1 or y.shape != x.shape or x.size < 2:
+            raise LengthMismatch("a CDF needs 1-d knots_x and knots_y, one y per x "
+                                 "and at least 2 knots")
+        if not (abs(y[0]) <= 1e-9 and abs(y[-1] - 1.0) <= 1e-9):
+            raise InvalidProbability(f"a CDF must run from 0 to 1, got {y[0]} to {y[-1]}")
+        if not np.all(np.diff(y) >= -1e-12):
             raise InvalidProbability("a CDF must be non-decreasing")
 
     def __call__(self, x):
@@ -58,28 +51,17 @@ def build_cdf(d: DensityVector) -> PiecewiseLinearCdf:
 
 
 def generalized_inverse(cdf: PiecewiseLinearCdf, u) -> np.ndarray | float:
-    """inf{x : CDF(x) >= u}; leftmost preimage on flat segments, clamped to [0, 1].
-
-    For a stack of R CDFs, `u` has R rows (or R entries, one per CDF) and row
-    i is inverted under CDF i; the result has the shape of `u`.
-    """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0) or np.any(u_arr > 1) or not np.all(np.isfinite(u_arr)):
+    """inf{x : CDF(x) >= u}; leftmost preimage on flat segments, clamped to [0, 1]."""
+    q = np.asarray(u, dtype=float)
+    if np.any(q < 0) or np.any(q > 1) or not np.all(np.isfinite(q)):
         raise InvalidQuantile(f"quantile must be in [0, 1], got {u!r}")
-    x = cdf.knots_x
-    y = np.atleast_2d(cdf.knots_y)
-    uq = u_arr.reshape(y.shape[0], -1)
-    # first knot with y >= u, one searchsorted per CDF: the very call a 1-d
-    # CDF makes, so a row of a stack gives the same index as the CDF alone
-    j = np.stack([row.searchsorted(q, side="left") for row, q in zip(y, uq)])
-    j = np.minimum(j, x.size - 1)
+    x, y = cdf.knots_x, cdf.knots_y
+    j = np.minimum(y.searchsorted(q, side="left"), x.size - 1)  # first knot with y >= u
     # the segment just before knot j is strictly rising, unless j == 0
     jr = np.maximum(j, 1)
-    y_lo = np.take_along_axis(y, jr - 1, axis=1)
-    dy = np.take_along_axis(y, jr, axis=1) - y_lo
-    frac = np.divide(uq - y_lo, dy, out=np.zeros_like(uq), where=dy > 0)
-    out = np.where(j > 0, x[jr - 1] + frac * (x[jr] - x[jr - 1]), x[0])
-    out = np.clip(out, 0.0, 1.0).reshape(u_arr.shape)
+    dy = y[jr] - y[jr - 1]
+    frac = np.divide(q - y[jr - 1], dy, out=np.zeros_like(q), where=dy > 0)
+    out = np.clip(np.where(j > 0, x[jr - 1] + frac * (x[jr] - x[jr - 1]), x[0]), 0.0, 1.0)
     return out if out.ndim else float(out)
 
 
@@ -115,13 +97,15 @@ def check_lambda(lam: float) -> None:
         raise InvalidLambda(f"lambda must be in [0, 1], got {lam}")
 
 
+def mix_knots(cdf_group: PiecewiseLinearCdf, cdf_all: PiecewiseLinearCdf, lam):
+    """Knot values of (1 - lam) * cdf_group + lam * cdf_all; a column of B
+    lambdas, shape (B, 1), gives one row of knot values per lambda."""
+    return (1.0 - lam) * cdf_group.knots_y + lam * cdf_all.knots_y
+
+
 def mix(cdf_group: PiecewiseLinearCdf, cdf_all: PiecewiseLinearCdf, lam) -> PiecewiseLinearCdf:
-    """Knotwise (1 - lam) * cdf_group + lam * cdf_all over their shared knots;
-    a column of B lambdas, shape (B, 1), gives a stack of B CDFs."""
-    return PiecewiseLinearCdf(
-        knots_x=cdf_group.knots_x,
-        knots_y=(1.0 - lam) * cdf_group.knots_y + lam * cdf_all.knots_y,
-    )
+    """The mixture CDF (1 - lam) * cdf_group + lam * cdf_all, over their shared knots."""
+    return PiecewiseLinearCdf(cdf_group.knots_x, mix_knots(cdf_group, cdf_all, lam))
 
 
 def fip(scores: Scores, lam: float, m: int) -> np.ndarray:

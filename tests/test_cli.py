@@ -302,6 +302,11 @@ class TestMalformedInput:
         # a row number counts blank lines, for a value out of range as for a bad cell
         (["madd", "{input}"], LABELLED + "\n0.2,0,1\n1.5,1,0\n", 11, "InvalidProbability",
          "row 3 has 1.5"),
+        # numpy's generators take no negative seed; checked before any input is read
+        (["simulate", "--seed", "-1", "--out", "{input}"], None, 27, "InvalidSeed",
+         "seed must be >= 0, got -1"),
+        (["pipeline", "{input}", "--sensitive", "gender", "--seed", "-1"], None, 27,
+         "InvalidSeed", "seed must be >= 0, got -1"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"
@@ -316,9 +321,11 @@ class TestMalformedInput:
         assert detail.format(tmp=tmp_path, input=path) in err
         # an encoding error names the column and row instead, an output error its
         # output, an option error the option's value
-        if code not in (12, 14, 17, 21, 26):
+        if code not in (12, 14, 17, 21, 26, 27):
             assert str(path) in err, err
         assert not (tmp_path / "model.json").exists()
+        # and a run stopped by an option writes nothing, not even simulate's --out
+        assert content is not None or not path.exists()
 
 
 def test_header_only_records_print_one_line(tmp_path):

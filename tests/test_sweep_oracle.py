@@ -4,15 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maddpp.densities import Scores
 import maddpp.objective
-from maddpp.objective import (BLOCK_ELEMENTS, ObjectiveConfig, _lower_reaches_cut,
+import maddpp.transport
+from maddpp.objective import (BLOCK_ELEMENTS, ObjectiveConfig, _levels, _reaches,
                               default_lambda_grid, sweep)
 from maddpp.simulate import SimulationSpec, sample
-from maddpp.transport import FipMap, generalized_inverse, mix
+from maddpp.transport import FipMap, generalized_inverse, mix, mix_knots
 from sweep_oracle import oracle_sweep
 
 
@@ -73,9 +74,19 @@ def test_simulation_needs_no_repair(t):
     assert res.repairs == 0
 
 
+def edge_segment_thresholds(m):
+    """Thresholds on and off a knot in the first and last segments of m bins."""
+    return {"0.5/m": 0.5 / m, "1/m": 1 / m, "(m-1)/m": (m - 1) / m, "1-0.5/m": 1 - 0.5 / m}
+
+
+def thresholds(m):
+    return [0.5, 0.37, *edge_segment_thresholds(m).values()]
+
+
 @pytest.mark.parametrize("m", [2, 10, 100, 500])
-@pytest.mark.parametrize("t", [0.5, 0.37])
+@pytest.mark.parametrize("t", [0.5, 0.37, *edge_segment_thresholds(1)])
 def test_bin_edges_threshold_on_and_off_edge(m, t):
+    t = edge_segment_thresholds(m).get(t, t)
     rng = np.random.default_rng(m)
     recs = edge_records(m)
     recs += [(float(k) / m, int(g), int(lbl)) for k, g, lbl in
@@ -120,8 +131,21 @@ def sweep_cases(draw):
     return recs, ObjectiveConfig(theta=theta, threshold=t, m=m, lambda_grid=grid)
 
 
+def upper_candidate_case():
+    """A group-0 record one float above the threshold, whose quantile is the
+    first above the threshold's level yet remaps below the threshold: the
+    threshold's upper candidate fails its check and is re-found."""
+    m, t, p = 9, 0.057492, 0.05749200000000001
+    probas = np.repeat((np.arange(m) + 0.5) / m, [12, 2, 34, 8, 7, 34, 29, 27, 6])
+    probas[0] = p  # still in bin 0, so the CDFs are those of the bin centres
+    return (Scores(np.append(probas, 0.5), np.append(np.zeros(probas.size, int), 1),
+                   np.append(np.ones(probas.size, int), 0)),
+            ObjectiveConfig(m=m, threshold=t, lambda_grid=[0.0, 0.5, 1.0]))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sweep_cases())
+@example(upper_candidate_case())
 def test_matches_oracle_on_generated_cases(case):
     assert_identical(*case)
 
@@ -172,9 +196,18 @@ def test_interior_cuts_are_knots_of_every_mixture():
     base = FipMap.from_probas(s.proba[mask0], s.proba[~mask0], m)
     x = base.cdf_all.knots_x
     assert np.array_equal(np.arange(1, m) / m, x[1:m])
+    grid = default_lambda_grid(257)
     for cdf in (base.cdf_g0, base.cdf_g1):
-        for y in mix(cdf, base.cdf_all, default_lambda_grid(257)[:, None]).knots_y:
-            assert np.array_equal(np.interp(x[1:m], x, y), y[1:m])
+        for lam in grid:
+            mixed = mix(cdf, base.cdf_all, lam)
+            assert np.array_equal(mixed(x[1:m]), mixed.knots_y[1:m])
+        # so the sweep's levels, the threshold's among them, are np.interp's, row by row
+        y = mix_knots(cdf, base.cdf_all, grid[:, None])
+        for t in (*thresholds(m), 0.613, 1 / 3):
+            cuts = np.append(np.arange(1, m) / m, t)
+            levels = _levels(x, y, np.searchsorted(x, cuts), cuts)
+            for row, level in zip(y, levels):
+                assert np.array_equal(level, np.interp(cuts, x, row))
 
 
 def binned_probas(counts):
@@ -189,69 +222,86 @@ MIX_LAMBDAS = np.concatenate((default_lambda_grid(101), [0.1, 1 / 3, 0.7, 1 - 2*
 
 
 def adversarial_fits():
-    """(m, FipMap) pairs with empty bins, and with a last bin left empty
-    under group CDF knots that sum above 1.0 before it."""
+    """(m, FipMap, records) triples with empty bins, and with a last bin left
+    empty under group CDF knots that sum above 1.0 before it; the FipMap is
+    fitted on the records."""
     rng = np.random.default_rng(11)
     sparse = rng.multinomial(600, rng.dirichlet(np.full(499, 0.3)))
     fits = [(2, [3, 0], [1, 2]), (3, [0, 5, 0], [2, 0, 1]), (3, [1, 1, 1], [0, 0, 4]),
             (5, [4, 2, 3, 1, 0], [0, 1, 0, 0, 2]),
             (500, [*sparse, 0], rng.multinomial(300, np.full(500, 1 / 500)))]
-    out = [(m, FipMap.from_probas(binned_probas(c0), binned_probas(c1), m))
-           for m, c0, c1 in fits]
+    out = []
+    for m, c0, c1 in fits:
+        p0, p1 = binned_probas(c0), binned_probas(c1)
+        records = Scores(np.concatenate((p0, p1)), np.repeat([0, 1], [p0.size, p1.size]),
+                         np.arange(p0.size + p1.size) % 2)
+        out.append((m, FipMap.from_probas(p0, p1, m), records))
     # the cases are there: a knot above 1.0 before an empty last bin, and
     # mixtures of equal knots that round away from them
-    assert any(fm.cdf_g0.knots_y[-2] > 1.0 for _, fm in out)
+    assert any(fm.cdf_g0.knots_y[-2] > 1.0 for _, fm, _ in out)
     assert any(((1 - lam) * fm.cdf_g0.knots_y + lam * fm.cdf_g0.knots_y
-                != fm.cdf_g0.knots_y).any() for _, fm in out for lam in MIX_LAMBDAS)
+                != fm.cdf_g0.knots_y).any() for _, fm, _ in out for lam in MIX_LAMBDAS)
     return out
 
 
 def quantile_sets(y, own):
     """Sorted quantile sets placing lower and upper candidates on the knots
-    of stack `y`, one ulp to either side of them, and elsewhere."""
+    `y`, one ulp to either side of them, and elsewhere."""
     knots = np.unique(y)
     sets = [knots, np.nextafter(knots, -1.0), np.nextafter(knots, 2.0), own,
             np.random.default_rng(5).random(400)]
     return [np.unique(np.clip(q, 0.0, 1.0)) for q in sets]
 
 
+# the sweep's repairs on the adversarial fits' own records, at `thresholds(m)`
+ADVERSARIAL_REPAIRS = [3, 17, 4, 10, 727]
+
+
 @pytest.mark.parametrize("case", range(5))
 def test_interior_cut_checks_match_the_generalized_inverse(case):
-    # (i)-(iii) of `_suffix_starts`: at an interior cut k/m the upper
-    # candidate always remaps to >= k/m, and the closed-form verdict on the
-    # lower candidate is `generalized_inverse`'s
-    m, fm = adversarial_fits()[case]
-    cuts = np.arange(1, m) / m
+    # `_reaches` is `generalized_inverse`'s verdict, at every interior cut
+    # and at thresholds on and off a knot, the first and last segments
+    # included, for the lower and upper candidates of each cut's level
+    m, fm, records = adversarial_fits()[case]
+    x = fm.cdf_all.knots_x
     reached = 0
-    for cdf in (fm.cdf_g0, fm.cdf_g1):
-        mixed = mix(cdf, fm.cdf_all, MIX_LAMBDAS[:, None])
-        own = np.clip(cdf(binned_probas(np.ones(m, int))), 0.0, 1.0)
-        for su in quantile_sets(mixed.knots_y, own):
-            n = su.size
-            c = np.searchsorted(su, mixed.knots_y[:, 1:-1], side="right")
-            upper = generalized_inverse(mixed, su[np.minimum(c, n - 1)])
-            assert ((c == n) | (upper >= cuts)).all()
-            lower = generalized_inverse(mixed, su[np.maximum(c - 1, 0)])
-            expected = (c > 0) & (lower >= cuts)
-            assert np.array_equal(_lower_reaches_cut(mixed, su, c), expected)
-            reached += expected.sum()
+    for t in thresholds(m):
+        cuts = np.append(np.arange(1, m) / m, t)
+        s = np.searchsorted(x, cuts)
+        assert (x[s - 1] < cuts).all() and (cuts <= x[s]).all()
+        for cdf in (fm.cdf_g0, fm.cdf_g1):
+            own = np.clip(cdf(binned_probas(np.ones(m, int))), 0.0, 1.0)
+            for lam in MIX_LAMBDAS:
+                mixed = mix(cdf, fm.cdf_all, lam)
+                for su in quantile_sets(mixed.knots_y, own):
+                    c = np.searchsorted(su, mixed(cuts), side="right")
+                    u = su[np.stack((np.maximum(c - 1, 0), np.minimum(c, su.size - 1)))]
+                    got = _reaches(u, x, mixed.knots_y[None], s, cuts)
+                    assert np.array_equal(got, generalized_inverse(mixed, u) >= cuts)
+                    reached += got[0].sum()
     assert reached > 0  # some lower candidates on knots do reach their cut
+    # the sweep on the records the fit came from
+    grid = np.sort(MIX_LAMBDAS)
+    repairs = sum(assert_identical(records, ObjectiveConfig(m=m, threshold=t,
+                                                            lambda_grid=grid)).repairs
+                  for t in thresholds(m))
+    assert repairs == ADVERSARIAL_REPAIRS[case]
 
 
-def test_sweep_inverts_only_the_threshold_candidates(monkeypatch):
-    # with no repair, each block and group makes one `generalized_inverse`
-    # call, on the threshold's two candidates per lambda
-    sizes = []
+def test_sweep_makes_no_generalized_inverse_call(monkeypatch):
+    # the candidate checks and the bisection's steps are all `_reaches`
+    calls = []
 
     def spy(cdf, u):
-        sizes.append(np.size(u))
+        calls.append(np.size(u))
         return generalized_inverse(cdf, u)
 
-    m = 500
-    config = ObjectiveConfig(m=m, lambda_grid=default_lambda_grid(1000))
-    monkeypatch.setattr(maddpp.objective, "generalized_inverse", spy)
-    res = sweep(sample(SimulationSpec(seed=0)), config)
-    assert res.repairs == 0
-    b = block_size(m)
-    assert len(sizes) == 2 * -(-1000 // b)
-    assert max(sizes) <= 2 * b
+    monkeypatch.setattr(maddpp.transport, "generalized_inverse", spy)
+    assert not hasattr(maddpp.objective, "generalized_inverse")
+    config = ObjectiveConfig(m=500, lambda_grid=default_lambda_grid(1000))
+    assert sweep(sample(SimulationSpec(seed=0)), config).repairs == 0
+    assert sweep(simulated_with_edges(500), config).repairs > 0  # the bisection runs too
+    assert calls == []
+    # the spy does see the remap's call
+    FipMap.from_probas([0.2], [0.7], 500).remap([0.2, 0.3], 0, 0.5)
+    assert calls == [2]
