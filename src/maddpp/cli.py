@@ -132,8 +132,7 @@ def cmd_fip(args) -> int:
     new_probas = fip(scores, args.lam, args.m)
     out_dir = _out_dir(args)
     out = Path(args.out) if args.out else out_dir / "fip.csv"
-    write_columns(out, ["proba", "new_proba", "group"], "{:.17g},{:.17g},{}\r\n",
-                  scores.proba.tolist(), new_probas.tolist(), scores.group.tolist())
+    write_columns(out, ["proba", "new_proba", "group"], scores.proba, new_probas, scores.group)
     _write_manifest(out.with_suffix(".manifest.json"), "fip",
                     {"lambda": args.lam, "m": args.m},
                     inputs=[args.records], outputs=[out],

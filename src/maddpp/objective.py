@@ -71,16 +71,15 @@ class SweepResult:
     config: ObjectiveConfig
     repairs: int = 0  # (lambda, group, cut) suffix starts re-found by bisection
 
-    def columns(self) -> list[list[float]]:
-        return [self.lambdas.tolist(), self.accuracy_losses.tolist(),
-                self.fairness_losses.tolist(), self.total_losses.tolist()]
+    def columns(self) -> list[np.ndarray]:
+        return [self.lambdas, self.accuracy_losses, self.fairness_losses, self.total_losses]
 
     def rows(self):
-        return zip(*self.columns())
+        return zip(*(c.tolist() for c in self.columns()))
 
     def write_csv(self, path):
         write_columns(path, ["lambda", "accuracy_loss", "fairness_loss", "total_loss"],
-                      "{:.17g},{:.17g},{:.17g},{:.17g}\r\n", *self.columns())
+                      *self.columns())
 
     def to_json_dict(self) -> dict:
         return {

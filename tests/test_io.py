@@ -1,6 +1,8 @@
 import csv
+import itertools
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +97,82 @@ def test_writers_match_csv_writer(tmp_path_factory, s):
         assert (d / "sweep.csv").read_bytes() == csv_writer_bytes(
             d / "expected.csv", ["lambda", "accuracy_loss", "fairness_loss", "total_loss"],
             result.rows())
+
+
+def formatter_corpus() -> np.ndarray:
+    """Every odd j / 2**b for b = 14..19 (exact decimal ties among them), the
+    floats next to 10**-k and 1e-4, the values Python's formatter writes,
+    and seeded uniforms, also raised to the 8th power."""
+    dyadic = [np.arange(1, 2**b, 2) / 2**b for b in range(14, 20)]
+    powers = np.array([10.0**-k for k in range(6)] + [1e-4])
+    near = [np.nextafter(powers, 0.0), powers, np.nextafter(powers, 1.0)]
+    edges = np.array([0.0, -0.0, 1.0, 1 - 2**-53, 5e-324, 2.2250738585072014e-308])
+    uniform = np.random.default_rng(11).random(500_000)
+    return np.concatenate(dyadic + near + [edges, uniform, uniform**8])
+
+
+def test_float_cells_are_python_format_17g(tmp_path):
+    x = formatter_corpus()
+    assert 26215 / 2**18 in x  # a tie: format gives 0.10000228881835938
+    maddpp.io.write_columns(tmp_path / "x.csv", ["x"], x)
+    got = (tmp_path / "x.csv").read_bytes()
+    expected = list(map(format, x.tolist(), itertools.repeat(".17g")))
+    if got != "\r\n".join(["x", *expected, ""]).encode():
+        cells = got.decode().split("\r\n")
+        wrong = [(v, a, b) for v, a, b in zip(x.tolist(), cells[1:], expected) if a != b]
+        pytest.fail(f"{len(cells) - 2} cells for {x.size} values, first wrong: {wrong[:5]}")
+
+
+BLOCK = maddpp.io.BLOCK_ROWS
+
+
+def block_scores(n: int, seed: int = 12) -> Scores:
+    """n labelled records with both groups from n = 2 on, some at 0.0 and 1.0."""
+    rng = np.random.default_rng(seed)
+    proba = rng.random(n)
+    proba[::997], proba[1::1009] = 0.0, 1.0
+    group = rng.integers(0, 2, n)
+    group[:2] = [0, 1][:n]
+    return Scores(proba, group, rng.integers(0, 2, n))
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_writers_match_csv_writer_across_blocks(tmp_path, n):
+    s = block_scores(n)
+    write_records(s, tmp_path / "records.csv")
+    assert (tmp_path / "records.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "expected.csv", ["proba", "group", "label"],
+        zip(s.proba.tolist(), s.group.tolist(), s.label.tolist()))
+    s = block_scores(max(n, 2))  # fip needs both groups
+    write_records(s, tmp_path / "records.csv")
+    assert main(["--out-dir", str(tmp_path), "fip", str(tmp_path / "records.csv"),
+                 "--lambda", "0.5", "--m", "10"]) == 0
+    assert (tmp_path / "fip.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "expected.csv", ["proba", "new_proba", "group"],
+        zip(s.proba.tolist(), fip(s, 0.5, 10).tolist(), s.group.tolist()))
+    s = block_scores(100)
+    write_records(s, tmp_path / "records.csv")
+    assert main(["--out-dir", str(tmp_path), "sweep", str(tmp_path / "records.csv"),
+                 "--m", "10", "--grid", str(n)]) == 0
+    result = sweep(s, ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(n)))
+    assert (tmp_path / "sweep.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "expected.csv", ["lambda", "accuracy_loss", "fairness_loss", "total_loss"],
+        result.rows())
+
+
+def test_write_memory_is_bounded(tmp_path):
+    # a block's text and temporaries are O(BLOCK_ROWS), whatever the row count
+    def peak(n):
+        s = block_scores(n)
+        tracemalloc.start()
+        try:
+            maddpp.io.write_columns(tmp_path / "w.csv", ["proba", "group", "label"],
+                                    s.proba, s.group, s.label)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak(16 * BLOCK) - peak(4 * BLOCK)) <= 2**20
 
 
 def outcome(read, path, require_labels):
