@@ -281,6 +281,8 @@ def main(argv=None) -> int:
         # instead, so this comes from creating or writing an output
         err = errors.UnwritableOutput(
             f"cannot write {exc.filename or 'an output'}: {exc.strerror or exc}")
+    except MemoryError as exc:  # numpy's, for an --n-g0 or --m too large to allocate
+        err = errors.OutOfMemory(str(exc) or "out of memory")
     except errors.MaddError as exc:
         err = exc
     print(f"{type(err).__name__}: {err}", file=sys.stderr)

@@ -80,3 +80,7 @@ class UnwritableOutput(MaddError):
 
 class InvalidSeed(MaddError):
     exit_code = 27
+
+
+class OutOfMemory(MaddError):
+    exit_code = 28

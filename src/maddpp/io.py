@@ -4,7 +4,11 @@ The header is exactly `proba,group,label` or `proba,group`: proba as a
 decimal with 17 significant digits (lossless float round trip), group in
 {0, 1}, label in {0, 1} or empty when absent.  A file with any empty label
 cell reads as unlabelled.  `write_records` writes unlabelled scores under
-`proba,group`, which `read_records` reads with numpy's C reader.
+`proba,group`.  Both directions run in numpy, one block at a time, and give
+exactly what Python's own `format`, `float()` and `int()` give: the writer
+from exact integer arithmetic, the reader from an exact or correctly
+rounded division and an exactly known rounding error (`read_records`),
+with `float()` itself for the rare tie and for every other cell.
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ from .densities import Scores
 from .errors import EmptyPopulation, InvalidProbability, MissingLabels, UnreadableInput
 
 HEADER = ["proba", "group", "label"]
-# the C reader's row type for each exact header line
-BODY_DTYPES = {
-    "proba,group": [("proba", np.float64), ("group", np.int64)],
-    "proba,group,label": [("proba", np.float64), ("group", np.int64), ("label", np.int64)],
-}
-# rows per block of `write_columns`; a block's text is one (rows, width) matrix
+# rows per block of `write_columns`, whose text is one (rows, width) matrix;
+# `read_records` reads blocks of BLOCK_ROWS * 16 bytes
 BLOCK_ROWS = 16384
+_HEADERS = {",".join(HEADER[:width]).encode(): width for width in (2, 3)}
+# for k digits, three little-endian words of 0xff bytes over the first k
+_KEEP = (np.arange(24) < np.arange(21)[:, None]).astype(np.uint8) * np.uint8(0xFF)
+_KEEP = _KEEP.view("<u8")
 _POW5 = 5 ** np.arange(22, dtype=np.uint64)
 # "0000" to "9999" as uint32, then again with trailing zeros as padding
 _QUAD = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
@@ -139,43 +143,174 @@ def _scaled(m, exp, e):
 def read_records(path, require_labels: bool = False) -> Scores:
     """Read a records CSV into `Scores`, exactly as `read_rows` would.
 
-    The file is opened once.  A regular file of plain numeric cells under an
-    exact header line goes through one `np.loadtxt` call on the open handle;
-    the row parser reads anything else from the start, and accepts it or
-    raises the typed error naming the bad header, row or cell.  It also
-    re-reads a file whose values fail `Scores` validation, since only it
-    knows where the blank lines were that the error's row number counts.
+    The file is opened once.  A regular file is read in binary blocks by
+    `_read_columns`; the row parser reads anything that returns None from
+    the start, and accepts it or raises the typed error naming the bad
+    header, row or cell.  It also re-reads a file whose values fail `Scores`
+    validation, since only it knows where the blank lines were that the
+    error's row number counts.
+
+    A proba cell `0.` + k digits (1 <= k <= 19) is the integer S of its
+    digits zero-padded to 19, over 10**19 = 5**19 * 2**19.  float() gives
+    S / 10**19 correctly rounded, which is round(S / 5**19) * 2**-19, as
+    scaling by a power of two commutes with rounding here.  With
+    Q, R = divmod(S, 5**19), Q < 2**19 and R, 5**19 < 2**53 are exact
+    doubles, so r = R / 5**19 is correctly rounded, and s = Q + r rounds
+    once more, its error known exactly by Fast2Sum (Q >= r).  For Q = 0,
+    s = r.  For Q >= 1, every rounding midpoint at or above 1 is a multiple
+    of 2**-53, hence of ulp(r), and so is Q + r, while S / 5**19 lies within
+    ulp(r) / 2 of Q + r: unless Q + r is itself a midpoint (a tie, which
+    goes to float()), both round to the same double s.
     """
     import os
     import stat
 
     with open_input(path) as fh:
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe cannot be read twice
-            body = _load_body(fh)
-            if body is not None:
-                label = body["label"].copy() if "label" in body.dtype.names else None
+            columns = _read_columns(fh)
+            if columns is not None:
                 try:
-                    return _scores(path, body["proba"].copy(), body["group"].copy(), label,
-                                   require_labels)
+                    return _scores(path, *columns, require_labels)
                 except InvalidProbability:
                     pass
             fh.seek(0)
         return _parse_rows(fh, path, require_labels)
 
 
-def _load_body(fh):
-    """The rows of `fh` under its header line as one structured array, or
-    None if `np.loadtxt` does not take them all."""
-    import warnings
+def _read_columns(fh):
+    """proba, group and label (None without a label column) of the text file
+    `fh`, read in blocks of about BLOCK_ROWS rows from its binary buffer, or
+    None where the row parser must read it: a locale encoding other than
+    UTF-8, a header that is not exactly one of the two, no rows, a quote, a
+    CR not followed by LF, a row without one cell per column, a cell that
+    float()/int() rejects, a group or label other than 0 or 1 (an empty
+    label too), bytes that do not decode, a line longer than a block or
+    than `csv.field_size_limit()`, or more rows than were counted."""
+    import codecs
 
+    if codecs.lookup(fh.encoding).name != "utf-8":
+        return None
+    raw, size = fh.buffer, BLOCK_ROWS * 16
+    buf = np.zeros(size + 32, np.uint8)  # the tail pads the digit windows
+    view = memoryview(buf)
+    lines = 0  # a bound on the rows, so that each column is allocated once
+    while got := raw.readinto(view[:size]):
+        lines += np.count_nonzero(buf[:got] == 10)
+    raw.seek(0)
+    columns, n, carry = [], 0, 0
+    while True:
+        got = raw.readinto(view[carry:size])
+        end = carry + got
+        if not got:  # the end of the file; a last line without its LF counts
+            if not end:
+                break
+            buf[end] = 10  # a CR before it ends a line, as for csv
+            end += 1
+        nl = np.flatnonzero(buf[:end] == 10)
+        if not nl.size:
+            if end == size:  # a line longer than a block
+                return None
+            carry = end
+            continue
+        lo = 0
+        if not columns:  # the header line
+            width = _HEADERS.get(buf[:nl[0]].tobytes().removesuffix(b"\r"))
+            if width is None:
+                return None
+            columns = [np.empty(lines, t) for t in (np.float64, np.int64, np.int64)[:width]]
+            lo, nl = nl[0] + 1, nl[1:]
+        if nl.size:
+            rows = _parse_block(buf, lo, nl, [c[n:] for c in columns])
+            if rows is None:
+                return None
+            n, lo = n + rows, nl[-1] + 1
+        carry = end - lo
+        buf[:carry] = buf[lo:end]
+        if not got:
+            break
+    if not n:
+        return None
+    return columns[0][:n], columns[1][:n], columns[2][:n] if width == 3 else None
+
+
+def _parse_block(buf, lo, nl, columns):
+    """Parse the lines of buf[lo:nl[-1] + 1], whose LFs are at `nl`, into the
+    heads of `columns`: the number of rows, or None as `_read_columns`."""
+    width = len(columns)
+    text = buf[lo:nl[-1] + 1]
+    if (text == 34).any():  # a quote
+        return None
+    crlf = buf[nl - 1] == 13  # for an LF at 0, buf[-1]: padding, never written
+    if np.count_nonzero(text == 13) != np.count_nonzero(crlf):  # a lone CR
+        return None
+    starts = np.concatenate(([lo], nl[:-1] + 1))
+    ends = nl - crlf
+    rows = ends > starts  # blank lines are skipped
+    starts, ends = starts[rows], ends[rows]
+    n = starts.size
+    commas = np.flatnonzero(text == 44) + lo
+    if commas.size != n * (width - 1):
+        return None
+    if n > columns[0].size:  # more rows than LFs were counted: the file grew
+        return None
+    if not n:
+        return 0
+    # the commas counted for each row lie in its line, so each line has width - 1
+    commas = commas.reshape(n, width - 1)
+    if not ((commas[:, 0] >= starts) & (commas[:, -1] < ends)).all():
+        return None
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
+    bounds = [starts - 1, *commas.T, ends]  # cell j lies between bounds j and j + 1
+    a, b = bounds[0] + 1, bounds[1]
+    digits = np.clip(b - a - 2, 0, 20)  # of a cell "0." + digits
+    # the bytes after "0." less "0", as three little-endian words, the bytes
+    # beyond the cell's digits masked to 0; a digit is a byte d <= 9, which
+    # neither d nor d + 6 has a high nibble for (the lowest other byte,
+    # which no lower byte borrows from or carries into, has one)
+    d = _bytes(buf, 24)[a + 2].view("<u8").reshape(n, 3) - 0x3030303030303030
+    d &= _KEEP.take(digits, axis=0)
+    fast = ((digits > 0) & (digits < 20) & (buf[a] == ord("0")) & (buf[a + 1] == ord("."))
+            & ((d | d + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0 == 0).all(1))
+    # S, the digits zero-padded to 19, eight per word: pairs, quads, octets
+    d = d * (10 << 8 | 1) >> 8 & 0x00FF00FF00FF00FF
+    d = d * (100 << 16 | 1) >> 16 & 0x0000FFFF0000FFFF
+    d = d * (10000 << 32 | 1) >> 32
+    q, r = np.divmod(d[:, 0] * 10**11 + d[:, 1] * 10**3 + d[:, 2] // 10**5, 5**19)
+    r = r / 5.0**19
+    s = q + r
+    err = r - (s - q)  # Fast2Sum: s + err == q + r exactly
+    tie = (err != 0) & ((s + 2 * err) - s == 2 * err)  # s + 2 * err is a double
+    columns[0][:n] = s * 2.0**-19
+    slow = np.flatnonzero(~fast | tie)
+    values = _cells(buf, a[slow], b[slow], float)
+    if values is None:
+        return None
+    columns[0][slow] = values
+    for j in range(1, width):
+        a, b = bounds[j] + 1, bounds[j + 1]
+        value = buf[a] - ord("0")
+        columns[j][:n] = value
+        slow = np.flatnonzero((b - a != 1) | (value > 1))
+        values = _cells(buf, a[slow], b[slow], int)
+        if values is None or not set(values) <= {0, 1}:
+            return None
+        columns[j][slow] = values
+    return n
+
+
+def _bytes(buf, size):
+    """The `size` bytes from each offset of `buf`, as one void item each."""
+    return np.ndarray((buf.size - size + 1,), f"V{size}", buf, strides=(1,))
+
+
+def _cells(buf, starts, ends, parse):
+    """`parse` of the text of each cell buf[start:end], or None if one does
+    not decode or parse (a UnicodeDecodeError is a ValueError)."""
     try:
-        dtype = BODY_DTYPES[fh.readline().rstrip("\r\n")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt warns when there are no rows
-            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    # not an exact header, a cell or row loadtxt rejects, no rows, or bytes
-    # that do not decode (a UnicodeDecodeError is a ValueError)
-    except (KeyError, ValueError, UserWarning):
+        return [parse(buf[i:j].tobytes().decode())
+                for i, j in zip(starts.tolist(), ends.tolist())]
+    except ValueError:
         return None
 
 

@@ -98,8 +98,24 @@ class SweepResult:
         }
 
     def write_json(self, path):
+        """Write `to_json_dict()` as `json.dump(..., indent=2)` does.  json's
+        indenting encoder is pure Python, so each row comes from one template
+        with repr floats, which is what json writes for finite floats."""
+        text = json.dumps({**self.to_json_dict(), "rows": []}, indent=2)
+        rows = ",\n".join(_JSON_ROW % row for row in self.rows())
+        if rows:  # json spells repr's nan and inf as NaN and Infinity
+            rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+            text = text.removesuffix("[]\n}") + "[\n" + rows + "\n  ]\n}"
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
+            fh.write(text)
+
+
+_JSON_ROW = """    {
+      "lambda": %r,
+      "accuracy_loss": %r,
+      "fairness_loss": %r,
+      "total_loss": %r
+    }"""
 
 
 def apply_threshold(probas, t: float) -> np.ndarray:

@@ -291,7 +291,7 @@ class TestMalformedInput:
          "bandwidth must be positive, got -1.0"),
         (["fip", "{input}", "--m", "1", "--lambda", "0.5"], None, 12, "InvalidBinCount",
          "m must be >= 2, got 1"),
-        # files numpy's reader rejects, re-read by the row parser
+        # files the bulk reader leaves to the row parser
         (["madd", "{input}"], LABELLED, 10, "EmptyPopulation", "no records"),
         (["madd", "{input}"], LABELLED.encode() + b"0.2,0,1\n0.7,1,0\xff\n", 25,
          "UnreadableInput", "can't decode byte 0xff"),
@@ -328,8 +328,26 @@ class TestMalformedInput:
         assert content is not None or not path.exists()
 
 
+@pytest.mark.parametrize("argv, callee", [
+    (["simulate", "--n-g0", "3000000000"], "sample"),
+    (["madd", "{input}", "--m", "3000000000"], "build_density_vector"),
+])
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 22.4 GiB for an array with shape (3000000000,) and data type float64",
+    ""])
+def test_out_of_memory_prints_one_line(tmp_path, capsys, monkeypatch, argv, callee, message):
+    def no_memory(*_args, **_kwargs):  # in place of the allocation, which never happens
+        raise MemoryError(message)
+
+    monkeypatch.setattr(maddpp.cli, callee, no_memory)
+    path = tmp_path / "input.csv"
+    path.write_text(TestMalformedInput.RECORDS)
+    assert run(tmp_path, *[arg.format(input=path) for arg in argv]) == 28
+    assert capsys.readouterr().err == f"OutOfMemory: {message or 'out of memory'}\n"
+
+
 def test_header_only_records_print_one_line(tmp_path):
-    # numpy's reader warns on a file with no rows; the warning must not reach stderr
+    # a file with no rows prints one line, and no warning, on stderr
     path = tmp_path / "r.csv"
     path.write_text("proba,group,label\n")
     src = str(Path(maddpp.__file__).resolve().parents[1])

@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import os
 import threading
@@ -192,7 +193,25 @@ def assert_agrees_with_row_parser(path):
 
 
 LABELLED = b"proba,group,label\n"
-# files the C reader takes, files it rejects, and files both parsers reject
+# cells whose bulk value Q + R / 5**19 (see read_records) is a rounding tie:
+# the first five round wrongly unless float() reads them
+TIE_CELLS = ["0.00000500", "0.000003385", "0.0305530500", "0.02522997890", "0.7540504260500",
+             "0.0000161", "0.00004157"]
+# proba cells next to the bulk path's grammar, on and next to 2**-k
+PROBA_CELLS = ["0", "1", "0.0", "1.0", "0.", "0.0000000000000000000", "5.0000000000000002e-05",
+               "0.5", "0.25", "0.49999999999999994", "0.50000000000000011", "0.24999999999999997",
+               "0.0000019073486328125", "0.99999999999999989", "0.9999999999999999999",
+               "0e12", *TIE_CELLS]
+
+
+def cells_file(cells: list[str]) -> bytes:
+    """A labelled records file of these proba cells, both groups and labels."""
+    return LABELLED + b"".join(b"%s,%d,%d\n" % (c.encode(), i % 2, i // 2 % 2)
+                               for i, c in enumerate(cells))
+
+
+# files the bulk path takes, files it leaves to the row parser, and files
+# both parsers reject
 ODD_FILES = {
     "plain": LABELLED + b"0.2,0,1\n0.7,1,0\n",
     "two_columns": b"proba,group\n0.2,0\n0.7,1\n",
@@ -249,6 +268,18 @@ ODD_FILES = {
     "misspelt_header": b"proba,group,lable\n0.2,0,1\n",
     "padded_header": b" proba,group,label \n0.2,0,1\n",
     "empty_file": b"",
+    "format_17g": cells_file([format(x, ".17g") for x in
+                              (0.1, 1 / 3, 0.012345678901234568, 0.0012345678901234567,
+                               0.00012345678901234567, 2**-20, 1 - 2**-53)]),
+    "digits_1_to_19": cells_file(["0." + "9876543210123456789"[:k] for k in range(1, 20)]
+                                 + ["0." + "0" * (k - 1) + "7" for k in range(1, 20)]),
+    "digits_20_and_more": cells_file(["0." + "1" * 20, "0." + "3" * 21, "0.5" + "0" * 29,
+                                      "0.10000000000000000555111512312578270211815834045"]),
+    "proba_cells": cells_file(PROBA_CELLS),
+    "cr_inside_a_row": LABELLED + b"0.2\r,0,1\n0.7,1,0\n",
+    "colon_among_digits": LABELLED + b"0.2,0,1\n0.12:4,1,0\n",  # ":" is "0" + 10
+    "slash_among_digits": LABELLED + b"0.2,0,1\n0.1/,1,0\n",  # "/" is "0" - 1
+    "cell_over_csv_field_limit": LABELLED + b"0." + b"1" * csv.field_size_limit() + b",0,1\n",
 }
 
 
@@ -274,13 +305,107 @@ def test_well_formed_files_skip_the_row_parser(tmp_path, monkeypatch):
     assert s.label.tobytes() == oracle.label.tobytes()
     unlabelled = read_records(tmp_path / "unlabelled.csv")
     assert unlabelled.proba.tobytes() == oracle.proba.tobytes() and unlabelled.label is None
+    blocks = block_scores(4 * BLOCK + 1)  # several read blocks
+    write_records(blocks, tmp_path / "blocks.csv")
+    s = read_records(tmp_path / "blocks.csv")
+    assert s.proba.tobytes() == blocks.proba.tobytes()
+    assert s.group.tobytes() == blocks.group.tobytes()
+    assert s.label.tobytes() == blocks.label.tobytes()
     for name in ("plain", "two_columns", "crlf", "blank_lines", "plus_signs", "padded"):
         path = tmp_path / f"{name}.csv"
         path.write_bytes(ODD_FILES[name])
         read_records(path)
 
 
-# names that np.loadtxt, given a path, would decompress
+def test_tie_cells_are_read_by_float(tmp_path, monkeypatch):
+    parsed = []
+    original = maddpp.io._cells
+
+    def spy(buf, starts, ends, parse):
+        values = original(buf, starts, ends, parse)
+        parsed.extend(buf[i:j].tobytes().decode() for i, j in zip(starts, ends))
+        return values
+
+    monkeypatch.setattr(maddpp.io, "_cells", spy)
+    path = tmp_path / "r.csv"
+    cells = ["0.5", *TIE_CELLS, "0.12345678901234567", "0.0012345678901234567"]
+    path.write_bytes(cells_file(cells))
+    assert read_records(path).proba.tolist() == [float(c) for c in cells]
+    assert parsed == TIE_CELLS  # and no other cell
+    # without float() the bulk value would be wrong for the first five
+    digits = np.array([int(c[2:].ljust(19, "0")) for c in TIE_CELLS], np.uint64)
+    q, r = np.divmod(digits, 5**19)
+    bulk = (q + r / 5.0**19) * 2.0**-19
+    assert (bulk != [float(c) for c in TIE_CELLS]).tolist() == [True] * 5 + [False] * 2
+
+
+ROW = b"0.12345678901234567,0,1\r\n"  # 25 bytes, under a 32-byte block
+# the last row of a file read in blocks, well-formed or not
+LAST_ROWS = {"well_formed": b"0.5,1,0\r\n", "no_final_newline": b"0.5,1,0",
+             "final_cr": b"0.5,1,0\r", "quote": b'"0.5",1,0\r\n', "lone_cr": b"0.5\r1,0\n",
+             "extra_comma": b"0.5,1,0,\n", "bad_cell": b"abc,1,0\n", "empty_label": b"0.5,1,\n",
+             "group_two": b"0.5,2,0\n", "proba_above_one": b"1.5,1,0\n"}
+
+
+@pytest.mark.parametrize("last", LAST_ROWS.values(), ids=LAST_ROWS.keys())
+def test_rows_across_block_boundaries(tmp_path, monkeypatch, last):
+    # blocks of 2 * 16 = 32 bytes; the blank lines put every byte of a row, the
+    # LF after a CR and the end of the file on a block's first byte in turn
+    monkeypatch.setattr(maddpp.io, "BLOCK_ROWS", 2)
+    path = tmp_path / "r.csv"
+    for shift in range(2 * len(ROW)):
+        path.write_bytes(LABELLED + b"\n" * shift + ROW * 5 + b"0.7,1,1\n" + last)
+        assert_agrees_with_row_parser(path)
+        if last in (LAST_ROWS["well_formed"], LAST_ROWS["no_final_newline"]):
+            with monkeypatch.context() as m:
+                m.setattr(maddpp.io, "_parse_rows", None)  # no call to the row parser
+                assert read_records(path).proba.tolist() == [0.12345678901234567] * 5 + [0.7, 0.5]
+
+
+def test_read_memory_is_bounded(tmp_path):
+    # the columns are allocated once; the blocks and their temporaries are
+    # O(BLOCK_ROWS), give or take a block's row count (64 KiB)
+    def peak(n):
+        write_records(block_scores(n), tmp_path / "r.csv")
+        tracemalloc.start()
+        try:
+            s = read_records(tmp_path / "r.csv")
+            output = s.proba.nbytes + s.group.nbytes + s.label.nbytes
+            return tracemalloc.get_traced_memory()[1], output
+        finally:
+            tracemalloc.stop()
+
+    (small, small_out), (large, large_out) = peak(4 * BLOCK), peak(16 * BLOCK)
+    assert large - small <= large_out - small_out + 2**16
+
+
+def test_file_that_grows_while_read(tmp_path, monkeypatch):
+    class GrowingFile(io.BufferedReader):
+        def seek(self, *args):  # after the LFs are counted, and before the rows are read
+            with open(self.name, "ab") as fh:
+                fh.write(b"0.5,1,0\n" * 3)
+            return super().seek(*args)
+
+    path = tmp_path / "r.csv"
+    path.write_bytes(ODD_FILES["plain"])
+    monkeypatch.setattr(maddpp.io, "open_input", lambda p: io.TextIOWrapper(
+        GrowingFile(io.FileIO(p)), newline=""))
+    # two rows counted, five read: the row parser reads the file, which grew again
+    assert read_records(path).proba.tolist() == [0.2, 0.7] + [0.5] * 6
+
+
+def test_other_encodings_go_to_the_row_parser(tmp_path, monkeypatch):
+    # the bulk reader decodes a cell as UTF-8, where b"\xc2\xa0" is a space
+    monkeypatch.setattr(maddpp.io, "open_input",
+                        lambda p: open(p, newline="", encoding="latin-1"))
+    path = tmp_path / "r.csv"
+    path.write_bytes(LABELLED + b"\xc2\xa00.2,0,1\n0.7,1,0\n")
+    with pytest.raises(InvalidProbability, match="row 1: proba 'Â"):  # Latin-1 for b"\xc2"
+        read_records(path)
+    assert_agrees_with_row_parser(path)
+
+
+# names that a reader given a path may decompress (np.loadtxt does)
 SUFFIXED_NAMES = ["r.csv.gz", "r.csv.bz2", "r.csv.xz", "r.csv.lzma"]
 
 
@@ -311,7 +436,7 @@ def read_through_pipe(content):
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
-@pytest.mark.parametrize("label", ["1", ""])  # the C reader's rows, the row parser's
+@pytest.mark.parametrize("label", ["1", ""])  # the bulk reader's rows, the row parser's
 @pytest.mark.parametrize("n", [3, 3000])  # within, and well past, one read buffer
 def test_reads_every_row_of_a_pipe(tmp_path, n, label):
     content = LABELLED + b"".join(b"0.%d,%d,%s\n" % (i, i % 2, label.encode())
@@ -327,7 +452,13 @@ def test_reads_every_row_of_a_pipe(tmp_path, n, label):
 # cells one defect away from a well-formed file
 ODD_CELLS = ["", " 1 ", "+1", "01", "1.0", "1e0", "1_0", "nan", "-nan", "inf", "-0.0",
              "1e-400", '"1"', "#x", "0x1p-3", "\xa01", "\u0661", "2", "-1", str(2**63),
-             "abc", "1\x00"]
+             "abc", "1\x00", "0.1:", "0./"]
+
+
+proba_cells = st.one_of(st.floats(0.0, 1.0).map(repr),
+                        st.floats(0.0, 1.0).map(lambda x: format(x, ".17g")),
+                        st.text("0123456789", min_size=1, max_size=30).map("0.".__add__),
+                        st.sampled_from(PROBA_CELLS))
 
 
 @st.composite
@@ -338,7 +469,7 @@ def records_files(draw):
                                   ["proba,group,lable", '"proba",group,label']))
     width = header.count(",") + 1
     n = draw(st.integers(0, 12))
-    rows = [[repr(draw(st.floats(0.0, 1.0)))] + draw(st.lists(
+    rows = [[draw(proba_cells)] + draw(st.lists(
         st.sampled_from(["0", "1"]), min_size=width - 1, max_size=width - 1))
         for _ in range(n)]
     for _ in range(draw(st.integers(0, 2))):
@@ -356,11 +487,15 @@ def records_files(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(records_files())
-def test_agrees_with_row_parser_on_generated_files(tmp_path_factory, content):
+@given(records_files(), st.sampled_from([2, 3, BLOCK]))  # blocks of 32 and 48 bytes too
+def test_agrees_with_row_parser_on_generated_files(tmp_path_factory, content, block_rows):
     path = tmp_path_factory.mktemp("oracle") / "r.csv"
     path.write_bytes(content)
-    assert_agrees_with_row_parser(path)
+    try:
+        maddpp.io.BLOCK_ROWS = block_rows
+        assert_agrees_with_row_parser(path)
+    finally:
+        maddpp.io.BLOCK_ROWS = BLOCK
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")

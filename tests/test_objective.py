@@ -22,6 +22,7 @@ from maddpp.errors import (
 )
 from maddpp.objective import (
     ObjectiveConfig,
+    SweepResult,
     accuracy_loss,
     apply_threshold,
     default_lambda_grid,
@@ -280,3 +281,21 @@ class TestSerialization:
         assert payload["min_total_loss"] == res.min_total_loss
         assert payload["config"]["m"] == 10
         assert len(payload["rows"]) == 5
+
+    @pytest.mark.parametrize("grid", [1, 1000, 32769])
+    def test_json_is_json_dumps_indent_2(self, tmp_path, grid):
+        res = sweep(labeled_records(np.random.default_rng(10), 100),
+                    ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(grid)))
+        res.write_json(tmp_path / "sweep.json")
+        expected = json.dumps(res.to_json_dict(), indent=2).encode()
+        assert (tmp_path / "sweep.json").read_bytes() == expected
+
+    @pytest.mark.parametrize("values", [[0.0, 1.0, 0.1, 1e-05, 5e-324],
+                                        [float("nan"), float("inf"), -float("inf"), -0.0, 0.5]])
+    def test_json_of_hand_built_result(self, tmp_path, values):
+        values = np.array(values)
+        res = SweepResult(np.sort(values), values, values[::-1].copy(), values, 1e-05, 5e-324,
+                          ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(5)))
+        res.write_json(tmp_path / "sweep.json")
+        expected = json.dumps(res.to_json_dict(), indent=2).encode()
+        assert (tmp_path / "sweep.json").read_bytes() == expected
