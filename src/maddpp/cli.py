@@ -173,7 +173,7 @@ def cmd_pipeline(args) -> int:
     X, y, rules = encode(dataset)
     groups = dataset.sensitive_groups()
     feature_names, dropped_rows = dataset.feature_names, dataset.dropped_rows
-    del dataset  # its raw cells, one str each, are not needed past encoding
+    del dataset  # its codes, one per cell, are not needed past encoding
     idx_train, idx_val, idx_test = split(len(y), seed=args.seed)
     numeric = np.array([rules[name] == "numeric" for name in feature_names])
     model = train(X[idx_train], y[idx_train], feature_names=feature_names,

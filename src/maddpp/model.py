@@ -4,12 +4,22 @@ The post-processor only needs predicted probabilities, so the trainer is a
 small, deterministic Newton solver (iteratively reweighted least squares)
 for mean cross-entropy plus an L2 penalty on the weights: zero
 initialization, run to the optimum, no external learner.
+
+A course CSV is read into factorized columns: each column's distinct cells
+in sorted order, and one integer code per kept row.  `load_dataset` reads a
+plain file in numpy, a block of whole lines at a time; `load_rows`, the
+`csv.reader` row loop, reads every other file and is the reference the
+numpy reader must match.  `encode` converts each distinct cell once.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import itertools
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,121 +54,332 @@ ORDINAL_LEVELS = {
 
 @dataclass
 class TabularDataset:
-    """Flat feature table with a binary label and a designated sensitive column."""
+    """Flat feature table with a binary label and a designated sensitive column.
+
+    Each column is factorized: its distinct cells in sorted order, and for
+    each kept row the index of its cell among them.
+    """
 
     feature_names: list[str]
-    columns: dict[str, list[str]]  # feature name -> raw cells, one per kept row
-    labels: np.ndarray
+    columns: dict[str, tuple[list[str], np.ndarray]]  # feature name -> (cells, codes)
+    labels: np.ndarray         # 0 or 1, one per kept row
     sensitive: str
-    row_numbers: list[int]     # file row of each kept row (1 = first after the header)
+    row_numbers: np.ndarray    # file row of each kept row (1 = first after the header)
     dropped_rows: int = 0      # rows removed for missing values at ingestion
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.sensitive not in self.feature_names:
-            raise EncodingError(f"sensitive column {self.sensitive!r} not in features")
 
     def sensitive_groups(self) -> np.ndarray:
         """0/1 group tags from the sensitive column (lexicographic order)."""
-        values = self.columns[self.sensitive]
-        levels = sorted(set(values))
+        levels, codes = self.columns[self.sensitive]
         if len(levels) != 2:
             raise EncodingError(
                 f"sensitive column {self.sensitive!r} must be binary, "
                 f"found {len(levels)} distinct values")
-        return (np.array(values) == levels[1]).astype(int)
+        return (codes == 1).astype(int)
 
 
-# Rows move into the columns a chunk at a time: holding every row's list
-# until the end raised the pipeline's peak RSS by ~5 MB.
+# rows per slice of `hessian`'s weight block
 CHUNK_ROWS = 4096
-
-
-def _move_into_columns(rows: list[list[str]], cells: list[list[str]]) -> None:
-    """Append each row's first len(cells) cells to `cells` by column; empty `rows`."""
-    for column, values in zip(cells, zip(*rows)):
-        column.extend(values)
-    rows.clear()
+# `load_dataset` reads blocks of whole lines of about this many bytes
+BLOCK_BYTES = 1 << 19
+# the first k bytes of a little-endian word, k = 0..8
+_FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def load_dataset(path, sensitive: str, label_column: str = "label") -> TabularDataset:
-    """Read a flat CSV by columns; rows with any missing value are dropped and counted.
+    """Read a flat course CSV into factorized columns, exactly as `load_rows` would.
 
-    Blank lines are skipped, a row shorter than the header or with an empty
-    cell is dropped, and cells past the header's width are ignored.
+    The header is checked before any row is read: it must name the label
+    column and the sensitive column (another one), and no name twice.  One
+    leading UTF-8 BOM is dropped.  Blank lines are skipped; a row shorter
+    than the header or with an empty cell among its first len(header) cells
+    is dropped and counted; cells past the header's width are ignored.  A
+    row's number counts every line after the header, blank ones too.
+
+    A regular file in a UTF-8 locale is read once, in binary blocks of whole
+    lines (`_read_blocks`): each block is checked to be plain (`_plain`), so
+    that csv.reader would split each line at each comma and nowhere else,
+    and then cut into rows and factorized column by column.  Any other file,
+    or one with a block that is not plain, goes to `load_rows` from the top.
     """
-    chunk, row_numbers, dropped = [], [], 0
     with open_input(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or label_column not in header:
-                raise EncodingError(f"label column {label_column!r} missing from {path}")
-            if len(set(header)) != len(header):
-                raise EncodingError(f"{path}: repeated column name in header {header}")
-            width = len(header)
-            cells = [[] for _ in header]
-            for row_number, row in enumerate(reader, 1):
-                if len(row) < width or "" in row[:width]:
-                    if row:  # a blank line is skipped, not counted
-                        dropped += 1
-                    continue
-                chunk.append(row)
-                row_numbers.append(row_number)
-                if len(chunk) == CHUNK_ROWS:
-                    _move_into_columns(chunk, cells)
-            _move_into_columns(chunk, cells)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise UnreadableInput(f"cannot read {path}: {exc}") from None
-    if not row_numbers:
-        raise EmptyPopulation(f"no usable rows in {path}")
-    columns = dict(zip(header, cells))
-    labels = columns.pop(label_column)
-    for k, cell in enumerate(labels):
-        if cell not in ("0", "1"):
-            raise EncodingError(f"{path}: row {row_numbers[k]}: label must be 0 or 1, "
-                                f"got {cell!r}")
-    return TabularDataset(feature_names=[c for c in header if c != label_column],
-                          columns=columns, labels=np.array(labels) == "1",
-                          sensitive=sensitive, row_numbers=row_numbers, dropped_rows=dropped)
+        if (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # a pipe cannot be read twice
+                and codecs.lookup(fh.encoding).name == "utf-8"):
+            table = _read_blocks(fh.buffer, path, sensitive, label_column)
+            if table is not None:
+                return _dataset(path, label_column, sensitive, *table)
+            fh.seek(0)
+        return _dataset(path, label_column, sensitive,
+                        *_read_rows(fh, path, sensitive, label_column))
 
 
-def _column_codes(name: str, values: list[str]):
-    """Raw column -> numeric codes plus the encoding rule used."""
+def load_rows(path, sensitive: str, label_column: str = "label") -> TabularDataset:
+    """Row-by-row course CSV reader (`csv.reader`): the fallback of
+    `load_dataset` and the reference it must match."""
+    with open_input(path) as fh:
+        return _dataset(path, label_column, sensitive,
+                        *_read_rows(fh, path, sensitive, label_column))
+
+
+def _check_header(header: list[str], path, sensitive: str, label_column: str) -> list[str]:
+    """`header`, if it names the label and the sensitive column, each name once."""
+    if label_column not in header:
+        raise EncodingError(f"label column {label_column!r} missing from {path}")
+    if len(set(header)) != len(header):
+        raise EncodingError(f"{path}: repeated column name in header {header}")
+    if sensitive not in header or sensitive == label_column:
+        raise EncodingError(f"sensitive column {sensitive!r} not in features")
+    return header
+
+
+def _read_rows(fh, path, sensitive: str, label_column: str):
+    """The header, each column's (distinct cells, first seen first; the code
+    of each kept row), the kept rows' numbers and the dropped row count of
+    the text file `fh`, read by csv.reader."""
+    row_numbers, dropped = [], 0
+    lines = iter(fh)
     try:
-        return np.array([float(v) for v in values]), "numeric"
+        first = next(lines, "")
+        reader = csv.reader(itertools.chain([first.removeprefix("\ufeff")], lines))
+        header = _check_header(next(reader), path, sensitive, label_column)
+        width = len(header)
+        seen = [{} for _ in header]
+        codes = [[] for _ in header]
+        for row_number, row in enumerate(reader, 1):
+            if len(row) < width or "" in row[:width]:
+                if row:  # a blank line is skipped, not counted
+                    dropped += 1
+                continue
+            for ids, column, cell in zip(seen, codes, row):
+                column.append(ids.setdefault(cell, len(ids)))
+            row_numbers.append(row_number)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc}") from None
+    return (header, [(list(ids), np.array(c, np.intp)) for ids, c in zip(seen, codes)],
+            np.array(row_numbers, np.intp), dropped)
+
+
+def _blocks(raw):
+    """The lines of the binary file `raw`, whole, about BLOCK_BYTES at a time,
+    as (buf, stop, nl): the block buf[:stop] ends with an LF, `nl` holds the
+    offsets of its LFs, and buf has 7 bytes or more after it.  A last line
+    without its LF gets one; a line longer than the block doubles it."""
+    size, carry = BLOCK_BYTES, 0
+    buf = np.empty(size + 8, np.uint8)
+    while True:
+        got = raw.readinto(memoryview(buf)[carry:size])
+        end = carry + got
+        if not got:  # the end of the file; a CR before the LF added here ends a line, as for csv
+            if not end:
+                return
+            buf[end] = 10
+            end += 1
+        nl = np.flatnonzero(buf[carry:end] == 10) + carry
+        if nl.size:
+            stop = int(nl[-1]) + 1
+            yield buf, stop, nl
+            carry = end - stop
+            buf[:carry] = buf[stop:end]
+        else:
+            carry = end
+            if end == size:
+                size *= 2
+                buf = np.concatenate([buf[:end], np.empty(size + 8 - end, np.uint8)])
+        if not got:
+            return
+
+
+def _plain(text: np.ndarray, nl: np.ndarray) -> bool:
+    """Whether csv.reader reads each line of `text`, whose LFs are at `nl`, as
+    the text between its commas: no quote or NUL, no CR but before an LF,
+    valid UTF-8, and no line longer than `csv.field_size_limit()`."""
+    if (text == ord('"')).any() or (text == 0).any():
+        return False
+    if np.count_nonzero(text == 13) != np.count_nonzero(text[nl - 1] == 13):  # a lone CR
+        return False
+    if np.diff(nl, prepend=-1).max() - 1 > csv.field_size_limit():
+        return False
+    if (text >= 128).any():  # the lines are whole, so no character is cut
+        try:
+            text.tobytes().decode()
+        except UnicodeDecodeError:
+            return False
+    return True
+
+
+def _read_blocks(raw, path, sensitive: str, label_column: str):
+    """What `_read_rows` returns, read from the binary file `raw` in numpy, or
+    None where `_read_rows` must read it: at the first block with a line that
+    is not `_plain`, or two distinct cells of a column with the same hash."""
+    size = os.fstat(raw.fileno()).st_size
+    header, line, read = None, 0, 0  # line: the lines before this block, the header's included
+    for buf, stop, nl in _blocks(raw):
+        text = buf[:stop]
+        if not _plain(text, nl):
+            return None
+        read += stop
+        starts = np.concatenate(([0], nl[:-1] + 1))
+        ends = nl - (text[nl - 1] == 13)  # for an LF at 0, text[-1]: an LF
+        nonblank = ends > starts  # a blank line is skipped, not counted
+        if header is None:
+            cells = text[:ends[0]].tobytes().removeprefix(codecs.BOM_UTF8).decode()
+            header = _check_header(cells.split(",") if cells else [], path, sensitive,
+                                   label_column)
+            width = len(header)
+            seen = [{} for _ in header]
+            codes = [np.empty(0, np.intp) for _ in header]
+            row_numbers = np.empty(0, np.intp)
+            n = dropped = 0
+            nonblank[0] = False  # the header is no row
+        commas = np.flatnonzero(text == ord(","))
+        first = np.searchsorted(commas, starts)  # of each line's commas
+        count = np.diff(first, append=commas.size)
+        rows = np.flatnonzero(nonblank & (count >= width - 1))
+        # cell j of a row lies between bounds j and j + 1: the comma before
+        # it, or the byte before the line; the comma after it, or the line end
+        f = first[rows]
+        cut = np.append(commas, 0)  # f + width - 1 may index past the commas
+        bounds = [starts[rows] - 1, *(cut[f + j] for j in range(width - 1)),
+                  np.where(count[rows] >= width, cut[f + width - 1], ends[rows])]
+        full = np.logical_and.reduce([b - a > 1 for a, b in zip(bounds, bounds[1:])])
+        if not full.all():  # a row with an empty cell is dropped
+            rows, bounds = rows[full], [b[full] for b in bounds]
+        k = rows.size
+        if n + k > row_numbers.size:
+            # room for the rest of the file at the rows per byte read so far,
+            # and an eighth of a block's rows; resize reallocates in place
+            room = n + k + (n + k) * max(size - read, 0) // read + k // 8
+            for array in (row_numbers, *codes):
+                array.resize(room, refcheck=False)
+        dropped += int(np.count_nonzero(nonblank)) - k
+        row_numbers[n:n + k] = line + rows
+        line += nl.size
+        if not k:
+            continue
+        words = np.ndarray((stop,), "<u8", buf, strides=(1,))  # the 8 bytes at each offset
+        for ids, column, a, b in zip(seen, codes, bounds, bounds[1:]):
+            a = a + 1
+            distinct = _distinct(words, a, b)
+            if distinct is None:
+                return None
+            rep, inv = distinct
+            new = [text[i:j].tobytes() for i, j in zip(a[rep].tolist(), b[rep].tolist())]
+            column[n:n + k] = np.array([ids.setdefault(c, len(ids)) for c in new], np.intp)[inv]
+        n += k
+    if header is None:  # an empty file
+        _check_header([], path, sensitive, label_column)
+    for array in (row_numbers, *codes):
+        array.resize(n, refcheck=False)
+    return (header, [([c.decode() for c in ids], c) for ids, c in zip(seen, codes)],
+            row_numbers, dropped)
+
+
+def _distinct(words: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(a row with each distinct cell, each row's index among those) for the
+    nonempty cells text[a:b], with `words` the 8 bytes at each offset of the
+    text, or None if two distinct cells have the same hash.
+
+    Up to 8 bytes, a cell's key is its bytes, zero-padded (no cell holds a
+    NUL).  If any cell is longer, each cell's key is the sum of its own
+    8-byte words, word j times _MIX ** (j + 1) mod 2**64, so that a row costs
+    only its own cell's length; each row's words are then checked against
+    those of its representative.
+    """
+    size = b - a
+    long = size.max() > 8
+    if not long:
+        key = _word(words, a, size)
+    else:
+        count = (size + 7) // 8  # each cell's words
+        first = np.cumsum(count) - count
+        j = np.arange(first[-1] + count[-1]) - np.repeat(first, count)
+        at, left = np.repeat(a, count) + 8 * j, np.repeat(size, count) - 8 * j
+        word = _word(words, at, left)
+        key = np.add.reduceat(word * np.cumprod(np.full(count.max(), _MIX))[j], first)
+    inv = np.unique(key, return_inverse=True)[1]
+    rep = np.empty(inv.max() + 1, np.intp)
+    rep[inv] = np.arange(inv.size)
+    if long:
+        twin = rep[inv]
+        if ((size[twin] != size).any()
+                or (_word(words, at + np.repeat(a[twin] - a, count), left) != word).any()):
+            return None
+    return rep, inv
+
+
+def _word(words: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The up to 8 bytes of text[at:at + size] as zero-padded words."""
+    return words[at] & _FIRST_BYTES[np.minimum(size, 8)]
+
+
+def _dataset(path, label_column: str, sensitive: str, header: list[str], columns: list,
+             row_numbers: np.ndarray, dropped: int) -> TabularDataset:
+    """The dataset of a table read by `_read_rows` or `_read_blocks`."""
+    if not row_numbers.size:
+        raise EmptyPopulation(f"no usable rows in {path}")
+    columns = dict(zip(header, (_sort_cells(*c) for c in columns)))
+    levels, codes = columns.pop(label_column)
+    bad = np.array([cell not in ("0", "1") for cell in levels])
+    if bad.any():
+        k = _first(bad, codes)
+        raise EncodingError(f"{path}: row {row_numbers[k]}: label must be 0 or 1, "
+                            f"got {levels[codes[k]]!r}")
+    np.take([int(c) for c in levels], codes, out=codes, mode="clip")  # the labels, in place
+    return TabularDataset(feature_names=[c for c in header if c != label_column],
+                          columns=columns, labels=codes, sensitive=sensitive,
+                          row_numbers=row_numbers, dropped_rows=dropped)
+
+
+def _sort_cells(cells: list[str], codes: np.ndarray):
+    """`cells` sorted, and `codes` renumbered in place to match."""
+    order = sorted(range(len(cells)), key=cells.__getitem__)
+    rank = np.empty(len(order), np.intp)
+    rank[order] = np.arange(len(order))
+    np.take(rank, codes, out=codes, mode="clip")  # unbuffered: no temporary of all rows
+    return [cells[k] for k in order], codes
+
+
+def _first(bad: np.ndarray, codes: np.ndarray) -> int:
+    """The first row whose code is marked in `bad`, a mask over the cells."""
+    return int(np.argmax(bad[codes]))
+
+
+def _cell_values(name: str, levels: list[str], codes: np.ndarray):
+    """The number each distinct cell of a column stands for, and the encoding rule."""
+    try:
+        return np.array([float(v) for v in levels]), "numeric"
     except ValueError:
         pass
     if name in ORDINAL_LEVELS:
-        levels = ORDINAL_LEVELS[name]
-        try:
-            return np.array([float(levels.index(v)) for v in values]), "ordinal"
-        except ValueError as exc:
-            raise EncodingError(f"unknown category in column {name!r}: {exc}") from None
-    levels = sorted(set(values))
-    codes = {v: float(i) for i, v in enumerate(levels)}
-    return np.array([codes[v] for v in values]), f"categorical{levels}"
+        order = ORDINAL_LEVELS[name]
+        unknown = np.array([v not in order for v in levels])
+        if unknown.any():
+            cell = levels[codes[_first(unknown, codes)]]
+            raise EncodingError(f"unknown category in column {name!r}: "
+                                f"{cell!r} is not in list")
+        return np.array([float(order.index(v)) for v in levels]), "ordinal"
+    return np.arange(float(len(levels))), f"categorical{levels}"
 
 
 def encode(dataset: TabularDataset) -> tuple[np.ndarray, np.ndarray, dict]:
     """Design matrix, labels, and the per-column encoding report.
 
     Binary and ordinal columns become small integer codes; columns that
-    parse as numbers are kept as-is and must be finite.  Standardization is
-    a separate step so its statistics can come from the training split only.
+    parse as numbers are kept as-is and must be finite.  Each distinct cell
+    is converted once, and each row takes its cell's number.  Standardization
+    is a separate step so its statistics can come from the training split only.
     """
-    columns, rules = [], {}
-    for name in dataset.feature_names:
-        values = dataset.columns[name]
-        codes, rule = _column_codes(name, values)
-        bad = np.flatnonzero(~np.isfinite(codes))
-        if bad.size:
-            k = int(bad[0])
+    X = np.empty((dataset.labels.size, len(dataset.feature_names)))
+    rules = {}
+    for j, name in enumerate(dataset.feature_names):
+        levels, codes = dataset.columns[name]
+        values, rules[name] = _cell_values(name, levels, codes)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            k = _first(bad, codes)
             raise EncodingError(f"column {name!r}, row {dataset.row_numbers[k]}: "
-                                f"{values[k]!r} is not a finite number")
-        columns.append(codes)
-        rules[name] = rule
-    X = np.column_stack(columns)
+                                f"{levels[codes[k]]!r} is not a finite number")
+        X[:, j] = values[codes]
     return X, dataset.labels.copy(), rules
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -210,6 +211,38 @@ class TestPipelineCommand:
         assert metrics["before"]["fairness_loss"] < 0.25
         assert "lambda_star" in metrics
 
+    def test_line_ends_bom_and_quotes_read_alike(self, tmp_path):
+        # one table as LF, CRLF, BOM-first and fully quoted text; the quoted
+        # copy goes to the csv.reader row loop, the others to the numpy reader
+        data = tmp_path / "course.csv"
+        write_flat_dataset(data, biased=True)
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for k in range(3, len(rows), 41):
+            rows[k][k % 4] = ""
+        rows[7] = rows[7][:2]
+        lf = "".join(",".join(row) + "\n" for row in rows)
+        copies = {"lf": lf, "crlf": lf.replace("\n", "\r\n"), "bom": "\ufeff" + lf,
+                  "quoted": "".join(",".join(f'"{c}"' for c in row) + "\n" for row in rows)}
+        results = {}
+        for name, text in copies.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(text.encode())
+            out = tmp_path / name
+            with mock.patch.object(maddpp.model, "_read_rows",
+                                   wraps=maddpp.model._read_rows) as row_loop:
+                assert run(out, "pipeline", str(path), "--sensitive", "gender",
+                           "--m", "20", "--grid", "101") == 0
+            assert row_loop.called is (name == "quoted")
+            manifest = json.loads((out / "pipeline.manifest.json").read_text())
+            results[name] = ([(out / f).read_bytes() for f in (
+                "model.json", "validation_sweep.csv", "validation_sweep.json",
+                "test_metrics.json")], manifest["config"]["encodings"],
+                manifest["config"]["dropped_rows"])
+        assert results["lf"][2] == len(range(3, len(rows), 41)) + 1
+        for name in copies:
+            assert results[name] == results["lf"], name
+
     def test_overflowing_numeric_column_exit_code(self, tmp_path):
         # finite cells whose square overflows: the std is not finite
         data = tmp_path / "course.csv"
@@ -307,6 +340,12 @@ class TestMalformedInput:
          "seed must be >= 0, got -1"),
         (["pipeline", "{input}", "--sensitive", "gender", "--seed", "-1"], None, 27,
          "InvalidSeed", "seed must be >= 0, got -1"),
+        # a BOM does not hide the first column's name
+        (["pipeline", "{input}", "--sensitive", "gender"], "\ufeff" + COURSE + "F,inf,0\n", 21,
+         "EncodingError", "column 'score', row 1: 'inf' is not a finite number"),
+        # the header is checked before any row: a bad --sensitive before a bad label
+        (["pipeline", "{input}", "--sensitive", "nosuch"], COURSE + "F,1.5,2\n", 21,
+         "EncodingError", "sensitive column 'nosuch' not in features"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"

@@ -1,4 +1,7 @@
 import csv
+import os
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,14 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maddpp import model
-from maddpp.errors import EmptyPopulation, EncodingError, InvalidRatios, NotTrained
+from maddpp.errors import EmptyPopulation, EncodingError, InvalidRatios, MaddError, NotTrained
 from maddpp.model import (
+    ORDINAL_LEVELS,
     LogisticModel,
     Standardizer,
     encode,
     gradient,
     hessian,
     load_dataset,
+    load_rows,
     split,
     train,
 )
@@ -91,52 +96,277 @@ class TestLoadAndEncode:
             ds.sensitive_groups()
 
 
+def decoded(ds):
+    """Each column's cells in row order, after checking its factorization:
+    distinct cells in sorted order, each used, one code per kept row."""
+    columns = {}
+    for name, (levels, codes) in ds.columns.items():
+        assert levels == sorted(set(levels))
+        assert codes.dtype == np.intp and codes.shape == ds.labels.shape
+        assert np.unique(codes).tolist() == list(range(len(levels)))
+        columns[name] = [levels[c] for c in codes.tolist()]
+    return columns
+
+
+def outcome(load, path, sensitive="g", label_column="label"):
+    """What `load` and then `encode` make of `path`, or the error either raises."""
+    try:
+        ds = load(path, sensitive, label_column)
+        table = (ds.feature_names, {name: (levels, codes.tolist())
+                                    for name, (levels, codes) in ds.columns.items()},
+                 ds.labels.dtype.str, ds.labels.tolist(), ds.row_numbers.tolist(),
+                 type(ds.dropped_rows), ds.dropped_rows)
+        X, y, rules = encode(ds)
+    except MaddError as exc:
+        return type(exc), str(exc)
+    return table, X.tobytes(), y.tolist(), rules
+
+
 def dictreader_load(path):
-    """The row handling of csv.DictReader: (feature columns, labels, dropped)."""
-    with open(path, newline="") as fh:
+    """The row handling of csv.DictReader, less a UTF-8 BOM: (feature columns,
+    labels, the row number of each kept row, dropped)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         features = [c for c in reader.fieldnames if c != "label"]
-        rows, dropped = [], 0
+        rows, numbers, dropped = [], [], 0
         for raw in reader:
             if any(raw[c] is None or raw[c] == "" for c in reader.fieldnames):
                 dropped += 1
             else:
                 rows.append(raw)
+                numbers.append(reader.line_num - 1)  # one physical line per row here
     return ({c: [r[c] for r in rows] for c in features},
-            [int(r["label"]) for r in rows], dropped)
+            [r["label"] for r in rows], numbers, dropped)
 
 
-CELLS = st.sampled_from(["", "a", "b", "1.5", "-2", " "])
+# plain cells; the last ones differ only after byte 8 or 16, or parse as
+# numbers by float() alone, or sort apart from their case order
+CELLS = st.sampled_from(["", "a", "b", "1.5", "-2", " ", "1_000", " 2 ", "١", "é", "E", "z",
+                         "abcdefgh1", "abcdefgh2", "abcdefghijklmnop1", "abcdefghijklmnop2"])
 
 
 @st.composite
-def course_rows(draw):
-    """Rows of 0 to 5 cells under a 3-column header, the label third."""
-    rows = []
+def course_files(draw):
+    """Course CSV text under a g, x, label header in some order: rows of 0 to 5
+    cells, blank and whitespace lines, LF or CRLF line ends, maybe a BOM, a
+    last line without its end, or a quoted cell holding a comma."""
+    header = draw(st.permutations(["g", "x", "label"]))
+    label = header.index("label")
+    lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 12))):
         row = draw(st.lists(CELLS, max_size=5))
-        if len(row) > 2:
-            row[2] = draw(st.sampled_from(["0", "1", ""]))
-        rows.append(row)
-    return rows
+        if len(row) > label:
+            row[label] = draw(st.sampled_from(["0", "1", ""]))
+        lines.append(",".join(row))
+    if len(lines) > 1 and draw(st.integers(0, 9)) == 0:
+        lines[-1] += ',"c,d"'  # to the row loop, past the header's width or not
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return "\ufeff" * draw(st.booleans()) + text
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(course_rows())
-def test_load_matches_dictreader(tmp_path_factory, rows):
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(course_files(), st.sampled_from([8, 16, 64, model.BLOCK_BYTES]))
+def test_load_matches_dictreader(tmp_path_factory, text, block):
     path = tmp_path_factory.mktemp("course") / "d.csv"
-    write_csv(path, ["g", "x", "label"], rows)
-    columns, labels, dropped = dictreader_load(path)
+    path.write_bytes(text.encode())
+    with mock.patch.object(model, "BLOCK_BYTES", block):  # rows cross block boundaries
+        got = outcome(load_dataset, path)
+    assert got == outcome(load_rows, path)
+    columns, labels, numbers, dropped = dictreader_load(path)
     if not labels:
-        with pytest.raises(EmptyPopulation):
-            load_dataset(path, sensitive="g")
+        assert got == (EmptyPopulation, f"no usable rows in {path}")
         return
-    with mock.patch.object(model, "CHUNK_ROWS", 3):  # rows cross chunk boundaries
-        ds = load_dataset(path, sensitive="g")
-    assert ds.feature_names == ["g", "x"]
-    assert ds.columns == columns
-    assert ds.labels.tolist() == labels
+    if not set(labels) <= {"0", "1"}:  # the quoted cell in the label column
+        assert got[0] is EncodingError and "label must be 0 or 1, got 'c,d'" in got[1]
+        return
+    ds = load_dataset(path, sensitive="g")
+    assert ds.feature_names == list(columns)
+    assert decoded(ds) == columns
+    assert ds.labels.tolist() == [int(c) for c in labels]
+    assert ds.row_numbers.tolist() == numbers
     assert ds.dropped_rows == dropped
+
+
+BOM = b"\xef\xbb\xbf"
+HEADER = b"g,x,label\n"
+# name: (file, whether the numpy reader reads it, not the row loop)
+ODD_FILES = {
+    "crlf": (b"g,x,label\r\nM,1.5,1\r\nF,2,0\r\n", True),
+    "lone_cr": (HEADER + b"M,1.5,1\rF,2,0\n", False),
+    "cr_in_cell": (HEADER + b"M,1\r5,1\nF,2,0\n", False),
+    "cr_at_end": (HEADER + b"M,1.5,1\nF,2,0\r", True),
+    "quote": (HEADER + b'M,"1.5",1\nF,2,0\n', False),
+    "quoted_comma": (HEADER + b'M,"1,5",1\nF,2,0\n', False),
+    "quote_past_width": (HEADER + b'M,1.5,1,"x\ny"\nF,2,0\n', False),
+    "nul": (HEADER + b"M,1\x005,1\nF,2,0\n", False),
+    "undecodable": (HEADER + b"M,1.5,1\nF,2\xff,0\n", False),
+    "undecodable_past_width": (HEADER + b"M,1.5,1,\xc3\nF,2,0\n", False),
+    "surrogate": (HEADER + b"M,1.5,1\nF\xed\xa0\x80,2,0\n", False),
+    "bom": (BOM + HEADER + b"M,1.5,1\nF,2,0\n", True),
+    "bom_label_first": (BOM + b"label,g,x\n1,M,1.5\n0,F,2\n", True),
+    "bom_quoted_header": (BOM + b'"g",x,label\nM,1.5,1\nF,2,0\n', False),
+    "bom_only": (BOM, True),
+    "two_boms": (BOM + BOM + HEADER + b"M,1.5,1\nF,2,0\n", True),
+    "blank_lines": (HEADER + b"\nM,1.5,1\n\r\n\nF,2,0\n\n", True),
+    "whitespace_lines": (HEADER + b" \nM,1.5,1\n\t\nF,2,0\n", True),
+    "short_rows": (HEADER + b"M,1.5\nM,1.5,1\nF\nF,2,0\n", True),
+    "extra_cells": (HEADER + b"M,1.5,1,,x\nF,2,0,9\n", True),
+    "empty_cells": (HEADER + b",1.5,1\nM,,1\nM,1.5,\nF,2,0\nM,3,1\n,,\n", True),
+    "no_trailing_lf": (HEADER + b"M,1.5,1\nF,2,0", True),
+    "header_only": (HEADER, True),
+    "header_only_no_lf": (b"g,x,label", True),
+    "empty": (b"", True),
+    "blank_header": (b"\n" + HEADER + b"M,1.5,1\n", True),
+    "repeated_name": (b"g,x,x,label\nM,1,2,1\n", True),
+    "no_sensitive": (b"h,x,label\nM,1,1\n", True),
+    "no_label": (b"g,x,y\nM,1,1\n", True),
+    "bad_label": (HEADER + b"M,1,1\nF,2,0\n\nF,3,2\nM,4,x\n", True),
+    "label_first": (b"label,g,x\n1,M,1.5\n0,F,2\n", True),
+    "non_ascii": ("g,x,label\né,z,1\nE,Z,0\ne,ß,1\nÄ,日本,0\nz,é,1\n".encode(), True),
+    "long_cells": (HEADER + b"".join(b"%s,%s,%d\n" % (g, x, i % 2) for i, (g, x) in enumerate(
+        [(b"F", b"abcdefgh1"), (b"M", b"abcdefgh2"), (b"F", b"abcdefghijklmnop1"),
+         (b"M", b"abcdefghijklmnop2"), (b"F", b"abcdefgh"), (b"M", b"abcdefghijklmnopq"),
+         (b"F", b"abcdefgh2"), (b"M", b"abcdefghijklmnop"), (b"F", b"zzzzzzzzijklmnop1"),
+         (b"M", b"ijklmnopabcdefgh")])), True),
+    "numbers_for_float_alone": (HEADER + "M,1_000,1\nF, 2 ,0\nM,١,1\nF,+3e0,0\n".encode(), True),
+    "not_finite": (HEADER + b"M,1,1\nF,,0\nF,-inf,1\n", True),
+    "field_over_limit": (HEADER + b"M,1,1\nF," + b"7" * (csv.field_size_limit() + 1)
+                         + b",0\n", False),
+}
+
+
+@pytest.mark.parametrize("block", [8, model.BLOCK_BYTES])
+@pytest.mark.parametrize("name", ODD_FILES)
+def test_odd_files_match_the_row_loop(tmp_path, name, block):
+    content, numpy_reader = ODD_FILES[name]
+    path = tmp_path / "d.csv"
+    path.write_bytes(content)
+    with mock.patch.object(model, "BLOCK_BYTES", block), \
+            mock.patch.object(model, "_read_rows", wraps=model._read_rows) as row_loop:
+        got = outcome(load_dataset, path)
+    assert got == outcome(load_rows, path)
+    assert row_loop.called is not numpy_reader
+
+
+def test_bom_leaves_the_first_column_its_name(tmp_path):
+    for name, sensitive in (("bom", "g"), ("bom_label_first", "g"), ("two_boms", "\ufeffg")):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(ODD_FILES[name][0])
+        ds = load_dataset(path, sensitive=sensitive)
+        assert ds.sensitive == sensitive and ds.sensitive_groups().tolist() == [1, 0]
+        assert ds.labels.tolist() == [1, 0]
+
+
+def test_header_is_checked_before_any_row(tmp_path):
+    # a missing sensitive column is named before a bad label below it
+    path = tmp_path / "d.csv"
+    path.write_bytes(HEADER + b"M,1,2\n")
+    for load in (load_dataset, load_rows):
+        with pytest.raises(EncodingError, match="^sensitive column 'nosuch' not in features$"):
+            load(path, sensitive="nosuch")
+        with pytest.raises(EncodingError, match="^sensitive column 'label' not in features$"):
+            load(path, sensitive="label")
+
+
+def test_rows_across_block_boundaries(tmp_path):
+    # blocks of 16 bytes, doubled for the longer lines: the blank lines move
+    # the rows, the LF after a CR and the end of the file across the blocks'
+    # edges one byte at a time
+    rows = "é,abcdefghijklmnop1,1\r\nF,2,0\nM,,1\nM,abcdefghijklmnop2,0\n\nF,1_000,1"
+    path = tmp_path / "d.csv"
+    for shift in range(48):
+        path.write_bytes(("g,x,label\n" + "\n" * shift + rows).encode())
+        with mock.patch.object(model, "BLOCK_BYTES", 16), \
+                mock.patch.object(model, "_read_rows", side_effect=AssertionError):
+            got = outcome(load_dataset, path)
+        assert got == outcome(load_rows, path)
+        assert got[0][4] == [shift + k for k in (1, 2, 4, 6)]
+
+
+@pytest.mark.parametrize("content", [
+    ODD_FILES["long_cells"][0],
+    HEADER + b"M,abcdefghi,1\nF,abcdefghij,0\n",  # the first a prefix of the second
+    HEADER + b"M,abcdefghi,1\nF,abcdefghj,0\n",  # the same length
+], ids=["long_cells", "prefix", "same_length"])
+def test_hash_collision_goes_to_the_row_loop(tmp_path, content):
+    # with no mixing, every cell of a column with a cell over 8 bytes hashes to 0
+    path = tmp_path / "d.csv"
+    path.write_bytes(content)
+    with mock.patch.object(model, "_MIX", np.uint64(0)), \
+            mock.patch.object(model, "_read_rows", wraps=model._read_rows) as row_loop:
+        got = outcome(load_dataset, path)
+    assert row_loop.called
+    assert got == outcome(load_rows, path)
+
+
+def test_other_encodings_and_pipes_go_to_the_row_loop(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    path.write_bytes(HEADER + "M,é,1\nF,2,0\n".encode())
+    with mock.patch.object(model, "_read_rows", wraps=model._read_rows) as row_loop:
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        assert decoded(load_dataset(fifo, sensitive="g")) == {"g": ["M", "F"], "x": ["é", "2"]}
+        writer.join(timeout=60)
+        assert not writer.is_alive() and row_loop.call_count == 1
+        monkeypatch.setattr(model, "open_input",
+                            lambda p: open(p, newline="", encoding="latin-1"))
+        assert decoded(load_dataset(path, sensitive="g"))["x"] == ["Ã©", "2"]
+        assert row_loop.call_count == 2
+
+
+def test_load_memory_is_bounded(tmp_path):
+    # the codes, labels and row numbers grow in place to an estimate of their
+    # final size and are cut to it at the end, and a block's temporaries are
+    # O(BLOCK_BYTES); encode's peak is X and one column (a column's values,
+    # then y).  The file repeats one set of rows, so its distinct cells are
+    # the same at every size.  Allowed: a slack of 64 KiB
+    rng = np.random.default_rng(5)
+    rows = "".join(f"{'MF'[g]},{a},{s:.1f},{r},{y}\n" for g, a, s, r, y in zip(
+        rng.integers(0, 2, 4000), rng.choice(ORDINAL_LEVELS["age"], 4000),
+        rng.normal(68, 14, 4000), rng.choice(["north", "south-west", "east"], 4000),
+        rng.integers(0, 2, 4000))).encode()
+    path = tmp_path / "course.csv"
+
+    def overheads(blocks):
+        """The peak memory of load_dataset and of encode beyond what each returns."""
+        path.write_bytes(b"gender,age,mean_score,region,label\n"
+                         + rows * (blocks * model.BLOCK_BYTES // len(rows)))
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path, sensitive="gender")
+            arrays = [codes for _, codes in ds.columns.values()] + [ds.labels, ds.row_numbers]
+            load = tracemalloc.get_traced_memory()[1] - sum(a.nbytes for a in arrays)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            X, y, _ = encode(ds)
+            return load, tracemalloc.get_traced_memory()[1] - held - X.nbytes - y.nbytes
+        finally:
+            tracemalloc.stop()
+
+    (load4, encode4), (load16, encode16) = overheads(4), overheads(16)
+    assert load16 - load4 <= 2**16
+    assert max(encode4, encode16) <= 2**16
+
+
+def test_long_cell_costs_its_own_length(tmp_path):
+    # one 64 KiB cell among 3,000 short rows in one block: keying every row
+    # by as many words as the longest cell would take 3,000 x 8 KiB words
+    # (190 MB); each row is keyed by its own words, in 1.9 MB
+    path = tmp_path / "d.csv"
+    path.write_bytes(HEADER + b"M,%s,1\n" % (b"ab" * 2**15) + b"F,2,0\nM,3,1\n" * 1500)
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path, sensitive="g")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.columns["x"][0] == ["2", "3", "ab" * 2**15]
+    assert ds.row_numbers.size == 3001
+    assert peak < 2**22
 
 
 class TestStandardizer:
