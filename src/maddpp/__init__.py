@@ -6,7 +6,6 @@ from .densities import (
     DensityVector,
     Scores,
     build_density_vector,
-    kde_plot_curve,
     madd,
     pool_density_vectors,
 )
@@ -20,24 +19,20 @@ from .objective import (
     total_loss,
 )
 from .simulate import SimulationSpec, sample
-from .transport import FipMap, PiecewiseLinearCdf, build_cdf, fip, generalized_inverse
+from .transport import FipMap, fip
 
 __all__ = [
     "DensityVector",
     "FipMap",
     "ObjectiveConfig",
-    "PiecewiseLinearCdf",
     "Scores",
     "SimulationSpec",
     "SweepResult",
     "accuracy_loss",
     "apply_threshold",
-    "build_cdf",
     "build_density_vector",
     "fairness_loss",
     "fip",
-    "generalized_inverse",
-    "kde_plot_curve",
     "madd",
     "pool_density_vectors",
     "sample",

@@ -21,9 +21,7 @@ from .densities import (
     G0,
     Scores,
     build_density_vector,
-    check_bandwidth,
     check_bin_count,
-    kde_plot_curve,
     madd,
     pool_density_vectors,
 )
@@ -96,8 +94,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_madd(args) -> int:
     check_bin_count(args.m)
-    if args.kde_bandwidth is not None:
-        check_bandwidth(args.kde_bandwidth)
     scores = read_records(args.records)
     mask0 = scores.g0_mask()
     d0 = build_density_vector(scores.proba[mask0], args.m)
@@ -111,9 +107,6 @@ def cmd_madd(args) -> int:
         "bins_g1": d1.bins.tolist(),
         "bins_pooled": pool_density_vectors(d0, d1).bins.tolist(),
     }
-    if args.kde_bandwidth is not None:
-        result["kde_g0"] = kde_plot_curve(d0, args.kde_bandwidth)
-        result["kde_g1"] = kde_plot_curve(d1, args.kde_bandwidth)
     out_dir = _out_dir(args)
     out = Path(args.out) if args.out else out_dir / "madd.json"
     with open(out, "w") as fh:
@@ -237,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("madd", help="compute the MADD of a records CSV")
     p.add_argument("records")
     p.add_argument("--m", type=int, default=100)
-    p.add_argument("--kde-bandwidth", type=float, default=None,
-                   help="also emit smoothed plot curves per group")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_madd)
 

@@ -9,7 +9,6 @@ disjoint supports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,6 @@ from .errors import (
     BinCountMismatch,
     EmptyGroup,
     EmptyPopulation,
-    InvalidBandwidth,
     InvalidBinCount,
     InvalidProbability,
     LengthMismatch,
@@ -94,12 +92,6 @@ def check_bin_count(m: int) -> None:
         raise InvalidBinCount(f"m must be >= 2, got {m}")
 
 
-def check_bandwidth(bandwidth: float) -> None:
-    """Raise InvalidBandwidth unless the KDE bandwidth is positive."""
-    if not bandwidth > 0:
-        raise InvalidBandwidth(f"bandwidth must be positive, got {bandwidth}")
-
-
 def bin_index(probas, m: int) -> np.ndarray:
     """Assign each probability to its bin: [(k-1)/m, k/m) with the last bin
     right-closed so 1.0 lands in bin m.  Returns 0-based indices."""
@@ -144,28 +136,3 @@ def madd(d0: DensityVector, d1: DensityVector) -> float:
     if d0.m != d1.m:
         raise BinCountMismatch(f"bin counts differ: {d0.m} vs {d1.m}")
     return float(np.abs(d0.bins - d1.bins).sum())
-
-
-def kde_plot_curve(d: DensityVector, bandwidth: float = 0.05, grid: int = 200):
-    """Gaussian-kernel smoothing of a density vector, for plotting only.
-
-    One kernel per bin center, weighted by bin mass, with boundary
-    reflection at 0 and 1 so mass is conserved on [0, 1].  Returns a list
-    of (x, density) pairs on an even grid over [0, 1].  Never used by the
-    MADD or the probability remapping.
-    """
-    check_bandwidth(bandwidth)
-    if grid < 2:
-        raise InvalidBandwidth(f"grid must have at least 2 points, got {grid}")
-    centers = (np.arange(d.m) + 0.5) / d.m
-    xs = np.linspace(0.0, 1.0, grid)
-
-    def gauss(z):
-        return np.exp(-0.5 * (z / bandwidth) ** 2) / (bandwidth * math.sqrt(2 * math.pi))
-
-    # reflect kernel centers about both boundaries
-    diff = xs[:, None] - centers[None, :]
-    refl0 = xs[:, None] + centers[None, :]
-    refl1 = xs[:, None] - (2.0 - centers)[None, :]
-    dens = (gauss(diff) + gauss(refl0) + gauss(refl1)) @ d.bins
-    return list(zip(xs.tolist(), dens.tolist()))

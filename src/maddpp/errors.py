@@ -26,10 +26,6 @@ class BinCountMismatch(MaddError):
     exit_code = 13
 
 
-class InvalidBandwidth(MaddError):
-    exit_code = 14
-
-
 class InvalidQuantile(MaddError):
     exit_code = 15
 

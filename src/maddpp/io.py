@@ -9,12 +9,18 @@ exactly what Python's own `format`, `float()` and `int()` give: the writer
 from exact integer arithmetic, the reader from an exact or correctly
 rounded division and an exactly known rounding error (`read_records`),
 with `float()` itself for the rare tie and for every other cell.
+
+`read_csv` and `blocks` are how both this reader and the course CSV
+reader (`model.load_dataset`) read a file: the header line on its own,
+then plain blocks of whole lines in numpy, or else a csv.reader row loop.
 """
 
 from __future__ import annotations
 
-import bisect
+import codecs
 import csv
+import os
+import stat
 
 import numpy as np
 
@@ -22,10 +28,13 @@ from .densities import Scores
 from .errors import EmptyPopulation, InvalidProbability, MissingLabels, UnreadableInput
 
 HEADER = ["proba", "group", "label"]
-# rows per block of `write_columns`, whose text is one (rows, width) matrix;
-# `read_records` reads blocks of BLOCK_ROWS * 16 bytes
+# rows per block of `write_columns`, whose text is one (rows, width) matrix
 BLOCK_ROWS = 16384
-_HEADERS = {",".join(HEADER[:width]).encode(): width for width in (2, 3)}
+# bytes per block of `blocks`, the reader of both the records and the course CSV
+BLOCK_BYTES = 1 << 19
+# the bytes a block's buffer holds past its end: `_parse_block` reads 24
+# bytes from 2 bytes past a cell's start, which may be the block's last byte
+_PAD = 32
 # for k digits, three little-endian words of 0xff bytes over the first k
 _KEEP = (np.arange(24) < np.arange(21)[:, None]).astype(np.uint8) * np.uint8(0xFF)
 _KEEP = _KEEP.view("<u8")
@@ -140,15 +149,142 @@ def _scaled(m, exp, e):
     return q, (rest > half) | ((rest == half) & ((q & 1) == 1))
 
 
+def read_csv(path, header, rows, fast=None):
+    """What the row reader `rows`, or where it can the block reader `fast`
+    that gives the same result, makes of the CSV file `path`.
+
+    `header(lines)` takes csv.reader's first row from the file's lines, each
+    read through its line end and no further and decoded on its own
+    (`_lines`), and checks it before any byte after it is read.  `fast(raw,
+    head)` reads the rest of a regular file in a UTF-8 locale from its
+    binary buffer, in `blocks`.  Where it returns None, and for any other
+    file, `rows(fh, head)` reads the rest of the text file, from the top
+    again for the former.  A byte that does not decode, or a csv.Error, is
+    an UnreadableInput.
+    """
+    with open_input(path) as fh:
+        try:
+            head = header(_lines(fh))
+            if (fast is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                    and codecs.lookup(fh.encoding).name == "utf-8"):  # a pipe cannot be read twice
+                table = fast(fh.buffer, head)
+                if table is not None:
+                    return table
+                fh.seek(0)
+                header(_lines(fh))
+            return rows(fh, head)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise UnreadableInput(f"cannot read {path}: {exc}") from None
+
+
+def _lines(fh):
+    """The lines of the text file `fh`, which has read nothing yet, each read
+    from its binary buffer through its line end (an LF, a CR LF or a lone
+    CR, where `open(newline="")` ends a line) and not a byte further, and
+    decoded on its own."""
+    raw, line = fh.buffer, b""
+    while chunk := raw.peek():  # the buffered bytes; a read when there are none
+        if line.endswith(b"\r"):  # the line ends here, with the LF if one follows
+            yield (line + raw.read(int(chunk[0] == 10))).decode(fh.encoding, fh.errors)
+            line = b""
+            continue
+        ends = [i for i in (chunk.find(b"\n"), chunk.find(b"\r")) if i >= 0]
+        line += raw.read(min(ends, default=len(chunk) - 1) + 1)
+        if line.endswith(b"\n"):
+            yield line.decode(fh.encoding, fh.errors)
+            line = b""
+    if line:
+        yield line.decode(fh.encoding, fh.errors)
+
+
+def blocks(raw):
+    """The rest of the binary file `raw` in blocks of whole lines, about
+    BLOCK_BYTES at a time (more for a longer line), while they are plain
+    (`_plain`): (text, starts, ends, buf, rest) for each.  Line i of the
+    block `text` is text[starts[i]:ends[i]], its line end left out; `buf`
+    holds text and _PAD bytes more, unset (for `windows`); `rest` is the
+    bytes still to read per byte read.  A last line without its LF gets
+    one.  A block that is not plain is None, and the last."""
+    left = os.fstat(raw.fileno()).st_size - raw.tell()  # the bytes to read, as of now
+    size, carry, read = BLOCK_BYTES, 0, 0
+    buf = np.empty(size + _PAD, np.uint8)
+    while True:
+        got = raw.readinto(memoryview(buf)[carry:size])
+        end = carry + got
+        if not got:  # the end of the file; a CR before the LF added here ends a line, as for csv
+            if not end:
+                return
+            buf[end] = 10
+            end += 1
+        nl = np.flatnonzero(buf[carry:end] == 10) + carry
+        if nl.size:
+            stop = int(nl[-1]) + 1
+            text = buf[:stop]
+            starts = np.concatenate(([0], nl[:-1] + 1))
+            ends = nl - (text[nl - 1] == 13)  # for an LF at 0, text[-1]: the last LF
+            if not _plain(text, starts, ends, nl):
+                yield None
+                return
+            read += stop
+            yield text, starts, ends, buf, max(left - read, 0) / read
+            carry = end - stop
+            buf[:carry] = buf[stop:end]
+        else:
+            carry = end
+            if end == size:
+                size *= 2
+                buf = np.concatenate([buf[:end], np.empty(size + _PAD - end, np.uint8)])
+        if not got:
+            return
+
+
+def _plain(text, starts, ends, nl) -> bool:
+    """Whether csv.reader reads each line text[starts[i]:ends[i]] of `text`,
+    whose LFs are at `nl`, as the text between its commas: no quote or NUL,
+    no CR but before an LF, valid UTF-8, and no line longer than
+    `csv.field_size_limit()`."""
+    if text.min() == 0 or (text == ord('"')).any():
+        return False
+    if np.count_nonzero(text == 13) != np.count_nonzero(ends != nl):  # a lone CR
+        return False
+    if (ends - starts).max() > csv.field_size_limit():
+        return False
+    if text.max() >= 128:  # the lines are whole, so no character is cut
+        try:
+            text.tobytes().decode()
+        except UnicodeDecodeError:
+            return False
+    return True
+
+
+def windows(buf: np.ndarray, dtype: str) -> np.ndarray:
+    """An item of `dtype` at each offset of `buf` that has room for one: the
+    items overlap, and a gather of them reads cells in place."""
+    return np.ndarray((buf.size - np.dtype(dtype).itemsize + 1,), dtype, buf, strides=(1,))
+
+
+def grow(arrays: list, n: int, k: int, rest: float) -> None:
+    """Room in the 1-d `arrays` for k rows after their first n.  Where they
+    lack it, room for the rows of the rest of the file too, at `rest` times
+    the rows so far, and for an eighth of k more."""
+    if n + k > arrays[0].size:
+        resize(arrays, n + k + int((n + k) * rest) + k // 8)
+
+
+def resize(arrays: list, n: int) -> None:
+    """Each of the 1-d `arrays` resized to n rows, in place: they own their
+    data, and no view of them is left."""
+    for array in arrays:
+        array.resize(n, refcheck=False)
+
+
 def read_records(path, require_labels: bool = False) -> Scores:
     """Read a records CSV into `Scores`, exactly as `read_rows` would.
 
-    The file is opened once.  A regular file is read in binary blocks by
-    `_read_columns`; the row parser reads anything that returns None from
-    the start, and accepts it or raises the typed error naming the bad
-    header, row or cell.  It also re-reads a file whose values fail `Scores`
-    validation, since only it knows where the blank lines were that the
-    error's row number counts.
+    The file is opened once (`read_csv`).  A regular file is read in binary
+    blocks by `_read_columns`, and the row parser reads any file from the
+    start where it returns None.  Either accepts the file or the typed
+    error names the bad header, row or cell.
 
     A proba cell `0.` + k digits (1 <= k <= 19) is the integer S of its
     digits zero-padded to 19, over 10**19 = 5**19 * 2**19.  float() gives
@@ -162,105 +298,64 @@ def read_records(path, require_labels: bool = False) -> Scores:
     ulp(r) / 2 of Q + r: unless Q + r is itself a midpoint (a tie, which
     goes to float()), both round to the same double s.
     """
-    import os
-    import stat
-
-    with open_input(path) as fh:
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe cannot be read twice
-            columns = _read_columns(fh)
-            if columns is not None:
-                try:
-                    return _scores(path, *columns, require_labels)
-                except InvalidProbability:
-                    pass
-            fh.seek(0)
-        return _parse_rows(fh, path, require_labels)
+    return _read(path, require_labels, _read_columns)
 
 
-def _read_columns(fh):
-    """proba, group and label (None without a label column) of the text file
-    `fh`, read in blocks of about BLOCK_ROWS rows from its binary buffer, or
-    None where the row parser must read it: a locale encoding other than
-    UTF-8, a header that is not exactly one of the two, no rows, a quote, a
-    CR not followed by LF, a row without one cell per column, a cell that
-    float()/int() rejects, a group or label other than 0 or 1 (an empty
-    label too), bytes that do not decode, a line longer than a block or
-    than `csv.field_size_limit()`, or more rows than were counted."""
-    import codecs
-
-    if codecs.lookup(fh.encoding).name != "utf-8":
-        return None
-    raw, size = fh.buffer, BLOCK_ROWS * 16
-    buf = np.zeros(size + 32, np.uint8)  # the tail pads the digit windows
-    view = memoryview(buf)
-    lines = 0  # a bound on the rows, so that each column is allocated once
-    while got := raw.readinto(view[:size]):
-        lines += np.count_nonzero(buf[:got] == 10)
-    raw.seek(0)
-    columns, n, carry = [], 0, 0
-    while True:
-        got = raw.readinto(view[carry:size])
-        end = carry + got
-        if not got:  # the end of the file; a last line without its LF counts
-            if not end:
-                break
-            buf[end] = 10  # a CR before it ends a line, as for csv
-            end += 1
-        nl = np.flatnonzero(buf[:end] == 10)
-        if not nl.size:
-            if end == size:  # a line longer than a block
-                return None
-            carry = end
-            continue
-        lo = 0
-        if not columns:  # the header line
-            width = _HEADERS.get(buf[:nl[0]].tobytes().removesuffix(b"\r"))
-            if width is None:
-                return None
-            columns = [np.empty(lines, t) for t in (np.float64, np.int64, np.int64)[:width]]
-            lo, nl = nl[0] + 1, nl[1:]
-        if nl.size:
-            rows = _parse_block(buf, lo, nl, [c[n:] for c in columns])
-            if rows is None:
-                return None
-            n, lo = n + rows, nl[-1] + 1
-        carry = end - lo
-        buf[:carry] = buf[lo:end]
-        if not got:
-            break
-    if not n:
-        return None
-    return columns[0][:n], columns[1][:n], columns[2][:n] if width == 3 else None
+def read_rows(path, require_labels: bool = False) -> Scores:
+    """Row-by-row records parser (`csv.reader`, then `float()`/`int()` per
+    cell): the fallback of `read_records` and the reference it must match."""
+    return _read(path, require_labels)
 
 
-def _parse_block(buf, lo, nl, columns):
-    """Parse the lines of buf[lo:nl[-1] + 1], whose LFs are at `nl`, into the
-    heads of `columns`: the number of rows, or None as `_read_columns`."""
-    width = len(columns)
-    text = buf[lo:nl[-1] + 1]
-    if (text == 34).any():  # a quote
-        return None
-    crlf = buf[nl - 1] == 13  # for an LF at 0, buf[-1]: padding, never written
-    if np.count_nonzero(text == 13) != np.count_nonzero(crlf):  # a lone CR
-        return None
-    starts = np.concatenate(([lo], nl[:-1] + 1))
-    ends = nl - crlf
-    rows = ends > starts  # blank lines are skipped
-    starts, ends = starts[rows], ends[rows]
-    n = starts.size
-    commas = np.flatnonzero(text == 44) + lo
+def _read(path, require_labels: bool, fast=None) -> Scores:
+    table = read_csv(path, lambda lines: _width(lines, path),
+                     lambda fh, width: _parse_rows(fh, path, width), fast)
+    return _scores(path, *table, require_labels)
+
+
+def _width(lines, path) -> int:
+    """The number of columns of the header, csv.reader's first row of `lines`."""
+    header = next(csv.reader(lines), None)
+    if header not in (HEADER, HEADER[:2]):
+        raise InvalidProbability(f"{path}: expected header proba,group or proba,group,label, "
+                                 f"got {','.join(header or [])!r}")
+    return len(header)
+
+
+def _read_columns(raw, width: int):
+    """proba, group, label (None without a label column) and the rows before
+    each blank line of the binary file `raw`, past its header, read in
+    `blocks`; or None where the row parser must read it: a block that is not
+    plain, a row without one cell per column, a cell that float()/int()
+    rejects, or a group or label other than 0 or 1 (an empty label too)."""
+    columns = [np.empty(0, t) for t in (np.float64, np.int64, np.int64)[:width]]
+    n, blanks = 0, [np.empty(0, np.intp)]
+    for block in blocks(raw):
+        if block is None:
+            return None
+        text, starts, ends, buf, rest = block
+        grow(columns, n, starts.size, rest)
+        rows = ends > starts  # blank lines are skipped
+        if not _parse_block(text, starts[rows], ends[rows], buf, [c[n:] for c in columns]):
+            return None
+        blank = np.flatnonzero(~rows)
+        blanks.append(n + blank - np.arange(blank.size))  # the rows before each
+        n += int(np.count_nonzero(rows))
+    resize(columns, n)
+    return columns[0], columns[1], columns[2] if width == 3 else None, np.concatenate(blanks)
+
+
+def _parse_block(text, starts, ends, buf, columns) -> bool:
+    """Parse the rows text[starts[i]:ends[i]] into the heads of `columns`;
+    False where `_read_columns` returns None."""
+    n, width = starts.size, len(columns)
+    commas = np.flatnonzero(text == 44)
     if commas.size != n * (width - 1):
-        return None
-    if n > columns[0].size:  # more rows than LFs were counted: the file grew
-        return None
-    if not n:
-        return 0
+        return False
     # the commas counted for each row lie in its line, so each line has width - 1
     commas = commas.reshape(n, width - 1)
     if not ((commas[:, 0] >= starts) & (commas[:, -1] < ends)).all():
-        return None
-    if (ends - starts).max() > csv.field_size_limit():
-        return None
+        return False
     bounds = [starts - 1, *commas.T, ends]  # cell j lies between bounds j and j + 1
     a, b = bounds[0] + 1, bounds[1]
     digits = np.clip(b - a - 2, 0, 20)  # of a cell "0." + digits
@@ -268,9 +363,9 @@ def _parse_block(buf, lo, nl, columns):
     # beyond the cell's digits masked to 0; a digit is a byte d <= 9, which
     # neither d nor d + 6 has a high nibble for (the lowest other byte,
     # which no lower byte borrows from or carries into, has one)
-    d = _bytes(buf, 24)[a + 2].view("<u8").reshape(n, 3) - 0x3030303030303030
+    d = windows(buf, "V24")[a + 2].view("<u8").reshape(n, 3) - 0x3030303030303030
     d &= _KEEP.take(digits, axis=0)
-    fast = ((digits > 0) & (digits < 20) & (buf[a] == ord("0")) & (buf[a + 1] == ord("."))
+    fast = ((digits > 0) & (digits < 20) & (text[a] == ord("0")) & (text[a + 1] == ord("."))
             & ((d | d + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0 == 0).all(1))
     # S, the digits zero-padded to 19, eight per word: pairs, quads, octets
     d = d * (10 << 8 | 1) >> 8 & 0x00FF00FF00FF00FF
@@ -283,86 +378,67 @@ def _parse_block(buf, lo, nl, columns):
     tie = (err != 0) & ((s + 2 * err) - s == 2 * err)  # s + 2 * err is a double
     columns[0][:n] = s * 2.0**-19
     slow = np.flatnonzero(~fast | tie)
-    values = _cells(buf, a[slow], b[slow], float)
+    values = _cells(text, a[slow], b[slow], float)
     if values is None:
-        return None
+        return False
     columns[0][slow] = values
     for j in range(1, width):
         a, b = bounds[j] + 1, bounds[j + 1]
-        value = buf[a] - ord("0")
+        value = text[a] - ord("0")
         columns[j][:n] = value
         slow = np.flatnonzero((b - a != 1) | (value > 1))
-        values = _cells(buf, a[slow], b[slow], int)
+        values = _cells(text, a[slow], b[slow], int)
         if values is None or not set(values) <= {0, 1}:
-            return None
+            return False
         columns[j][slow] = values
-    return n
+    return True
 
 
-def _bytes(buf, size):
-    """The `size` bytes from each offset of `buf`, as one void item each."""
-    return np.ndarray((buf.size - size + 1,), f"V{size}", buf, strides=(1,))
-
-
-def _cells(buf, starts, ends, parse):
-    """`parse` of the text of each cell buf[start:end], or None if one does
-    not decode or parse (a UnicodeDecodeError is a ValueError)."""
+def _cells(text, starts, ends, parse):
+    """`parse` of the text of each cell text[start:end], or None if one does
+    not parse."""
     try:
-        return [parse(buf[i:j].tobytes().decode())
+        return [parse(text[i:j].tobytes().decode())
                 for i, j in zip(starts.tolist(), ends.tolist())]
     except ValueError:
         return None
 
 
-def read_rows(path, require_labels: bool = False) -> Scores:
-    """Row-by-row records parser (`csv.reader`, then `float()`/`int()` per
-    cell): the fallback of `read_records` and the reference it must match."""
-    with open_input(path) as fh:
-        return _parse_rows(fh, path, require_labels)
-
-
-def _parse_rows(fh, path, require_labels: bool) -> Scores:
+def _parse_rows(fh, path, width: int):
+    """What `_read_columns` returns, read by csv.reader from the text file
+    `fh`, past its header: its rows, or the error naming a bad row or cell."""
     proba, group, label = [], [], []
     blanks = []  # the number of records before each blank line
-    reader = csv.reader(fh)
-    try:
-        header = next(reader, None)
-        if header not in (HEADER, HEADER[:2]):
-            raise InvalidProbability(
-                f"{path}: expected header proba,group or proba,group,label, "
-                f"got {','.join(header or [])!r}")
-        width = len(header)
-        labelled = width == 3
-        for row_number, row in enumerate(reader, 1):
-            if len(row) != width:
-                if not row:
-                    blanks.append(len(proba))
-                    continue
-                raise InvalidProbability(f"{path}: row {row_number} has {len(row)} "
-                                         f"cells, expected {width}")
+    labelled = width == 3
+    for row_number, row in enumerate(csv.reader(fh), 1):
+        if len(row) != width:
+            if not row:
+                blanks.append(len(proba))
+                continue
+            raise InvalidProbability(f"{path}: row {row_number} has {len(row)} "
+                                     f"cells, expected {width}")
+        try:
             proba.append(float(row[0]))
             group.append(int(row[1]))
             if labelled:
                 label.append(int(row[2]) if row[2] else None)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise UnreadableInput(f"cannot read {path}: {exc}") from None
-    except ValueError:  # from float() or int() on a cell of `row`
-        raise InvalidProbability(_bad_cell(path, row_number, row)) from None
-    if not proba:
-        raise EmptyPopulation(f"{path}: no records")
+        except ValueError:
+            raise InvalidProbability(_bad_cell(path, row_number, row)) from None
     label = np.array(label) if labelled and None not in label else None
-    return _scores(path, np.array(proba), np.array(group), label, require_labels, blanks)
+    return np.array(proba), np.array(group), label, blanks
 
 
-def _scores(path, proba, group, label, require_labels: bool, blanks=()) -> Scores:
+def _scores(path, proba, group, label, blanks, require_labels: bool) -> Scores:
     """Validated `Scores` of parsed columns; errors name `path`, and the row
     of a bad value counts the blank lines before it, as a parse error does."""
+    if not proba.size:
+        raise EmptyPopulation(f"{path}: no records")
     if label is None and require_labels:
         raise MissingLabels(f"{path}: label required on every row")
     try:
         return Scores(proba, group, label)
     except InvalidProbability as exc:
-        row = exc.row + bisect.bisect_left(blanks, exc.row)
+        row = exc.row + int(np.searchsorted(blanks, exc.row))
         msg = str(exc).replace(f"row {exc.row} has", f"row {row} has")
         raise InvalidProbability(f"{path}: {msg}") from None
 

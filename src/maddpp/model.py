@@ -14,12 +14,9 @@ numpy reader must match.  `encode` converts each distinct cell once.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import itertools
 import json
-import os
-import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +27,8 @@ from .errors import (
     InvalidRatios,
     NotTrained,
     TrainingDiverged,
-    UnreadableInput,
 )
-from .io import open_input
+from .io import blocks, grow, read_csv, resize, windows
 
 # Known ordinal level orders for the course-data bands; anything else falls
 # back to numeric parsing or sorted-unique ranks (recorded in the manifest).
@@ -79,8 +75,6 @@ class TabularDataset:
 
 # rows per slice of `hessian`'s weight block
 CHUNK_ROWS = 4096
-# `load_dataset` reads blocks of whole lines of about this many bytes
-BLOCK_BYTES = 1 << 19
 # the first k bytes of a little-endian word, k = 0..8
 _FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -89,40 +83,40 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 def load_dataset(path, sensitive: str, label_column: str = "label") -> TabularDataset:
     """Read a flat course CSV into factorized columns, exactly as `load_rows` would.
 
-    The header is checked before any row is read: it must name the label
-    column and the sensitive column (another one), and no name twice.  One
-    leading UTF-8 BOM is dropped.  Blank lines are skipped; a row shorter
-    than the header or with an empty cell among its first len(header) cells
-    is dropped and counted; cells past the header's width are ignored.  A
-    row's number counts every line after the header, blank ones too.
+    The header is checked before any byte after it is read: it must name
+    the label column and the sensitive column (another one), and no name
+    twice.  One leading UTF-8 BOM is dropped.  Blank lines are skipped; a
+    row shorter than the header or with an empty cell among its first
+    len(header) cells is dropped and counted; cells past the header's width
+    are ignored.  A row's number counts every line after the header, blank
+    ones too.
 
-    A regular file in a UTF-8 locale is read once, in binary blocks of whole
-    lines (`_read_blocks`): each block is checked to be plain (`_plain`), so
-    that csv.reader would split each line at each comma and nowhere else,
-    and then cut into rows and factorized column by column.  Any other file,
-    or one with a block that is not plain, goes to `load_rows` from the top.
+    A regular file in a UTF-8 locale is read once (`io.read_csv`), in
+    binary blocks of whole lines (`_read_blocks`): each plain block is cut
+    into rows and factorized column by column.  Any other file, or one
+    with a block that is not plain, goes to `load_rows`' row loop from the
+    top.
     """
-    with open_input(path) as fh:
-        if (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # a pipe cannot be read twice
-                and codecs.lookup(fh.encoding).name == "utf-8"):
-            table = _read_blocks(fh.buffer, path, sensitive, label_column)
-            if table is not None:
-                return _dataset(path, label_column, sensitive, *table)
-            fh.seek(0)
-        return _dataset(path, label_column, sensitive,
-                        *_read_rows(fh, path, sensitive, label_column))
+    return _load(path, sensitive, label_column, _read_blocks)
 
 
 def load_rows(path, sensitive: str, label_column: str = "label") -> TabularDataset:
     """Row-by-row course CSV reader (`csv.reader`): the fallback of
     `load_dataset` and the reference it must match."""
-    with open_input(path) as fh:
-        return _dataset(path, label_column, sensitive,
-                        *_read_rows(fh, path, sensitive, label_column))
+    return _load(path, sensitive, label_column)
 
 
-def _check_header(header: list[str], path, sensitive: str, label_column: str) -> list[str]:
-    """`header`, if it names the label and the sensitive column, each name once."""
+def _load(path, sensitive: str, label_column: str, fast=None) -> TabularDataset:
+    table = read_csv(path, lambda lines: _check_header(lines, path, sensitive, label_column),
+                     _read_rows, fast)
+    return _dataset(path, label_column, sensitive, *table)
+
+
+def _check_header(lines, path, sensitive: str, label_column: str) -> list[str]:
+    """The header, csv.reader's first row of `lines` less one leading BOM, if
+    it names the label and the sensitive column, each name once."""
+    first = next(lines, "")
+    header = next(csv.reader(itertools.chain([first.removeprefix("\ufeff")], lines)))
     if label_column not in header:
         raise EncodingError(f"label column {label_column!r} missing from {path}")
     if len(set(header)) != len(header):
@@ -132,105 +126,41 @@ def _check_header(header: list[str], path, sensitive: str, label_column: str) ->
     return header
 
 
-def _read_rows(fh, path, sensitive: str, label_column: str):
+def _read_rows(fh, header: list[str]):
     """The header, each column's (distinct cells, first seen first; the code
     of each kept row), the kept rows' numbers and the dropped row count of
-    the text file `fh`, read by csv.reader."""
+    the text file `fh`, past its header, read by csv.reader."""
+    width = len(header)
+    seen = [{} for _ in header]
+    codes = [[] for _ in header]
     row_numbers, dropped = [], 0
-    lines = iter(fh)
-    try:
-        first = next(lines, "")
-        reader = csv.reader(itertools.chain([first.removeprefix("\ufeff")], lines))
-        header = _check_header(next(reader), path, sensitive, label_column)
-        width = len(header)
-        seen = [{} for _ in header]
-        codes = [[] for _ in header]
-        for row_number, row in enumerate(reader, 1):
-            if len(row) < width or "" in row[:width]:
-                if row:  # a blank line is skipped, not counted
-                    dropped += 1
-                continue
-            for ids, column, cell in zip(seen, codes, row):
-                column.append(ids.setdefault(cell, len(ids)))
-            row_numbers.append(row_number)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise UnreadableInput(f"cannot read {path}: {exc}") from None
+    for row_number, row in enumerate(csv.reader(fh), 1):
+        if len(row) < width or "" in row[:width]:
+            if row:  # a blank line is skipped, not counted
+                dropped += 1
+            continue
+        for ids, column, cell in zip(seen, codes, row):
+            column.append(ids.setdefault(cell, len(ids)))
+        row_numbers.append(row_number)
     return (header, [(list(ids), np.array(c, np.intp)) for ids, c in zip(seen, codes)],
             np.array(row_numbers, np.intp), dropped)
 
 
-def _blocks(raw):
-    """The lines of the binary file `raw`, whole, about BLOCK_BYTES at a time,
-    as (buf, stop, nl): the block buf[:stop] ends with an LF, `nl` holds the
-    offsets of its LFs, and buf has 7 bytes or more after it.  A last line
-    without its LF gets one; a line longer than the block doubles it."""
-    size, carry = BLOCK_BYTES, 0
-    buf = np.empty(size + 8, np.uint8)
-    while True:
-        got = raw.readinto(memoryview(buf)[carry:size])
-        end = carry + got
-        if not got:  # the end of the file; a CR before the LF added here ends a line, as for csv
-            if not end:
-                return
-            buf[end] = 10
-            end += 1
-        nl = np.flatnonzero(buf[carry:end] == 10) + carry
-        if nl.size:
-            stop = int(nl[-1]) + 1
-            yield buf, stop, nl
-            carry = end - stop
-            buf[:carry] = buf[stop:end]
-        else:
-            carry = end
-            if end == size:
-                size *= 2
-                buf = np.concatenate([buf[:end], np.empty(size + 8 - end, np.uint8)])
-        if not got:
-            return
-
-
-def _plain(text: np.ndarray, nl: np.ndarray) -> bool:
-    """Whether csv.reader reads each line of `text`, whose LFs are at `nl`, as
-    the text between its commas: no quote or NUL, no CR but before an LF,
-    valid UTF-8, and no line longer than `csv.field_size_limit()`."""
-    if (text == ord('"')).any() or (text == 0).any():
-        return False
-    if np.count_nonzero(text == 13) != np.count_nonzero(text[nl - 1] == 13):  # a lone CR
-        return False
-    if np.diff(nl, prepend=-1).max() - 1 > csv.field_size_limit():
-        return False
-    if (text >= 128).any():  # the lines are whole, so no character is cut
-        try:
-            text.tobytes().decode()
-        except UnicodeDecodeError:
-            return False
-    return True
-
-
-def _read_blocks(raw, path, sensitive: str, label_column: str):
-    """What `_read_rows` returns, read from the binary file `raw` in numpy, or
-    None where `_read_rows` must read it: at the first block with a line that
-    is not `_plain`, or two distinct cells of a column with the same hash."""
-    size = os.fstat(raw.fileno()).st_size
-    header, line, read = None, 0, 0  # line: the lines before this block, the header's included
-    for buf, stop, nl in _blocks(raw):
-        text = buf[:stop]
-        if not _plain(text, nl):
+def _read_blocks(raw, header: list[str]):
+    """What `_read_rows` returns, read from the binary file `raw`, past its
+    header, in `io.blocks`; or None where `_read_rows` must read it: at the
+    first block that is not plain, or two distinct cells of a column with
+    the same hash."""
+    width = len(header)
+    seen = [{} for _ in header]
+    codes = [np.empty(0, np.intp) for _ in header]
+    row_numbers = np.empty(0, np.intp)
+    n = dropped = line = 0  # line: the lines before this block
+    for block in blocks(raw):
+        if block is None:
             return None
-        read += stop
-        starts = np.concatenate(([0], nl[:-1] + 1))
-        ends = nl - (text[nl - 1] == 13)  # for an LF at 0, text[-1]: an LF
+        text, starts, ends, buf, rest = block
         nonblank = ends > starts  # a blank line is skipped, not counted
-        if header is None:
-            cells = text[:ends[0]].tobytes().removeprefix(codecs.BOM_UTF8).decode()
-            header = _check_header(cells.split(",") if cells else [], path, sensitive,
-                                   label_column)
-            width = len(header)
-            seen = [{} for _ in header]
-            codes = [np.empty(0, np.intp) for _ in header]
-            row_numbers = np.empty(0, np.intp)
-            n = dropped = 0
-            nonblank[0] = False  # the header is no row
         commas = np.flatnonzero(text == ord(","))
         first = np.searchsorted(commas, starts)  # of each line's commas
         count = np.diff(first, append=commas.size)
@@ -245,18 +175,13 @@ def _read_blocks(raw, path, sensitive: str, label_column: str):
         if not full.all():  # a row with an empty cell is dropped
             rows, bounds = rows[full], [b[full] for b in bounds]
         k = rows.size
-        if n + k > row_numbers.size:
-            # room for the rest of the file at the rows per byte read so far,
-            # and an eighth of a block's rows; resize reallocates in place
-            room = n + k + (n + k) * max(size - read, 0) // read + k // 8
-            for array in (row_numbers, *codes):
-                array.resize(room, refcheck=False)
+        grow([row_numbers, *codes], n, k, rest)
         dropped += int(np.count_nonzero(nonblank)) - k
-        row_numbers[n:n + k] = line + rows
-        line += nl.size
+        row_numbers[n:n + k] = line + 1 + rows
+        line += starts.size
         if not k:
             continue
-        words = np.ndarray((stop,), "<u8", buf, strides=(1,))  # the 8 bytes at each offset
+        words = windows(buf, "<u8")
         for ids, column, a, b in zip(seen, codes, bounds, bounds[1:]):
             a = a + 1
             distinct = _distinct(words, a, b)
@@ -266,10 +191,7 @@ def _read_blocks(raw, path, sensitive: str, label_column: str):
             new = [text[i:j].tobytes() for i, j in zip(a[rep].tolist(), b[rep].tolist())]
             column[n:n + k] = np.array([ids.setdefault(c, len(ids)) for c in new], np.intp)[inv]
         n += k
-    if header is None:  # an empty file
-        _check_header([], path, sensitive, label_column)
-    for array in (row_numbers, *codes):
-        array.resize(n, refcheck=False)
+    resize([row_numbers, *codes], n)
     return (header, [([c.decode() for c in ids], c) for ids, c in zip(seen, codes)],
             row_numbers, dropped)
 

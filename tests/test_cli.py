@@ -57,14 +57,6 @@ class TestMaddCommand:
         result = json.loads((tmp_path / "madd.json").read_text())
         assert result["madd"] == 0.0
 
-    def test_kde_curves_optional(self, tmp_path):
-        recs = Scores(*zip(*([(0.2, 0)] * 3 + [(0.7, 1)] * 3)))
-        path = tmp_path / "r.csv"
-        write_records(recs, path)
-        run(tmp_path, "madd", str(path), "--m", "10", "--kde-bandwidth", "0.05")
-        result = json.loads((tmp_path / "madd.json").read_text())
-        assert len(result["kde_g0"]) == len(result["kde_g1"]) > 0
-
     def test_disjoint_groups_two(self, tmp_path):
         recs = Scores(*zip(*([(0.1, 0)] * 5 + [(0.9, 1)] * 5)))
         path = tmp_path / "r.csv"
@@ -320,8 +312,9 @@ class TestMalformedInput:
         (["pipeline", "{input}", "--sensitive", "gender", "--m", "1"],
          COURSE + "F,1.5,0\nM,2.5,1\n", 12, "InvalidBinCount", "m must be >= 2, got 1"),
         (["madd", "{input}", "--m", "1"], None, 12, "InvalidBinCount", "m must be >= 2, got 1"),
-        (["madd", "{input}", "--kde-bandwidth", "-1"], None, 14, "InvalidBandwidth",
-         "bandwidth must be positive, got -1.0"),
+        # the header is checked before a byte after it that does not decode
+        (["pipeline", "{input}", "--sensitive", "nosuch"], COURSE.encode() + b"F,1.5,0\n\xff\n",
+         21, "EncodingError", "sensitive column 'nosuch' not in features"),
         (["fip", "{input}", "--m", "1", "--lambda", "0.5"], None, 12, "InvalidBinCount",
          "m must be >= 2, got 1"),
         # files the bulk reader leaves to the row parser
@@ -360,7 +353,7 @@ class TestMalformedInput:
         assert detail.format(tmp=tmp_path, input=path) in err
         # an encoding error names the column and row instead, an output error its
         # output, an option error the option's value
-        if code not in (12, 14, 17, 21, 26, 27):
+        if code not in (12, 17, 21, 26, 27):
             assert str(path) in err, err
         assert not (tmp_path / "model.json").exists()
         # and a run stopped by an option writes nothing, not even simulate's --out

@@ -5,7 +5,6 @@ from maddpp.densities import (
     DensityVector,
     Scores,
     build_density_vector,
-    kde_plot_curve,
     madd,
     pool_density_vectors,
 )
@@ -13,7 +12,6 @@ from maddpp.errors import (
     BinCountMismatch,
     EmptyGroup,
     EmptyPopulation,
-    InvalidBandwidth,
     InvalidBinCount,
     InvalidProbability,
     LengthMismatch,
@@ -146,31 +144,6 @@ class TestMadd:
         with pytest.raises(BinCountMismatch):
             madd(DensityVector(bins=[1, 0], m=2, n=1),
                  DensityVector(bins=[1, 0, 0], m=3, n=1))
-
-
-class TestKdePlotCurve:
-    def test_uniform_is_near_constant(self):
-        d = DensityVector(bins=np.full(100, 0.01), m=100, n=100)
-        ys = np.array([y for _, y in kde_plot_curve(d, bandwidth=0.1, grid=201)])
-        assert ys.max() - ys.min() < 0.05
-
-    def test_point_mass_peaks_at_bin_center(self):
-        d = DensityVector(bins=[0, 0, 1, 0], m=4, n=4)
-        curve = kde_plot_curve(d, bandwidth=0.05, grid=401)
-        xs, ys = zip(*curve)
-        assert xs[int(np.argmax(ys))] == pytest.approx(0.625, abs=1e-9)
-
-    def test_mirror_symmetry(self):
-        d0 = DensityVector(bins=[0.5, 0.5, 0, 0], m=4, n=4)
-        d1 = DensityVector(bins=[0, 0, 0.5, 0.5], m=4, n=4)
-        y0 = np.array([y for _, y in kde_plot_curve(d0, 0.05, 101)])
-        y1 = np.array([y for _, y in kde_plot_curve(d1, 0.05, 101)])
-        np.testing.assert_allclose(y0, y1[::-1], atol=1e-9)
-
-    def test_invalid_bandwidth(self):
-        d = DensityVector(bins=[1, 0], m=2, n=1)
-        with pytest.raises(InvalidBandwidth):
-            kde_plot_curve(d, bandwidth=0.0)
 
 
 class TestScores:

@@ -4,6 +4,7 @@ import itertools
 import os
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import maddpp.io
 from maddpp.densities import Scores
-from maddpp.errors import InvalidProbability, MaddError, MissingLabels
+from maddpp.errors import InvalidProbability, MaddError, MissingLabels, UnreadableInput
 from maddpp.cli import main
 from maddpp.io import read_records, read_rows, write_records
 from maddpp.objective import ObjectiveConfig, default_lambda_grid, sweep
@@ -349,9 +350,9 @@ LAST_ROWS = {"well_formed": b"0.5,1,0\r\n", "no_final_newline": b"0.5,1,0",
 
 @pytest.mark.parametrize("last", LAST_ROWS.values(), ids=LAST_ROWS.keys())
 def test_rows_across_block_boundaries(tmp_path, monkeypatch, last):
-    # blocks of 2 * 16 = 32 bytes; the blank lines put every byte of a row, the
-    # LF after a CR and the end of the file on a block's first byte in turn
-    monkeypatch.setattr(maddpp.io, "BLOCK_ROWS", 2)
+    # blocks of 32 bytes; the blank lines put every byte of a row, the LF
+    # after a CR and the end of the file on a block's first byte in turn
+    monkeypatch.setattr(maddpp.io, "BLOCK_BYTES", 32)
     path = tmp_path / "r.csv"
     for shift in range(2 * len(ROW)):
         path.write_bytes(LABELLED + b"\n" * shift + ROW * 5 + b"0.7,1,1\n" + last)
@@ -379,19 +380,58 @@ def test_read_memory_is_bounded(tmp_path):
     assert large - small <= large_out - small_out + 2**16
 
 
+def test_long_line_is_read_in_numpy(tmp_path, monkeypatch):
+    # a line longer than a block doubles the block, however long the line
+    monkeypatch.setattr(maddpp.io, "BLOCK_BYTES", 8)
+    monkeypatch.setattr(maddpp.io, "_parse_rows", None)  # no call to the row parser
+    cell = "0." + "1" * 300
+    path = tmp_path / "r.csv"
+    path.write_bytes(cells_file(["0.5", cell, "0.25"]))
+    assert read_records(path).proba.tolist() == [0.5, float(cell), 0.25]
+
+
 def test_file_that_grows_while_read(tmp_path, monkeypatch):
-    class GrowingFile(io.BufferedReader):
-        def seek(self, *args):  # after the LFs are counted, and before the rows are read
-            with open(self.name, "ab") as fh:
-                fh.write(b"0.5,1,0\n" * 3)
-            return super().seek(*args)
+    # the rows past the size the file had when it was opened are read too,
+    # each block's rows having room made for them as they come
+    class GrowingFile(io.FileIO):
+        def readinto(self, b):
+            got = super().readinto(b)
+            if got and self.tell() < 4096:
+                with open(self.name, "ab") as fh:
+                    fh.write(b"0.5,1,0\n" * 100)
+            return got
 
     path = tmp_path / "r.csv"
     path.write_bytes(ODD_FILES["plain"])
+    monkeypatch.setattr(maddpp.io, "BLOCK_BYTES", 64)
+    monkeypatch.setattr(maddpp.io, "_parse_rows", None)  # no call to the row parser
     monkeypatch.setattr(maddpp.io, "open_input", lambda p: io.TextIOWrapper(
-        GrowingFile(io.FileIO(p)), newline=""))
-    # two rows counted, five read: the row parser reads the file, which grew again
-    assert read_records(path).proba.tolist() == [0.2, 0.7] + [0.5] * 6
+        io.BufferedReader(GrowingFile(p)), newline=""))
+    s = read_records(path)
+    assert s.proba[:2].tolist() == [0.2, 0.7] and len(s) > 2
+    assert s.proba[2:].tolist() == [0.5] * (len(s) - 2)
+    assert (path.stat().st_size - len(LABELLED)) // 8 == len(s)
+
+
+@pytest.mark.parametrize("offset", [0, 2**13, 2**20])  # in the first 8 KiB, past it, past a block
+@pytest.mark.parametrize("read", [read_records, read_rows])
+def test_header_is_checked_before_any_row(tmp_path, read, offset):
+    # a bad header is named before a byte after it that does not decode
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"proba,group,lable\n" + b"0.2,0,1\n" * (offset // 8) + b"\xff\n")
+    with pytest.raises(InvalidProbability, match="expected header proba,group or"):
+        read(path)
+    path.write_bytes(LABELLED + b"0.2,0,1\n" * (offset // 8) + b"\xff\n")
+    with pytest.raises(UnreadableInput, match="can't decode byte 0xff"):
+        read(path)
+
+
+def test_header_ends_at_a_lone_cr(tmp_path):
+    # as csv.reader's lines do; the rows after it are plain, and read in numpy
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"proba,group,label\r0.2,0,1\n0.7,1,0\n")
+    for read in (read_records, read_rows):
+        assert read(path).proba.tolist() == [0.2, 0.7]
 
 
 def test_other_encodings_go_to_the_row_parser(tmp_path, monkeypatch):
@@ -487,15 +527,12 @@ def records_files(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(records_files(), st.sampled_from([2, 3, BLOCK]))  # blocks of 32 and 48 bytes too
-def test_agrees_with_row_parser_on_generated_files(tmp_path_factory, content, block_rows):
+@given(records_files(), st.sampled_from([8, 16, 32, 48, maddpp.io.BLOCK_BYTES]))
+def test_agrees_with_row_parser_on_generated_files(tmp_path_factory, content, block):
     path = tmp_path_factory.mktemp("oracle") / "r.csv"
     path.write_bytes(content)
-    try:
-        maddpp.io.BLOCK_ROWS = block_rows
+    with mock.patch.object(maddpp.io, "BLOCK_BYTES", block):
         assert_agrees_with_row_parser(path)
-    finally:
-        maddpp.io.BLOCK_ROWS = BLOCK
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import os
 import threading
 import tracemalloc
@@ -9,8 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maddpp.io
 from maddpp import model
-from maddpp.errors import EmptyPopulation, EncodingError, InvalidRatios, MaddError, NotTrained
+from maddpp.errors import (
+    EmptyPopulation,
+    EncodingError,
+    InvalidRatios,
+    MaddError,
+    NotTrained,
+    UnreadableInput,
+)
 from maddpp.model import (
     ORDINAL_LEVELS,
     LogisticModel,
@@ -167,11 +176,11 @@ def course_files(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(course_files(), st.sampled_from([8, 16, 64, model.BLOCK_BYTES]))
+@given(course_files(), st.sampled_from([8, 16, 32, 48, maddpp.io.BLOCK_BYTES]))
 def test_load_matches_dictreader(tmp_path_factory, text, block):
     path = tmp_path_factory.mktemp("course") / "d.csv"
     path.write_bytes(text.encode())
-    with mock.patch.object(model, "BLOCK_BYTES", block):  # rows cross block boundaries
+    with mock.patch.object(maddpp.io, "BLOCK_BYTES", block):  # rows cross block boundaries
         got = outcome(load_dataset, path)
     assert got == outcome(load_rows, path)
     columns, labels, numbers, dropped = dictreader_load(path)
@@ -206,7 +215,10 @@ ODD_FILES = {
     "surrogate": (HEADER + b"M,1.5,1\nF\xed\xa0\x80,2,0\n", False),
     "bom": (BOM + HEADER + b"M,1.5,1\nF,2,0\n", True),
     "bom_label_first": (BOM + b"label,g,x\n1,M,1.5\n0,F,2\n", True),
-    "bom_quoted_header": (BOM + b'"g",x,label\nM,1.5,1\nF,2,0\n', False),
+    "bom_quoted_header": (BOM + b'"g",x,label\nM,1.5,1\nF,2,0\n', True),
+    "quoted_header_over_two_lines": (b'"g\nh",x,label\nM,1.5,1\nF,2,0\n', True),
+    "lone_cr_header": (b"g,x,label\rM,1.5,1\nF,2,0\n", True),
+    "undecodable_header": (b"g,x\xff,label\nM,1.5,1\n", True),
     "bom_only": (BOM, True),
     "two_boms": (BOM + BOM + HEADER + b"M,1.5,1\nF,2,0\n", True),
     "blank_lines": (HEADER + b"\nM,1.5,1\n\r\n\nF,2,0\n\n", True),
@@ -237,13 +249,13 @@ ODD_FILES = {
 }
 
 
-@pytest.mark.parametrize("block", [8, model.BLOCK_BYTES])
+@pytest.mark.parametrize("block", [8, maddpp.io.BLOCK_BYTES])
 @pytest.mark.parametrize("name", ODD_FILES)
 def test_odd_files_match_the_row_loop(tmp_path, name, block):
     content, numpy_reader = ODD_FILES[name]
     path = tmp_path / "d.csv"
     path.write_bytes(content)
-    with mock.patch.object(model, "BLOCK_BYTES", block), \
+    with mock.patch.object(maddpp.io, "BLOCK_BYTES", block), \
             mock.patch.object(model, "_read_rows", wraps=model._read_rows) as row_loop:
         got = outcome(load_dataset, path)
     assert got == outcome(load_rows, path)
@@ -260,14 +272,30 @@ def test_bom_leaves_the_first_column_its_name(tmp_path):
 
 
 def test_header_is_checked_before_any_row(tmp_path):
-    # a missing sensitive column is named before a bad label below it
+    # a missing sensitive column is named before a bad label below it, and
+    # before a byte below it that does not decode, wherever that byte lies:
+    # in the first 8 KiB, past them, past the first block
     path = tmp_path / "d.csv"
-    path.write_bytes(HEADER + b"M,1,2\n")
-    for load in (load_dataset, load_rows):
+    for load, offset in itertools.product((load_dataset, load_rows), (0, 2**13, 2**20)):
+        rows = b"M,1,1\n" * (offset // 6)
+        path.write_bytes(HEADER + rows + b"M,1,2\n")
         with pytest.raises(EncodingError, match="^sensitive column 'nosuch' not in features$"):
             load(path, sensitive="nosuch")
         with pytest.raises(EncodingError, match="^sensitive column 'label' not in features$"):
             load(path, sensitive="label")
+        path.write_bytes(HEADER + rows + b"\xff\n")
+        with pytest.raises(EncodingError, match="^sensitive column 'nosuch' not in features$"):
+            load(path, sensitive="nosuch")
+        with pytest.raises(UnreadableInput, match="can't decode byte 0xff"):
+            load(path, sensitive="g")
+
+
+def test_header_ends_at_a_lone_cr(tmp_path):
+    # as csv.reader's lines do; the rows after it are plain, and read in numpy
+    path = tmp_path / "d.csv"
+    path.write_bytes(ODD_FILES["lone_cr_header"][0])
+    for load in (load_dataset, load_rows):
+        assert decoded(load(path, sensitive="g")) == {"g": ["M", "F"], "x": ["1.5", "2"]}
 
 
 def test_rows_across_block_boundaries(tmp_path):
@@ -278,7 +306,7 @@ def test_rows_across_block_boundaries(tmp_path):
     path = tmp_path / "d.csv"
     for shift in range(48):
         path.write_bytes(("g,x,label\n" + "\n" * shift + rows).encode())
-        with mock.patch.object(model, "BLOCK_BYTES", 16), \
+        with mock.patch.object(maddpp.io, "BLOCK_BYTES", 16), \
                 mock.patch.object(model, "_read_rows", side_effect=AssertionError):
             got = outcome(load_dataset, path)
         assert got == outcome(load_rows, path)
@@ -312,7 +340,7 @@ def test_other_encodings_and_pipes_go_to_the_row_loop(tmp_path, monkeypatch):
         assert decoded(load_dataset(fifo, sensitive="g")) == {"g": ["M", "F"], "x": ["é", "2"]}
         writer.join(timeout=60)
         assert not writer.is_alive() and row_loop.call_count == 1
-        monkeypatch.setattr(model, "open_input",
+        monkeypatch.setattr(maddpp.io, "open_input",
                             lambda p: open(p, newline="", encoding="latin-1"))
         assert decoded(load_dataset(path, sensitive="g"))["x"] == ["Ã©", "2"]
         assert row_loop.call_count == 2
@@ -334,7 +362,7 @@ def test_load_memory_is_bounded(tmp_path):
     def overheads(blocks):
         """The peak memory of load_dataset and of encode beyond what each returns."""
         path.write_bytes(b"gender,age,mean_score,region,label\n"
-                         + rows * (blocks * model.BLOCK_BYTES // len(rows)))
+                         + rows * (blocks * maddpp.io.BLOCK_BYTES // len(rows)))
         tracemalloc.start()
         try:
             ds = load_dataset(path, sensitive="gender")
