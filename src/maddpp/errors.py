@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all maddpp modules.
 
-Each error class carries its own CLI exit code as `exit_code`.
+Each error class carries its own CLI exit code as `exit_code`.  Codes 14
+and 15 are retired and not reused.
 """
 
 
@@ -24,10 +25,6 @@ class InvalidBinCount(MaddError):
 
 class BinCountMismatch(MaddError):
     exit_code = 13
-
-
-class InvalidQuantile(MaddError):
-    exit_code = 15
 
 
 class EmptyGroup(MaddError):

@@ -391,16 +391,6 @@ class LogisticModel:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2)
 
-    @classmethod
-    def load(cls, path) -> "LogisticModel":
-        with open(path) as fh:
-            d = json.load(fh)
-        std = d["standardizer"]
-        return cls(weights=np.array(d["weights"]), bias=float(d["bias"]), trained=True,
-                   feature_names=d["feature_names"],
-                   standardizer=None if std is None else Standardizer(
-                       mean=np.array(std["mean"]), std=np.array(std["std"])))
-
 
 def gradient(weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray,
              l2: float) -> tuple[np.ndarray, float]:

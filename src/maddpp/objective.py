@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import Scores, build_density_vector, check_bin_count
+from .densities import G0, G1, Scores, build_density_vector, check_bin_count
 from .errors import (
     EmptyPopulation,
     InvalidLambda,
@@ -21,7 +21,7 @@ from .errors import (
     MissingLabels,
 )
 from .io import write_columns
-from .transport import FipMap, mix_knots
+from .transport import FipMap
 
 DEFAULT_THETA = 0.5
 DEFAULT_THRESHOLD = 0.5
@@ -74,9 +74,6 @@ class SweepResult:
     def columns(self) -> list[np.ndarray]:
         return [self.lambdas, self.accuracy_losses, self.fairness_losses, self.total_losses]
 
-    def rows(self):
-        return zip(*(c.tolist() for c in self.columns()))
-
     def write_csv(self, path):
         write_columns(path, ["lambda", "accuracy_loss", "fairness_loss", "total_loss"],
                       *self.columns())
@@ -91,31 +88,13 @@ class SweepResult:
                 "m": self.config.m,
                 "grid_size": int(self.lambdas.size),
             },
-            "rows": [
-                {"lambda": l, "accuracy_loss": a, "fairness_loss": f, "total_loss": t}
-                for l, a, f, t in self.rows()
-            ],
         }
 
     def write_json(self, path):
-        """Write `to_json_dict()` as `json.dump(..., indent=2)` does.  json's
-        indenting encoder is pure Python, so each row comes from one template
-        with repr floats, which is what json writes for finite floats."""
-        text = json.dumps({**self.to_json_dict(), "rows": []}, indent=2)
-        rows = ",\n".join(_JSON_ROW % row for row in self.rows())
-        if rows:  # json spells repr's nan and inf as NaN and Infinity
-            rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
-            text = text.removesuffix("[]\n}") + "[\n" + rows + "\n  ]\n}"
+        """The decision, lambda_star and min_total_loss with the config; every
+        row is in `write_csv`'s file."""
         with open(path, "w") as fh:
-            fh.write(text)
-
-
-_JSON_ROW = """    {
-      "lambda": %r,
-      "accuracy_loss": %r,
-      "fairness_loss": %r,
-      "total_loss": %r
-    }"""
+            json.dump(self.to_json_dict(), fh, indent=2)
 
 
 def apply_threshold(probas, t: float) -> np.ndarray:
@@ -165,7 +144,7 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
 
     The grid is processed in blocks of lambdas, B at a time with
     B * (m + 1) <= BLOCK_ELEMENTS: a block's mixtures are one (B, m + 1)
-    array of knot values (`mix_knots`).  Per block and group, one
+    array of knot values (`FipMap.mix_knots`).  Per block and group, one
     `searchsorted` of the sorted quantiles finds every candidate start, and
     one closed-form test checks them all (`_suffix_starts`).  The sweep
     costs O(n log n + G * m * log n) time for n records and G grid points,
@@ -174,20 +153,16 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     """
     if scores.label is None:
         raise MissingLabels("every record needs a label to sweep")
-    probas, labels = scores.proba, scores.label
-    mask0 = scores.g0_mask()
-
-    base = FipMap.from_probas(probas[mask0], probas[~mask0], config.m)
-    # per group: its CDF, its quantiles under that CDF, sorted, and the
-    # number of positive labels before each sorted position
-    groups = []
-    for mask, cdf in ((mask0, base.cdf_g0), (~mask0, base.cdf_g1)):
-        u = np.clip(cdf(probas[mask]), 0.0, 1.0)
-        order = np.argsort(u, kind="stable")
-        groups.append((cdf, u[order], np.concatenate(([0], np.cumsum(labels[mask][order])))))
+    fm = FipMap.from_probas(scores, config.m)
+    u = fm.quantiles(scores)
+    # per group: its quantiles, sorted, and the number of positive labels
+    # before each sorted position
+    order = np.lexsort((u, scores.group))  # group 0 first, each by quantile, stably
+    n0 = np.count_nonzero(scores.group == G0)
+    groups = [(g, u[idx], np.concatenate(([0], np.cumsum(scores.label[idx]))))
+              for g, idx in ((G0, order[:n0]), (G1, order[n0:]))]
     # interior bin edges exactly as `bin_index` computes them, then the threshold
     cuts = np.append(np.arange(1, config.m) / config.m, config.threshold)
-    x = base.cdf_all.knots_x
 
     grid = config.lambda_grid
     acc = np.empty(grid.size)
@@ -198,15 +173,15 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
         lams = grid[lo:lo + block, None]
         wrong = 0
         proportions = []
-        for cdf, su, ones_before in groups:
-            starts, repaired = _suffix_starts(x, mix_knots(cdf, base.cdf_all, lams), su, cuts)
+        for g, su, ones_before in groups:
+            starts, repaired = _suffix_starts(fm.x, fm.mix_knots(g, lams), su, cuts)
             repairs += repaired
             c_t = starts[:, -1]
             # predicted 1 from c_t on: positives before it and negatives after it are wrong
             wrong = wrong + 2 * ones_before[c_t] + (su.size - c_t) - ones_before[-1]
             counts = np.diff(starts[:, :-1], axis=1, prepend=0, append=su.size)
             proportions.append(counts / su.size)
-        acc[lo:lo + block] = wrong / probas.size
+        acc[lo:lo + block] = wrong / len(scores)
         fair[lo:lo + block] = _half_l1(*proportions)
 
     tot = total_loss(acc, fair, config.theta)
@@ -267,7 +242,7 @@ def _levels(x, y, s, cuts) -> np.ndarray:
 
 def _reaches(u, x, y, s, cuts) -> np.ndarray:
     """Whether quantile u[..., i, k] remaps to at least cuts[k] under the
-    mixture with knots (x, y[i]): `generalized_inverse(mixture_i, u) >=
+    mixture with knots (x, y[i]): `generalized_inverse(x, y[i], u) >=
     cuts[k]`, read off segment s = s[k] alone, where x[s - 1] < cuts[k] <= x[s].
 
     The knots rise from y[0] = 0 to y[m] = 1 (rounding can lift only y[m - 1]

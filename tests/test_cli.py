@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -13,8 +14,8 @@ import maddpp
 from maddpp.cli import main
 from maddpp.errors import MaddError
 from maddpp.io import read_records, write_records
-from maddpp.model import LogisticModel
 from maddpp.densities import Scores
+from train_oracle import load_model
 
 
 def run(tmp_path, *argv):
@@ -121,6 +122,20 @@ class TestSweepCommand:
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert 0.0 <= payload["lambda_star"] <= 1.0
 
+    def test_json_is_the_decision(self, tmp_path):
+        # sweep.json holds lambda*, its loss and the config; the rows are in sweep.csv
+        path = tmp_path / "r.csv"
+        write_records(Scores([0.1, 0.4, 0.45, 0.6, 0.9], [0, 0, 1, 1, 1], [0, 1, 0, 1, 1]), path)
+        assert run(tmp_path, "sweep", str(path), "--m", "4", "--grid", "11") == 0
+        payload = json.loads((tmp_path / "sweep.json").read_text())
+        assert list(payload) == ["lambda_star", "min_total_loss", "config"]
+        assert payload["config"] == {"theta": 0.5, "threshold": 0.5, "m": 4, "grid_size": 11}
+        with open(tmp_path / "sweep.csv") as fh:
+            rows = [{k: float(v) for k, v in r.items()} for r in csv.DictReader(fh)]
+        best = min(reversed(rows), key=lambda r: r["total_loss"])  # ties: the largest lambda
+        assert payload["lambda_star"] == best["lambda"]
+        assert payload["min_total_loss"] == best["total_loss"]
+
     def test_missing_labels_exit_code(self, tmp_path, capsys):
         recs = Scores([0.4, 0.6], [0, 1])
         path = tmp_path / "r.csv"
@@ -191,7 +206,7 @@ class TestPipelineCommand:
         assert training["l2"] == 1e-4 and training["gradient_norm"] <= 1e-9
         assert 0 < training["newton_steps"] <= 20
         # model.json keeps its format: the training outcome is not saved with it
-        model = LogisticModel.load(tmp_path / "model.json")
+        model = load_model(tmp_path / "model.json")
         assert model.training == {}
 
     def test_independent_sensitive_column(self, tmp_path):
@@ -406,3 +421,19 @@ def test_every_error_class_has_its_own_exit_code():
     codes = [cls.exit_code for cls in MaddError.__subclasses__()]
     assert len(set(codes)) == len(codes)
     assert min(codes) >= 10
+
+
+# span targets of perfbench/run.py that name functions the package no
+# longer has; its tracer skips them and lists them as absent
+STALE_SPAN_TARGETS = {"maddpp.objective.madd", "maddpp.objective.generalized_inverse",
+                      "maddpp.model.loss_and_gradient"}
+
+
+def test_perfbench_span_targets_resolve(monkeypatch):
+    # the tracer skips a target whose name no longer resolves, which would
+    # leave its per-layer metric silently empty
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    bench = importlib.import_module("run")
+    with bench.Tracer(bench.TARGETS) as tracer:
+        pass
+    assert set(tracer.absent) <= STALE_SPAN_TARGETS, tracer.absent

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import maddpp.io
+import maddpp.model
 from maddpp.densities import Scores
 from maddpp.errors import InvalidProbability, MaddError, MissingLabels, UnreadableInput
 from maddpp.cli import main
@@ -98,7 +99,7 @@ def test_writers_match_csv_writer(tmp_path_factory, s):
         result = sweep(s, ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(7)))
         assert (d / "sweep.csv").read_bytes() == csv_writer_bytes(
             d / "expected.csv", ["lambda", "accuracy_loss", "fairness_loss", "total_loss"],
-            result.rows())
+            zip(*(c.tolist() for c in result.columns())))
 
 
 def formatter_corpus() -> np.ndarray:
@@ -159,7 +160,7 @@ def test_writers_match_csv_writer_across_blocks(tmp_path, n):
     result = sweep(s, ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(n)))
     assert (tmp_path / "sweep.csv").read_bytes() == csv_writer_bytes(
         tmp_path / "expected.csv", ["lambda", "accuracy_loss", "fairness_loss", "total_loss"],
-        result.rows())
+        zip(*(c.tolist() for c in result.columns())))
 
 
 def test_write_memory_is_bounded(tmp_path):
@@ -411,6 +412,33 @@ def test_file_that_grows_while_read(tmp_path, monkeypatch):
     assert s.proba[:2].tolist() == [0.2, 0.7] and len(s) > 2
     assert s.proba[2:].tolist() == [0.5] * (len(s) - 2)
     assert (path.stat().st_size - len(LABELLED)) // 8 == len(s)
+
+
+def test_columns_are_resized_a_few_times_per_read(tmp_path, monkeypatch):
+    # `grow` makes room for the rest of the file, estimated from the bytes
+    # read so far, so a read of many blocks resizes its columns a few times,
+    # not at every block
+    resized = []
+
+    def spy(arrays, n):
+        resized.append(n)
+        return original(arrays, n)
+
+    original = maddpp.io.resize
+    monkeypatch.setattr(maddpp.io, "resize", spy)
+    monkeypatch.setattr(maddpp.model, "resize", spy)
+    monkeypatch.setattr(maddpp.io, "BLOCK_BYTES", 256)
+    monkeypatch.setattr(maddpp.io, "_parse_rows", None)  # no call to the row parser
+    monkeypatch.setattr(maddpp.model, "_read_rows", None)  # nor to the row loop
+    records, course = tmp_path / "r.csv", tmp_path / "course.csv"
+    write_records(block_scores(1000), records)
+    course.write_bytes(b"g,x,label\n" + b"M,1.5,1\nF,2,0\n" * 1000)
+    for path, read in ((records, read_records),
+                       (course, lambda p: maddpp.model.load_dataset(p, sensitive="g"))):
+        assert path.stat().st_size >= 30 * 256
+        resized.clear()
+        read(path)
+        assert 2 <= len(resized) <= 3, resized
 
 
 @pytest.mark.parametrize("offset", [0, 2**13, 2**20])  # in the first 8 KiB, past it, past a block

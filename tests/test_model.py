@@ -32,7 +32,7 @@ from maddpp.model import (
     split,
     train,
 )
-from train_oracle import loss
+from train_oracle import load_model, loss
 
 
 def write_csv(path, header, rows):
@@ -533,6 +533,6 @@ class TestPredict:
         model = train(X, y, feature_names=["a", "b", "c"])
         path = tmp_path / "model.json"
         model.save(path)
-        loaded = LogisticModel.load(path)
+        loaded = load_model(path)
         np.testing.assert_allclose(loaded.predict_proba(X), model.predict_proba(X))
         assert loaded.feature_names == ["a", "b", "c"]

@@ -119,17 +119,20 @@ class TestObjectiveConfig:
 
     def test_validation_holds_under_optimize(self):
         code = ("from maddpp.densities import Scores\n"
-                "from maddpp.errors import InvalidObjective, InvalidProbability\n"
+                "from maddpp.errors import InvalidLambda, InvalidObjective, InvalidProbability\n"
                 "from maddpp.objective import ObjectiveConfig\n"
-                "from maddpp.transport import PiecewiseLinearCdf\n"
+                "from maddpp.transport import FipMap, fip\n"
                 "try:\n"
                 "    ObjectiveConfig(theta=5, threshold=3)\n"
                 "except InvalidObjective:\n"
                 "    print(__debug__, 'InvalidObjective')\n"
-                "try:\n"
-                "    PiecewiseLinearCdf(knots_x=[0, 1], knots_y=[0.5, 0.2])\n"
-                "except InvalidProbability:\n"
-                "    print('PiecewiseLinearCdf')\n"
+                "scores = Scores([0.2, 0.7], [0, 1])\n"
+                "for remap in (FipMap.from_probas(scores, 4).remap,\n"
+                "              lambda s, lam: fip(s, lam, 4)):\n"
+                "    try:\n"
+                "        remap(scores, 1.5)\n"
+                "    except InvalidLambda:\n"
+                "        print('InvalidLambda')\n"
                 "try:\n"
                 "    Scores([1.5], [0])\n"
                 "except InvalidProbability:\n"
@@ -137,8 +140,8 @@ class TestObjectiveConfig:
         src = str(Path(maddpp.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert out.stdout.split() == ["False", "InvalidObjective", "PiecewiseLinearCdf",
-                                      "Scores"], out.stderr
+        assert out.stdout.split() == ["False", "InvalidObjective", "InvalidLambda",
+                                      "InvalidLambda", "Scores"], out.stderr
 
 
 class TestTotalLoss:
@@ -165,7 +168,7 @@ class TestSweep:
         rng = np.random.default_rng(0)
         config = ObjectiveConfig(m=20, lambda_grid=default_lambda_grid(21))
         res = sweep(labeled_records(rng, 300), config)
-        for lam, acc, fair, tot in res.rows():
+        for lam, acc, fair, tot in zip(*(c.tolist() for c in res.columns())):
             assert tot == pytest.approx((1 - config.theta) * acc + config.theta * fair,
                                         abs=1e-12)
             assert 0.0 <= acc <= 1.0 and 0.0 <= fair <= 1.0
@@ -279,23 +282,28 @@ class TestSerialization:
             payload = json.load(fh)
         assert payload["lambda_star"] == res.lambda_star
         assert payload["min_total_loss"] == res.min_total_loss
-        assert payload["config"]["m"] == 10
-        assert len(payload["rows"]) == 5
+        assert payload["config"] == {"theta": 0.5, "threshold": 0.5, "m": 10, "grid_size": 5}
 
     @pytest.mark.parametrize("grid", [1, 1000, 32769])
     def test_json_is_json_dumps_indent_2(self, tmp_path, grid):
+        # the decision alone, whatever the grid size: every row is in sweep.csv
         res = sweep(labeled_records(np.random.default_rng(10), 100),
                     ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(grid)))
         res.write_json(tmp_path / "sweep.json")
         expected = json.dumps(res.to_json_dict(), indent=2).encode()
         assert (tmp_path / "sweep.json").read_bytes() == expected
+        assert set(res.to_json_dict()) == {"lambda_star", "min_total_loss", "config"}
+        assert res.to_json_dict()["config"]["grid_size"] == grid
 
     @pytest.mark.parametrize("values", [[0.0, 1.0, 0.1, 1e-05, 5e-324],
                                         [float("nan"), float("inf"), -float("inf"), -0.0, 0.5]])
     def test_json_of_hand_built_result(self, tmp_path, values):
         values = np.array(values)
-        res = SweepResult(np.sort(values), values, values[::-1].copy(), values, 1e-05, 5e-324,
-                          ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(5)))
+        res = SweepResult(np.sort(values), values, values[::-1].copy(), values, values[0],
+                          values[-1], ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(5)))
         res.write_json(tmp_path / "sweep.json")
-        expected = json.dumps(res.to_json_dict(), indent=2).encode()
-        assert (tmp_path / "sweep.json").read_bytes() == expected
+        payload = json.loads((tmp_path / "sweep.json").read_text())
+        assert list(payload) == ["lambda_star", "min_total_loss", "config"]
+        # each float round-trips as json writes it, NaN and Infinity included
+        assert np.array_equal([payload["lambda_star"], payload["min_total_loss"]],
+                              [values[0], values[-1]], equal_nan=True)

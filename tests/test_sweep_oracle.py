@@ -13,7 +13,7 @@ import maddpp.transport
 from maddpp.objective import (BLOCK_ELEMENTS, ObjectiveConfig, _levels, _reaches,
                               default_lambda_grid, sweep)
 from maddpp.simulate import SimulationSpec, sample
-from maddpp.transport import FipMap, generalized_inverse, mix, mix_knots
+from maddpp.transport import FipMap, generalized_inverse
 from sweep_oracle import oracle_sweep
 
 
@@ -191,18 +191,16 @@ def test_repairs_in_rows_after_the_first_of_a_block():
 def test_interior_cuts_are_knots_of_every_mixture():
     # the sweep reads the mixtures' values at the interior cuts k/m off their knots
     m = 100
-    s = sample(SimulationSpec(n_g0=600, n_g1=400, seed=1))
-    mask0 = s.g0_mask()
-    base = FipMap.from_probas(s.proba[mask0], s.proba[~mask0], m)
-    x = base.cdf_all.knots_x
+    fm = FipMap.from_probas(sample(SimulationSpec(n_g0=600, n_g1=400, seed=1)), m)
+    x = fm.x
     assert np.array_equal(np.arange(1, m) / m, x[1:m])
     grid = default_lambda_grid(257)
-    for cdf in (base.cdf_g0, base.cdf_g1):
+    for g in (0, 1):
         for lam in grid:
-            mixed = mix(cdf, base.cdf_all, lam)
-            assert np.array_equal(mixed(x[1:m]), mixed.knots_y[1:m])
+            y = fm.mix_knots(g, lam)
+            assert np.array_equal(np.interp(x[1:m], x, y), y[1:m])
         # so the sweep's levels, the threshold's among them, are np.interp's, row by row
-        y = mix_knots(cdf, base.cdf_all, grid[:, None])
+        y = fm.mix_knots(g, grid[:, None])
         for t in (*thresholds(m), 0.613, 1 / 3):
             cuts = np.append(np.arange(1, m) / m, t)
             levels = _levels(x, y, np.searchsorted(x, cuts), cuts)
@@ -235,12 +233,12 @@ def adversarial_fits():
         p0, p1 = binned_probas(c0), binned_probas(c1)
         records = Scores(np.concatenate((p0, p1)), np.repeat([0, 1], [p0.size, p1.size]),
                          np.arange(p0.size + p1.size) % 2)
-        out.append((m, FipMap.from_probas(p0, p1, m), records))
+        out.append((m, FipMap.from_probas(records, m), records))
     # the cases are there: a knot above 1.0 before an empty last bin, and
     # mixtures of equal knots that round away from them
-    assert any(fm.cdf_g0.knots_y[-2] > 1.0 for _, fm, _ in out)
-    assert any(((1 - lam) * fm.cdf_g0.knots_y + lam * fm.cdf_g0.knots_y
-                != fm.cdf_g0.knots_y).any() for _, fm, _ in out for lam in MIX_LAMBDAS)
+    assert any(fm.y[0, -2] > 1.0 for _, fm, _ in out)
+    assert any(((1 - lam) * fm.y[0] + lam * fm.y[0] != fm.y[0]).any()
+               for _, fm, _ in out for lam in MIX_LAMBDAS)
     return out
 
 
@@ -263,21 +261,23 @@ def test_interior_cut_checks_match_the_generalized_inverse(case):
     # and at thresholds on and off a knot, the first and last segments
     # included, for the lower and upper candidates of each cut's level
     m, fm, records = adversarial_fits()[case]
-    x = fm.cdf_all.knots_x
+    x = fm.x
+    # each group's quantiles of one record at the centre of every bin
+    centres = binned_probas(np.ones(m, int))
+    own = fm.quantiles(Scores(np.tile(centres, 2), np.repeat([0, 1], m))).reshape(2, m)
     reached = 0
     for t in thresholds(m):
         cuts = np.append(np.arange(1, m) / m, t)
         s = np.searchsorted(x, cuts)
         assert (x[s - 1] < cuts).all() and (cuts <= x[s]).all()
-        for cdf in (fm.cdf_g0, fm.cdf_g1):
-            own = np.clip(cdf(binned_probas(np.ones(m, int))), 0.0, 1.0)
+        for g in (0, 1):
             for lam in MIX_LAMBDAS:
-                mixed = mix(cdf, fm.cdf_all, lam)
-                for su in quantile_sets(mixed.knots_y, own):
-                    c = np.searchsorted(su, mixed(cuts), side="right")
+                y = fm.mix_knots(g, lam)
+                for su in quantile_sets(y, own[g]):
+                    c = np.searchsorted(su, np.interp(cuts, x, y), side="right")
                     u = su[np.stack((np.maximum(c - 1, 0), np.minimum(c, su.size - 1)))]
-                    got = _reaches(u, x, mixed.knots_y[None], s, cuts)
-                    assert np.array_equal(got, generalized_inverse(mixed, u) >= cuts)
+                    got = _reaches(u, x, y[None], s, cuts)
+                    assert np.array_equal(got, generalized_inverse(x, y, u) >= cuts)
                     reached += got[0].sum()
     assert reached > 0  # some lower candidates on knots do reach their cut
     # the sweep on the records the fit came from
@@ -292,9 +292,9 @@ def test_sweep_makes_no_generalized_inverse_call(monkeypatch):
     # the candidate checks and the bisection's steps are all `_reaches`
     calls = []
 
-    def spy(cdf, u):
+    def spy(x, y, u):
         calls.append(np.size(u))
-        return generalized_inverse(cdf, u)
+        return generalized_inverse(x, y, u)
 
     monkeypatch.setattr(maddpp.transport, "generalized_inverse", spy)
     assert not hasattr(maddpp.objective, "generalized_inverse")
@@ -302,6 +302,7 @@ def test_sweep_makes_no_generalized_inverse_call(monkeypatch):
     assert sweep(sample(SimulationSpec(seed=0)), config).repairs == 0
     assert sweep(simulated_with_edges(500), config).repairs > 0  # the bisection runs too
     assert calls == []
-    # the spy does see the remap's call
-    FipMap.from_probas([0.2], [0.7], 500).remap([0.2, 0.3], 0, 0.5)
-    assert calls == [2]
+    # the spy does see the remap's calls, one per group
+    records = Scores([0.2, 0.7, 0.3], [0, 1, 0])
+    FipMap.from_probas(records, 500).remap(records, 0.5)
+    assert calls == [2, 1]

@@ -1,96 +1,67 @@
 import numpy as np
 import pytest
 
-from maddpp.densities import (
-    DensityVector,
-    Scores,
-    build_density_vector,
-    madd,
-    pool_density_vectors,
-)
-from maddpp.errors import (
-    EmptyGroup,
-    InvalidLambda,
-    InvalidProbability,
-    InvalidQuantile,
-    LengthMismatch,
-)
-from maddpp.transport import (FipMap, PiecewiseLinearCdf, build_cdf, fip, generalized_inverse,
-                              mix)
+from maddpp.densities import Scores, build_density_vector, madd
+from maddpp.errors import EmptyGroup, InvalidLambda
+from maddpp.transport import FipMap, fip, generalized_inverse
 
 
-def scan_inverse(cdf, u, steps=200_001):
-    """Oracle: leftmost grid point whose CDF value reaches u."""
-    xs = np.linspace(0.0, 1.0, steps)
-    ys = cdf(xs)
-    hits = np.nonzero(ys >= u - 1e-12)[0]
-    return xs[hits[0]] if hits.size else 1.0
+def scan_inverse(x, y, u, steps=200_001):
+    """Oracle: leftmost grid point where the CDF with knots (x, y) reaches u."""
+    ts = np.linspace(0.0, 1.0, steps)
+    hits = np.nonzero(np.interp(ts, x, y) >= u - 1e-12)[0]
+    return ts[hits[0]] if hits.size else 1.0
+
+
+def knots(probas0, probas1, m):
+    """The x and the group-0, group-1 and pooled CDF knot values y that
+    `FipMap.from_probas` fits on the two groups' probabilities."""
+    scores = Scores(np.concatenate((probas0, probas1)),
+                    np.repeat([0, 1], [len(probas0), len(probas1)]))
+    fm = FipMap.from_probas(scores, m)
+    return fm.x, fm.y
 
 
 class TestBuildCdf:
+    """The CDF knots that `FipMap.from_probas` fits."""
+
     def test_all_mass_first_bin(self):
-        cdf = build_cdf(DensityVector(bins=[1, 0], m=2, n=3))
-        assert cdf(0.0) == 0.0
-        assert cdf(0.5) == 1.0
-        assert cdf(1.0) == 1.0
+        x, y = knots([0.1, 0.2, 0.3], [0.9], m=2)
+        assert np.array_equal(x, [0.0, 0.5, 1.0])
+        assert np.array_equal(y, [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.75, 1.0]])
 
     def test_linear_interpolation(self):
-        cdf = build_cdf(DensityVector(bins=[0.5, 0.5], m=2, n=2))
-        assert cdf(0.5) == pytest.approx(0.5)
-        assert cdf(0.75) == pytest.approx(0.75)
+        x, y = knots([0.2, 0.7], [0.7], m=2)
+        assert np.interp(0.5, x, y[0]) == pytest.approx(0.5)
+        assert np.interp(0.75, x, y[0]) == pytest.approx(0.75)
 
     def test_uniform_is_identity(self):
         m = 10
-        cdf = build_cdf(DensityVector(bins=np.full(m, 1 / m), m=m, n=m))
-        xs = np.arange(m + 1) / m
-        np.testing.assert_allclose(cdf(xs), xs, atol=1e-12)
-
-
-class TestPiecewiseLinearCdf:
-    @pytest.mark.parametrize("knots_x, knots_y, error", [
-        ([0, 1], [0.0], LengthMismatch),
-        ([0], [0.0], LengthMismatch),
-        ([0, 1], [0.5, 0.2], InvalidProbability),
-        ([0, 0.5, 1], [0.0, 0.7, 0.9], InvalidProbability),
-        ([0, 0.5, 1], [0.0, 1.2, 1.0], InvalidProbability),
-        # one CDF at a time: a stack of knot rows is not one
-        ([0, 0.5, 1], [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], LengthMismatch),
-    ])
-    def test_typed_errors(self, knots_x, knots_y, error):
-        with pytest.raises(error):
-            PiecewiseLinearCdf(knots_x=knots_x, knots_y=knots_y)
+        x, y = knots((np.arange(m) + 0.5) / m, [0.5], m)
+        np.testing.assert_allclose(y[0], x, atol=1e-12)
+        np.testing.assert_allclose(np.interp(x, x, y[0]), x, atol=1e-12)
 
 
 class TestGeneralizedInverse:
     def test_identity_cdf(self):
-        m = 10
-        cdf = build_cdf(DensityVector(bins=np.full(m, 1 / m), m=m, n=m))
-        assert generalized_inverse(cdf, 0.3) == pytest.approx(0.3)
+        x = np.arange(11) / 10
+        assert generalized_inverse(x, x.copy(), 0.3) == pytest.approx(0.3)
 
     def test_leftmost_on_flat_segment(self):
-        cdf = build_cdf(DensityVector(bins=[1, 0], m=2, n=3))
-        assert generalized_inverse(cdf, 1.0) == pytest.approx(0.5)
+        x, y = knots([0.1], [0.9], m=2)
+        assert generalized_inverse(x, y[0], 1.0) == pytest.approx(0.5)
 
     def test_zero_quantile(self):
-        cdf = build_cdf(build_density_vector([0.3, 0.9], m=5))
-        assert generalized_inverse(cdf, 0.0) == 0.0
+        x, y = knots([0.3, 0.9], [0.5], m=5)
+        assert generalized_inverse(x, y[0], 0.0) == 0.0
 
     def test_matches_scanning_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            d = build_density_vector(rng.random(30), m=8)
-            cdf = build_cdf(d)
+            x, y = knots(rng.random(30), rng.random(3), m=8)
             for u in rng.random(5):
-                assert generalized_inverse(cdf, float(u)) == pytest.approx(
-                    scan_inverse(cdf, u), abs=1e-4)
-
-    def test_invalid_quantile(self):
-        cdf = build_cdf(DensityVector(bins=[1, 0], m=2, n=1))
-        with pytest.raises(InvalidQuantile):
-            generalized_inverse(cdf, 1.5)
-        for bad in (-0.1, np.nan):
-            with pytest.raises(InvalidQuantile):
-                generalized_inverse(cdf, [0.5, bad, 0.2])
+                assert generalized_inverse(x, y[0], float(u)) == pytest.approx(
+                    scan_inverse(x, y[0], u), abs=1e-4)
 
 
 def random_records(rng, n):
@@ -124,14 +95,11 @@ class TestFip:
         records = Scores(*zip(*([(0.25, 0) for _ in range(1000)] +
                                 [(0.75, 1) for _ in range(1000)])))
         out = fip(records, 1.0, 2)
-        # oracle: knot-by-knot CDFs and a scanning inverse
-        d0 = build_density_vector([0.25] * 1000, 2)
-        d1 = build_density_vector([0.75] * 1000, 2)
-        pooled = build_cdf(pool_density_vectors(d0, d1))
-        u0 = build_cdf(d0)(0.25)
-        u1 = build_cdf(d1)(0.75)
-        exp0 = scan_inverse(pooled, u0)
-        exp1 = scan_inverse(pooled, u1)
+        # oracle: the CDFs knot by knot, and a scanning inverse of the pooled one
+        x = np.array([0.0, 0.5, 1.0])
+        pooled = np.array([0.0, 0.5, 1.0])
+        exp0 = scan_inverse(x, pooled, np.interp(0.25, x, [0.0, 1.0, 1.0]))
+        exp1 = scan_inverse(x, pooled, np.interp(0.75, x, [0.0, 0.0, 1.0]))
         np.testing.assert_allclose(out[:1000], exp0, atol=1e-4)
         np.testing.assert_allclose(out[1000:], exp1, atol=1e-4)
 
@@ -195,25 +163,65 @@ class TestFip:
 class TestFipMap:
     def test_mixture_knots_are_convex_combinations(self):
         rng = np.random.default_rng(6)
-        fm = FipMap.from_probas(rng.random(50), rng.random(80), m=10)
-        expected = 0.7 * fm.cdf_g0.knots_y + 0.3 * fm.cdf_all.knots_y
-        np.testing.assert_allclose(mix(fm.cdf_g0, fm.cdf_all, 0.3).knots_y, expected,
+        fm = FipMap.from_probas(random_records(rng, 130), m=10)
+        np.testing.assert_allclose(fm.mix_knots(0, 0.3), 0.7 * fm.y[0] + 0.3 * fm.y[2],
                                    atol=1e-15)
+        lams = [0.0, 0.3, 1.0]
+        assert np.array_equal(fm.mix_knots(1, np.c_[lams]), [fm.mix_knots(1, l) for l in lams])
+        assert np.array_equal(fm.mix_knots(1, 0.0), fm.y[1])
+        assert np.array_equal(fm.mix_knots(1, 1.0), fm.y[2])
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 500])
+    def test_knots_are_cdfs(self, m):
+        # each row runs from 0 to exactly 1 and never falls by more than
+        # rounding; the pooled row is the CDF of all the records
+        rng = np.random.default_rng(m)
+        for probas in (rng.random(150), rng.integers(0, m + 1, 150) / m,
+                       (np.arange(150) % 2 + 0.5) / m):
+            records = Scores(probas, (np.arange(150) % 3 == 0).astype(int))
+            fm = FipMap.from_probas(records, m)
+            assert np.array_equal(fm.x, np.arange(m + 1) / m)
+            assert fm.y.shape == (3, m + 1)
+            assert (fm.y[:, 0] == 0.0).all() and (fm.y[:, -1] == 1.0).all()
+            assert (np.diff(fm.y, axis=1) >= -1e-12).all()
+            pooled = np.cumsum(build_density_vector(probas, m).bins)
+            np.testing.assert_allclose(fm.y[2, 1:-1], pooled[:-1], atol=1e-12)
 
     def test_invalid_lambda(self):
         rng = np.random.default_rng(6)
-        fm = FipMap.from_probas(rng.random(5), rng.random(5), m=4)
+        records = random_records(rng, 10)
+        fm = FipMap.from_probas(records, m=4)
         with pytest.raises(InvalidLambda, match=r"lambda must be in \[0, 1\], got -0.1"):
-            fm.remap(rng.random(3), 0, lam=-0.1)
+            fm.remap(records, lam=-0.1)
 
     def test_one_fit_remaps_like_fip_at_every_lambda(self):
         rng = np.random.default_rng(8)
         records = random_records(rng, 300)
-        mask0 = records.g0_mask()
         m = 17
-        fm = FipMap.from_probas(records.proba[mask0], records.proba[~mask0], m)
+        fm = FipMap.from_probas(records, m)
         for lam in (0.0, 0.3, 0.97, 1.0):
-            out = np.empty_like(records.proba)
-            out[mask0] = fm.remap(records.proba[mask0], 0, lam)
-            out[~mask0] = fm.remap(records.proba[~mask0], 1, lam)
-            assert np.array_equal(out, fip(records, lam, m))
+            assert np.array_equal(fm.remap(records, lam), fip(records, lam, m))
+
+    def test_quantiles_are_each_records_own_group_cdf(self):
+        rng = np.random.default_rng(12)
+        records = random_records(rng, 200)
+        fm = FipMap.from_probas(records, m=13)
+        u = fm.quantiles(records)
+        for i, (p, g) in enumerate(zip(records.proba, records.group)):
+            assert u[i] == np.clip(np.interp(p, fm.x, fm.y[g]), 0.0, 1.0)
+        # at lambda 0 a record keeps its quantile under its own group's CDF
+        back = [np.interp(q, fm.x, fm.y[g])
+                for q, g in zip(fm.remap(records, 0.0), records.group)]
+        np.testing.assert_allclose(back, u, atol=1e-12)
+
+    def test_applies_to_another_batch(self):
+        # the map is fitted on one batch and applied to another, of other sizes
+        rng = np.random.default_rng(14)
+        fit, other = random_records(rng, 120), random_records(rng, 45)
+        fm = FipMap.from_probas(fit, m=9)
+        out = fm.remap(other, 0.6)
+        for p, g, q in zip(other.proba, other.group, out):
+            u = np.clip(np.interp(p, fm.x, fm.y[g]), 0.0, 1.0)
+            assert q == generalized_inverse(fm.x, fm.mix_knots(g, 0.6), np.array([u]))[0]
+        with pytest.raises(EmptyGroup):
+            fm.remap(Scores([0.5], [1]), 0.6)

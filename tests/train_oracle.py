@@ -5,13 +5,27 @@ mean binary cross-entropy plus l2 * ||w||^2, bias unpenalized.
 `oracle_train` is the full-batch gradient-descent loop the package used
 before Newton steps: every iteration evaluates the loss with its gradient
 and stops on a non-finite loss.  Newton steps run to the optimum, so the
-trained model must reach a loss no higher than this loop's.
+trained model must reach a loss no higher than this loop's.  `load_model`
+reads back the model.json that `LogisticModel.save` writes.
 """
+
+import json
 
 import numpy as np
 
 from maddpp.errors import TrainingDiverged
-from maddpp.model import Standardizer, _sigmoid
+from maddpp.model import LogisticModel, Standardizer, _sigmoid
+
+
+def load_model(path) -> LogisticModel:
+    """The trained model saved at `path` by `LogisticModel.save`."""
+    with open(path) as fh:
+        d = json.load(fh)
+    std = d["standardizer"]
+    return LogisticModel(weights=np.array(d["weights"]), bias=float(d["bias"]), trained=True,
+                         feature_names=d["feature_names"],
+                         standardizer=None if std is None else Standardizer(
+                             mean=np.array(std["mean"]), std=np.array(std["std"])))
 
 
 def loss(weights, bias, X, y, l2):
