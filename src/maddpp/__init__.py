@@ -2,13 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .densities import (
-    DensityVector,
-    Scores,
-    build_density_vector,
-    madd,
-    pool_density_vectors,
-)
+from .densities import Scores, build_density_vector, madd
 from .objective import (
     ObjectiveConfig,
     SweepResult,
@@ -22,7 +16,6 @@ from .simulate import SimulationSpec, sample
 from .transport import FipMap, fip
 
 __all__ = [
-    "DensityVector",
     "FipMap",
     "ObjectiveConfig",
     "Scores",
@@ -34,7 +27,6 @@ __all__ = [
     "fairness_loss",
     "fip",
     "madd",
-    "pool_density_vectors",
     "sample",
     "sweep",
     "total_loss",

@@ -18,16 +18,21 @@ import numpy as np
 
 from . import __version__, errors
 from .densities import (
+    DEFAULT_BINS,
     G0,
+    G1,
+    POOLED,
     Scores,
     build_density_vector,
     check_bin_count,
     madd,
-    pool_density_vectors,
 )
 from .io import read_records, write_columns, write_records
 from .model import encode, load_dataset, split, train
 from .objective import (
+    DEFAULT_GRID_SIZE,
+    DEFAULT_THETA,
+    DEFAULT_THRESHOLD,
     ObjectiveConfig,
     accuracy_loss,
     apply_threshold,
@@ -95,17 +100,15 @@ def cmd_simulate(args) -> int:
 def cmd_madd(args) -> int:
     check_bin_count(args.m)
     scores = read_records(args.records)
-    mask0 = scores.g0_mask()
-    d0 = build_density_vector(scores.proba[mask0], args.m)
-    d1 = build_density_vector(scores.proba[~mask0], args.m)
-    value = madd(d0, d1)
+    bins = build_density_vector(scores, args.m)
+    value = float(madd(bins))
     result = {
         "madd": value,
         "fairness_loss": 0.5 * value,
         "m": args.m,
-        "bins_g0": d0.bins.tolist(),
-        "bins_g1": d1.bins.tolist(),
-        "bins_pooled": pool_density_vectors(d0, d1).bins.tolist(),
+        "bins_g0": bins[G0].tolist(),
+        "bins_g1": bins[G1].tolist(),
+        "bins_pooled": bins[POOLED].tolist(),
     }
     out_dir = _out_dir(args)
     out = Path(args.out) if args.out else out_dir / "madd.json"
@@ -229,23 +232,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("madd", help="compute the MADD of a records CSV")
     p.add_argument("records")
-    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--m", type=int, default=DEFAULT_BINS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_madd)
 
     p = sub.add_parser("fip", help="remap probabilities for one lambda")
     p.add_argument("records")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--m", type=int, default=DEFAULT_BINS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fip)
 
     p = sub.add_parser("sweep", help="sweep the lambda grid and select lambda*")
     p.add_argument("records")
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--grid", type=int, default=1000)
+    p.add_argument("--theta", type=float, default=DEFAULT_THETA)
+    p.add_argument("--t", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--m", type=int, default=DEFAULT_BINS)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--out", default=None, help="output path prefix")
     p.set_defaults(func=cmd_sweep)
 
@@ -253,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--sensitive", required=True)
     p.add_argument("--label-column", default="label")
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--grid", type=int, default=1000)
+    p.add_argument("--theta", type=float, default=DEFAULT_THETA)
+    p.add_argument("--t", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--m", type=int, default=DEFAULT_BINS)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_pipeline)
 

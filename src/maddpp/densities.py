@@ -1,31 +1,27 @@
 """Density vectors of predicted probabilities and the MADD metric.
 
-A density vector is the m-bin histogram (as proportions) of one group's
-predicted probabilities over [0, 1].  The MADD (Model Absolute Density
-Distance) between two groups is the L1 distance between their density
-vectors and lives in [0, 2]: 0 means identically distributed, 2 means
-disjoint supports.
+A density vector is the m-bin histogram (as proportions) of predicted
+probabilities over [0, 1].  `build_density_vector` turns a batch into one
+(3, m) array: the density vectors of group 0 and group 1 and the pooled one,
+in rows G0, G1 and POOLED.  The MADD (Model Absolute Density Distance) is
+the L1 distance between the two groups' rows and lives in [0, 2]: 0 means
+identically distributed, 2 means disjoint supports.  The fairness loss is
+half of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BinCountMismatch,
-    EmptyGroup,
-    EmptyPopulation,
-    InvalidBinCount,
-    InvalidProbability,
-    LengthMismatch,
-)
+from .errors import EmptyGroup, InvalidBinCount, InvalidProbability, LengthMismatch
 
 DEFAULT_BINS = 100
 
 G0 = 0
 G1 = 1
+POOLED = 2  # the row of the pooled proportions in `build_density_vector`'s array
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,32 +55,6 @@ class Scores:
     def __len__(self) -> int:
         return self.proba.size
 
-    def g0_mask(self) -> np.ndarray:
-        """Boolean mask of the group-0 entries; both groups must be present."""
-        mask = self.group == G0
-        if not mask.any() or mask.all():
-            raise EmptyGroup("both groups must be non-empty")
-        return mask
-
-
-@dataclass(frozen=True)
-class DensityVector:
-    """Histogram proportions over m equal bins of [0, 1], built from n samples."""
-
-    bins: np.ndarray = field(repr=False)
-    m: int
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "bins", np.asarray(self.bins, dtype=float))
-        check_bin_count(self.m)
-        if len(self.bins) != self.m:
-            raise InvalidBinCount(f"expected {self.m} bins, got {len(self.bins)}")
-        if np.any(self.bins < 0):
-            raise InvalidProbability("bin proportions must be non-negative")
-        if self.n > 0 and abs(float(self.bins.sum()) - 1.0) > 1e-9:
-            raise InvalidProbability("bin proportions must sum to 1")
-
 
 def check_bin_count(m: int) -> None:
     """Raise InvalidBinCount unless m >= 2."""
@@ -100,39 +70,29 @@ def bin_index(probas, m: int) -> np.ndarray:
     return np.minimum(idx, m - 1)
 
 
-def build_density_vector(probas, m: int = DEFAULT_BINS) -> DensityVector:
-    """Histogram a sequence of probabilities into a DensityVector.
+def build_density_vector(scores: Scores, m: int = DEFAULT_BINS) -> np.ndarray:
+    """The m-bin histograms of a batch, as a (3, m) array of proportions:
+    row G0 and row G1 are each group's counts over its size, row POOLED
+    the pooled proportions (n0 * bins[G0] + n1 * bins[G1]) / n (not
+    (c0 + c1) / n, which differs in the last bits and so would move the
+    fitted remap).
 
-    Proportions are exact count ratios, so they sum to 1 up to one division
-    per bin.
+    The one place a batch becomes histograms; its probabilities were
+    validated by `Scores`.
     """
     check_bin_count(m)
-    p = np.asarray(probas, dtype=float)
-    if p.size == 0:
-        raise EmptyPopulation("cannot build a density vector from no samples")
-    if not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0:
-        raise InvalidProbability("all probabilities must be finite and in [0, 1]")
-    counts = np.bincount(bin_index(p, m), minlength=m)
-    return DensityVector(bins=counts / p.size, m=m, n=int(p.size))
+    counts = np.bincount(scores.group * m + bin_index(scores.proba, m),
+                         minlength=2 * m).reshape(2, m)
+    n = counts.sum(axis=1)
+    if not n.all():
+        raise EmptyGroup("both groups must be non-empty")
+    bins = np.empty((3, m))
+    bins[:POOLED] = counts / n[:, None]
+    bins[POOLED] = (n[G0] * bins[G0] + n[G1] * bins[G1]) / n.sum()
+    return bins
 
 
-def pool_density_vectors(d0: DensityVector, d1: DensityVector) -> DensityVector:
-    """Pooled vector with weights n0/(n0+n1) and n1/(n0+n1).
-
-    Identical (elementwise, exactly) to histogramming the concatenated
-    samples, by the law of total probability at the estimator level.
-    """
-    if d0.m != d1.m:
-        raise BinCountMismatch(f"bin counts differ: {d0.m} vs {d1.m}")
-    n = d0.n + d1.n
-    if n == 0:
-        raise EmptyPopulation("cannot pool two empty density vectors")
-    pooled = (d0.n * d0.bins + d1.n * d1.bins) / n
-    return DensityVector(bins=pooled, m=d0.m, n=n)
-
-
-def madd(d0: DensityVector, d1: DensityVector) -> float:
-    """Model Absolute Density Distance: sum_k |d0_k - d1_k|, in [0, 2]."""
-    if d0.m != d1.m:
-        raise BinCountMismatch(f"bin counts differ: {d0.m} vs {d1.m}")
-    return float(np.abs(d0.bins - d1.bins).sum())
+def madd(bins):
+    """Model Absolute Density Distance, sum_k |bins[G0]_k - bins[G1]_k|, in
+    [0, 2]; one distance per row for two (B, m) arrays of proportions."""
+    return np.abs(bins[G0] - bins[G1]).sum(axis=-1)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all maddpp modules.
 
-Each error class carries its own CLI exit code as `exit_code`.  Codes 14
-and 15 are retired and not reused.
+Each error class carries its own CLI exit code as `exit_code`.  Codes 13,
+14 and 15 are retired and not reused.
 """
 
 
@@ -21,10 +21,6 @@ class InvalidProbability(MaddError):
 
 class InvalidBinCount(MaddError):
     exit_code = 12
-
-
-class BinCountMismatch(MaddError):
-    exit_code = 13
 
 
 class EmptyGroup(MaddError):

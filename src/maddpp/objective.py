@@ -12,7 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import G0, G1, Scores, build_density_vector, check_bin_count
+from .densities import (
+    DEFAULT_BINS,
+    G0,
+    G1,
+    Scores,
+    build_density_vector,
+    check_bin_count,
+    madd,
+)
 from .errors import (
     EmptyPopulation,
     InvalidLambda,
@@ -41,7 +49,7 @@ def default_lambda_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
 class ObjectiveConfig:
     theta: float = DEFAULT_THETA
     threshold: float = DEFAULT_THRESHOLD
-    m: int = 100
+    m: int = DEFAULT_BINS
     lambda_grid: np.ndarray = field(default_factory=default_lambda_grid, repr=False)
 
     def __post_init__(self):
@@ -115,15 +123,7 @@ def accuracy_loss(preds, labels) -> float:
 
 def fairness_loss(scores: Scores, m: int) -> float:
     """Half the MADD between the two groups' density vectors, in [0, 1]."""
-    mask0 = scores.g0_mask()
-    return float(_half_l1(build_density_vector(scores.proba[mask0], m).bins,
-                          build_density_vector(scores.proba[~mask0], m).bins))
-
-
-def _half_l1(proportions0, proportions1):
-    """Half the L1 distance between two groups' bin proportions: half the MADD;
-    one distance per row for 2-d proportions."""
-    return 0.5 * np.abs(proportions0 - proportions1).sum(axis=-1)
+    return float(0.5 * madd(build_density_vector(scores, m)))
 
 
 def total_loss(acc, fair, theta: float):
@@ -182,7 +182,7 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
             counts = np.diff(starts[:, :-1], axis=1, prepend=0, append=su.size)
             proportions.append(counts / su.size)
         acc[lo:lo + block] = wrong / len(scores)
-        fair[lo:lo + block] = _half_l1(*proportions)
+        fair[lo:lo + block] = 0.5 * madd(proportions)
 
     tot = total_loss(acc, fair, config.theta)
     # argmin with ties broken toward the largest lambda

@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import G0, G1, Scores, build_density_vector, pool_density_vectors
+from .densities import G0, G1, POOLED, Scores, build_density_vector
 from .errors import InvalidLambda
-
-POOLED = 2  # the row of the pooled CDF's knot values in `FipMap.y`
 
 
 @dataclass(frozen=True)
@@ -30,11 +28,9 @@ class FipMap:
     @classmethod
     def from_probas(cls, scores: Scores, m: int) -> "FipMap":
         """Fit the CDFs of both groups of `scores` and of the pooled scores,
-        knot k holding the exact cumulative mass of the first k of m bins."""
-        mask0 = scores.g0_mask()
-        d0 = build_density_vector(scores.proba[mask0], m)
-        d1 = build_density_vector(scores.proba[~mask0], m)
-        bins = np.stack((d0.bins, d1.bins, pool_density_vectors(d0, d1).bins))
+        knot k holding the exact cumulative mass of the first k of m bins;
+        the fit needs both groups, a remap does not."""
+        bins = build_density_vector(scores, m)
         y = np.concatenate((np.zeros((3, 1)), np.cumsum(bins, axis=1)), axis=1)
         y[:, -1] = 1.0  # exact, each cumsum is 1 up to rounding
         return cls(x=np.arange(m + 1) / m, y=y)
@@ -56,10 +52,10 @@ class FipMap:
 
     def _per_group(self, scores: Scores, f) -> np.ndarray:
         """f(g, u) for each group g and its records' quantiles u, put back in
-        input order: the one place a batch is split into its groups."""
-        mask0 = scores.g0_mask()
+        input order; a group may have no record."""
         out = np.empty_like(scores.proba)
-        for g, mask in ((G0, mask0), (G1, ~mask0)):
+        for g in (G0, G1):
+            mask = scores.group == g
             u = np.clip(np.interp(scores.proba[mask], self.x, self.y[g]), 0.0, 1.0)
             out[mask] = f(g, u)
         return out

@@ -10,13 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from maddpp.densities import (
-    DensityVector,
-    Scores,
-    build_density_vector,
-    madd,
-    pool_density_vectors,
-)
+from maddpp.densities import POOLED, Scores, bin_index, build_density_vector, madd
 from maddpp.model import gradient
 from maddpp.objective import ObjectiveConfig, apply_threshold, sweep
 from maddpp.simulate import SimulationSpec, pdf_g0, pdf_g1, sample, tabulated_cdf
@@ -72,17 +66,14 @@ def test_criterion_2_madd_properties():
         p = rng.random(m)
         a, b, p = a / a.sum(), b / b.sum(), p / p.sum()
         lam = float(rng.random())
-        d0 = DensityVector(bins=a, m=m, n=1)
-        d1 = DensityVector(bins=b, m=m, n=1)
-        v = madd(d0, d1)
-        ok = ok and v == madd(d1, d0) and 0.0 <= v <= 2.0
-        mixed = abs(madd(DensityVector(bins=(1 - lam) * a + lam * p, m=m, n=1),
-                         DensityVector(bins=(1 - lam) * b + lam * p, m=m, n=1))
+        v = madd(np.stack((a, b)))
+        ok = ok and v == madd(np.stack((b, a))) and 0.0 <= v <= 2.0
+        mixed = abs(madd(np.stack(((1 - lam) * a + lam * p, (1 - lam) * b + lam * p)))
                     - (1 - lam) * v)
         worst = max(worst, mixed)
-    d = DensityVector(bins=[0.5, 0.5, 0, 0], m=4, n=1)
-    ok = ok and madd(d, d) == 0.0
-    ok = ok and madd(d, DensityVector(bins=[0, 0, 0.5, 0.5], m=4, n=1)) == 2.0
+    d = [0.5, 0.5, 0, 0]
+    ok = ok and madd(np.array([d, d])) == 0.0
+    ok = ok and madd(np.array([d, [0, 0, 0.5, 0.5]])) == 2.0
     ok = ok and worst <= 1e-12
     report(2, ok, f"1000 random triples, linearity worst error {worst:.2e}")
 
@@ -94,10 +85,10 @@ def test_criterion_3_pooling_identity():
         m = int(rng.integers(2, 30))
         a = rng.random(int(rng.integers(1, 200)))
         b = rng.random(int(rng.integers(1, 200)))
-        pooled = pool_density_vectors(build_density_vector(a, m),
-                                      build_density_vector(b, m))
-        direct = build_density_vector(np.concatenate([a, b]), m)
-        worst = max(worst, float(np.abs(pooled.bins - direct.bins).max()))
+        both = np.concatenate([a, b])
+        pooled = build_density_vector(Scores(both, np.repeat([0, 1], [a.size, b.size])), m)
+        direct = np.bincount(bin_index(both, m), minlength=m) / both.size
+        worst = max(worst, float(np.abs(pooled[POOLED] - direct).max()))
     report(3, worst <= 1e-12, f"100 random pairs, worst elementwise error {worst:.2e}")
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -425,15 +426,35 @@ def test_every_error_class_has_its_own_exit_code():
 
 # span targets of perfbench/run.py that name functions the package no
 # longer has; its tracer skips them and lists them as absent
-STALE_SPAN_TARGETS = {"maddpp.objective.madd", "maddpp.objective.generalized_inverse",
-                      "maddpp.model.loss_and_gradient"}
+STALE_SPAN_TARGETS = {"maddpp.objective.generalized_inverse", "maddpp.model.loss_and_gradient",
+                      "maddpp.cli.pool_density_vectors", "maddpp.transport.pool_density_vectors"}
 
 
-def test_perfbench_span_targets_resolve(monkeypatch):
+@pytest.fixture
+def perfbench_run(monkeypatch):
+    """perfbench/run.py, imported from its directory as it is."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("run")
+
+
+def test_perfbench_span_targets_resolve(perfbench_run):
     # the tracer skips a target whose name no longer resolves, which would
     # leave its per-layer metric silently empty
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    bench = importlib.import_module("run")
-    with bench.Tracer(bench.TARGETS) as tracer:
+    with perfbench_run.Tracer(perfbench_run.TARGETS) as tracer:
         pass
-    assert set(tracer.absent) <= STALE_SPAN_TARGETS, tracer.absent
+    assert set(tracer.absent) == STALE_SPAN_TARGETS, tracer.absent
+
+
+def test_one_histogram_per_batch(tmp_path, perfbench_run):
+    # seen through perfbench's tracer: each command histograms its batch
+    # once, and madd and sweep take their losses from `densities.madd`
+    assert run(tmp_path, "simulate", "--n-g0", "60", "--n-g1", "40", "--seed", "3") == 0
+    records = str(tmp_path / "records.csv")
+    for argv, madd_calls in ((["madd", records], 1),
+                             (["fip", records, "--lambda", "0.5"], 0),
+                             (["sweep", records, "--grid", "50"], 1)):
+        with perfbench_run.Tracer(perfbench_run.TARGETS) as tracer:
+            assert run(tmp_path, *argv) == 0
+        calls = Counter(span[0] for span in tracer.spans)
+        assert calls["densities.build_density_vector"] == 1, (argv[0], calls)
+        assert calls["densities.madd"] >= madd_calls, (argv[0], calls)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maddpp.densities import Scores, build_density_vector, madd
+from maddpp.densities import Scores, bin_index, build_density_vector, madd
 from maddpp.errors import EmptyGroup, InvalidLambda
 from maddpp.transport import FipMap, fip, generalized_inverse
 
@@ -151,9 +151,7 @@ class TestFip:
             records = Scores(*zip(*([(float(p), 0) for p in rng.random(n)] +
                                     [(float(p), 1) for p in rng.random(n)])))
             out = fip(records, 1.0, 50)
-            d0 = build_density_vector(out[:n], 50)
-            d1 = build_density_vector(out[n:], 50)
-            return madd(d0, d1)
+            return madd(build_density_vector(Scores(out, records.group), 50))
 
         small = np.mean([residual(1_000, s) for s in range(5)])
         large = np.mean([residual(10_000, s) for s in range(5)])
@@ -184,7 +182,7 @@ class TestFipMap:
             assert fm.y.shape == (3, m + 1)
             assert (fm.y[:, 0] == 0.0).all() and (fm.y[:, -1] == 1.0).all()
             assert (np.diff(fm.y, axis=1) >= -1e-12).all()
-            pooled = np.cumsum(build_density_vector(probas, m).bins)
+            pooled = np.cumsum(np.bincount(bin_index(probas, m), minlength=m) / probas.size)
             np.testing.assert_allclose(fm.y[2, 1:-1], pooled[:-1], atol=1e-12)
 
     def test_invalid_lambda(self):
@@ -223,5 +221,6 @@ class TestFipMap:
         for p, g, q in zip(other.proba, other.group, out):
             u = np.clip(np.interp(p, fm.x, fm.y[g]), 0.0, 1.0)
             assert q == generalized_inverse(fm.x, fm.mix_knots(g, 0.6), np.array([u]))[0]
-        with pytest.raises(EmptyGroup):
-            fm.remap(Scores([0.5], [1]), 0.6)
+        # a batch of one group is remapped as its records are in a batch of both
+        assert fm.remap(Scores([0.5], [1]), 0.6) == fm.remap(Scores([0.3, 0.5], [0, 1]), 0.6)[1]
+        assert fm.quantiles(Scores([0.5], [1])) == fm.quantiles(Scores([0.3, 0.5], [0, 1]))[1]
