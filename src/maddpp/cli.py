@@ -25,6 +25,7 @@ from .densities import (
     Scores,
     build_density_vector,
     check_bin_count,
+    check_size,
     madd,
 )
 from .io import read_records, write_columns, write_records
@@ -85,6 +86,7 @@ def cmd_simulate(args) -> int:
     spec = SimulationSpec(n_g0=args.n_g0, n_g1=args.n_g1, seed=args.seed)
     if spec.n_g0 <= 0 or spec.n_g1 <= 0:
         raise errors.EmptyPopulation("both group sizes must be positive")
+    check_size(max(spec.n_g0, spec.n_g1), "records")
     scores = sample(spec)
     out_dir = _out_dir(args)
     out = Path(args.out) if args.out else out_dir / "records.csv"
@@ -168,12 +170,10 @@ def cmd_pipeline(args) -> int:
                            label_column=args.label_column)
     X, y, rules = encode(dataset)
     groups = dataset.sensitive_groups()
-    feature_names, dropped_rows = dataset.feature_names, dataset.dropped_rows
+    dropped_rows = dataset.dropped_rows
     del dataset  # its codes, one per cell, are not needed past encoding
     idx_train, idx_val, idx_test = split(len(y), seed=args.seed)
-    numeric = np.array([rules[name] == "numeric" for name in feature_names])
-    model = train(X[idx_train], y[idx_train], feature_names=feature_names,
-                  numeric_columns=numeric)
+    model = train(X[idx_train], y[idx_train], rules)
 
     def scores(idx):
         return Scores(model.predict_proba(X[idx]), groups[idx], y[idx])
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
         # instead, so this comes from creating or writing an output
         err = errors.UnwritableOutput(
             f"cannot write {exc.filename or 'an output'}: {exc.strerror or exc}")
-    except MemoryError as exc:  # numpy's, for an --n-g0 or --m too large to allocate
+    except MemoryError as exc:  # numpy's, for an --n-g0 or --m below SIZE_LIMIT
         err = errors.OutOfMemory(str(exc) or "out of memory")
     except errors.MaddError as exc:
         err = exc

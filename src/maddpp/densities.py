@@ -15,13 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGroup, InvalidBinCount, InvalidProbability, LengthMismatch
+from .errors import EmptyGroup, InvalidBinCount, InvalidProbability, LengthMismatch, OutOfMemory
 
 DEFAULT_BINS = 100
 
 G0 = 0
 G1 = 1
 POOLED = 2  # the row of the pooled proportions in `build_density_vector`'s array
+# the least bin count, grid size or group size refused: no array that large
+# fits in memory, and numpy raises OverflowError or ValueError for some
+SIZE_LIMIT = 2**48
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,10 +59,17 @@ class Scores:
         return self.proba.size
 
 
+def check_size(n: int, what: str) -> None:
+    """Raise OutOfMemory if `n`, a count of `what`, is SIZE_LIMIT or more."""
+    if n >= SIZE_LIMIT:
+        raise OutOfMemory(f"cannot allocate {n} {what}: the limit is 2**48 - 1")
+
+
 def check_bin_count(m: int) -> None:
-    """Raise InvalidBinCount unless m >= 2."""
+    """Raise InvalidBinCount unless m >= 2, and OutOfMemory if m is too large."""
     if m < 2:
         raise InvalidBinCount(f"m must be >= 2, got {m}")
+    check_size(m, "bins")
 
 
 def bin_index(probas, m: int) -> np.ndarray:

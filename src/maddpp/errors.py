@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all maddpp modules.
 
 Each error class carries its own CLI exit code as `exit_code`.  Codes 13,
-14 and 15 are retired and not reused.
+14, 15, 20 and 23 are retired and not reused.  A count too large for any
+array (`densities.SIZE_LIMIT`) raises OutOfMemory, as numpy's MemoryError
+does.
 """
 
 
@@ -39,20 +41,12 @@ class MissingLabels(MaddError):
     exit_code = 19
 
 
-class InvalidRatios(MaddError):
-    exit_code = 20
-
-
 class EncodingError(MaddError):
     exit_code = 21
 
 
 class TrainingDiverged(MaddError):
     exit_code = 22
-
-
-class NotTrained(MaddError):
-    exit_code = 23
 
 
 class InvalidObjective(MaddError):

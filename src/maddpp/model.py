@@ -17,17 +17,11 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyPopulation,
-    EncodingError,
-    InvalidRatios,
-    NotTrained,
-    TrainingDiverged,
-)
+from .errors import EmptyPopulation, EncodingError, TrainingDiverged
 from .io import blocks, grow, read_csv, resize, windows
 
 # Known ordinal level orders for the course-data bands; anything else falls
@@ -61,7 +55,7 @@ class TabularDataset:
     labels: np.ndarray         # 0 or 1, one per kept row
     sensitive: str
     row_numbers: np.ndarray    # file row of each kept row (1 = first after the header)
-    dropped_rows: int = 0      # rows removed for missing values at ingestion
+    dropped_rows: int          # rows removed for missing values at ingestion
 
     def sensitive_groups(self) -> np.ndarray:
         """0/1 group tags from the sensitive column (lexicographic order)."""
@@ -288,8 +282,9 @@ def encode(dataset: TabularDataset) -> tuple[np.ndarray, np.ndarray, dict]:
 
     Binary and ordinal columns become small integer codes; columns that
     parse as numbers are kept as-is and must be finite.  Each distinct cell
-    is converted once, and each row takes its cell's number.  Standardization
-    is a separate step so its statistics can come from the training split only.
+    is converted once, and each row takes its cell's number.  `train`
+    standardizes the numeric columns, so their statistics come from the
+    training split only.
     """
     X = np.empty((dataset.labels.size, len(dataset.feature_names)))
     rules = {}
@@ -313,27 +308,23 @@ class Standardizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, X: np.ndarray, columns: np.ndarray | None = None,
-            names: list[str] | None = None) -> "Standardizer":
-        """`columns` is a boolean mask of features to scale; others pass through.
+    def fit(cls, X: np.ndarray, columns: np.ndarray, names: list[str]) -> "Standardizer":
+        """Scale the features of the boolean mask `columns`; the others pass
+        through (mean 0, std 1).
 
         A scaled column whose mean or std overflows raises EncodingError,
-        naming it from `names` (else by index).
+        naming it from `names`, the feature names in column order.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             mean = X.mean(axis=0)
             std = X.std(axis=0)
-            scaled = np.ones(mean.size, dtype=bool) if columns is None else columns
-            bad = np.flatnonzero(scaled & ~(np.isfinite(mean) & np.isfinite(std)))
+            bad = np.flatnonzero(columns & ~(np.isfinite(mean) & np.isfinite(std)))
             if bad.size:
                 k = int(bad[0])
-                raise EncodingError(f"column {names[k] if names else k!r}: values too large "
-                                    f"to standardize (mean {mean[k]}, std {std[k]})")
+                raise EncodingError(f"column {names[k]!r}: values too large "
+                                    f"to scale (mean {mean[k]}, std {std[k]})")
             std = np.where(std ** 2 < 1e-12, 1.0, std)  # variance floor for constant columns
-        if columns is not None:
-            mean = np.where(columns, mean, 0.0)
-            std = np.where(columns, std, 1.0)
-        return cls(mean=mean, std=std)
+        return cls(mean=np.where(columns, mean, 0.0), std=np.where(columns, std, 1.0))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         scaled = X - self.mean
@@ -341,15 +332,13 @@ class Standardizer:
         return scaled
 
 
-def split(n: int, ratios=(0.70, 0.15, 0.15), seed: int = 0):
-    """Seeded shuffle then contiguous partition into train/validation/test indices."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise InvalidRatios(f"ratios must sum to 1, got {ratios}")
+def split(n: int, seed: int):
+    """Seeded shuffle then a contiguous 70/15/15 partition into train,
+    validation and test indices; train takes the rows the rounding leaves."""
     if n == 0:
         raise EmptyPopulation("cannot split an empty dataset")
     perm = np.random.default_rng(seed).permutation(n)
-    n_val = int(ratios[1] * n)
-    n_test = int(ratios[2] * n)
+    n_val = n_test = int(0.15 * n)
     n_train = n - n_val - n_test
     return (perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:])
 
@@ -358,22 +347,20 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LogisticModel:
-    weights: np.ndarray | None = None
-    bias: float = 0.0
-    trained: bool = False
-    feature_names: list[str] = field(default_factory=list)
-    standardizer: Standardizer | None = None
+    """A fitted model, as `train` returns it: weights on the features, in the
+    order of `feature_names`, as `standardizer` scales them."""
+
+    weights: np.ndarray
+    bias: float
+    feature_names: list[str]
+    standardizer: Standardizer
     # how `train` ended (newton_steps, gradient_norm, l2); not saved to model.json
-    training: dict = field(default_factory=dict)
+    training: dict
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self.trained:
-            raise NotTrained("model has not been trained")
-        if self.standardizer is not None:
-            X = self.standardizer.transform(X)
-        p = _sigmoid(X @ self.weights + self.bias)
+        p = _sigmoid(self.standardizer.transform(X) @ self.weights + self.bias)
         return np.clip(p, 1e-12, 1.0 - 1e-12)
 
     def to_json_dict(self) -> dict:
@@ -381,7 +368,7 @@ class LogisticModel:
             "feature_names": self.feature_names,
             "weights": self.weights.tolist(),
             "bias": self.bias,
-            "standardizer": None if self.standardizer is None else {
+            "standardizer": {
                 "mean": self.standardizer.mean.tolist(),
                 "std": self.standardizer.std.tolist(),
             },
@@ -456,25 +443,25 @@ def _newton(X: np.ndarray, y: np.ndarray, l2: float, tol: float):
         steps += 1
 
 
-def train(X: np.ndarray, y: np.ndarray, l2: float = 1e-4, tol: float = 1e-9,
-          feature_names: list[str] | None = None,
-          standardize: bool = True,
-          numeric_columns: np.ndarray | None = None) -> LogisticModel:
-    """Newton steps (IRLS) from zero initialization to the optimum; deterministic.
+def train(X: np.ndarray, y: np.ndarray, rules: dict, l2: float = 1e-4,
+          tol: float = 1e-9) -> LogisticModel:
+    """The logistic model fitted by Newton steps (IRLS) from zero
+    initialization to the optimum; deterministic.
 
-    Minimizes mean cross-entropy plus l2 * ||w||^2 (bias unpenalized).  Each
-    step computes the gradient, the Hessian and one (d+1) x (d+1) solve;
-    training stops once the gradient norm falls below `tol`, so the returned
-    weights have gradient norm < `tol`.  A singular Hessian, a non-finite
-    gradient or step, or no convergence within MAX_NEWTON_STEPS raises
-    TrainingDiverged.  When `numeric_columns` is given, only those features
-    are standardized (binary/ordinal codes are left as-is).
+    `rules` is `encode`'s report, one rule per column of X in column order:
+    its keys are the feature names, and exactly its "numeric" columns are
+    standardized, with statistics from X alone (binary, ordinal and
+    categorical codes are left as they are).  Minimizes mean cross-entropy
+    plus l2 * ||w||^2 (bias unpenalized).  Each step computes the gradient,
+    the Hessian and one (d+1) x (d+1) solve; training stops once the
+    gradient norm falls below `tol`, so the returned weights have gradient
+    norm < `tol`.  A singular Hessian, a non-finite gradient or step, or no
+    convergence within MAX_NEWTON_STEPS raises TrainingDiverged.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    std = Standardizer.fit(X, numeric_columns, feature_names) if standardize else None
-    Xs = std.transform(X) if std is not None else X
-    w, b, steps, norm = _newton(Xs, y, l2, tol)
-    return LogisticModel(weights=w, bias=b, trained=True,
-                         feature_names=feature_names or [], standardizer=std,
+    names = list(rules)
+    std = Standardizer.fit(X, np.array([rule == "numeric" for rule in rules.values()]), names)
+    w, b, steps, norm = _newton(std.transform(X), y, l2, tol)
+    return LogisticModel(weights=w, bias=b, feature_names=names, standardizer=std,
                          training={"newton_steps": steps, "gradient_norm": norm, "l2": l2})

@@ -19,6 +19,7 @@ from .densities import (
     Scores,
     build_density_vector,
     check_bin_count,
+    check_size,
     madd,
 )
 from .errors import (
@@ -42,6 +43,7 @@ def default_lambda_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Evenly spaced lambda values over [0, 1] inclusive."""
     if size < 1:
         raise InvalidObjective(f"the lambda grid needs at least one point, got {size}")
+    check_size(size, "lambda grid points")
     return np.linspace(0.0, 1.0, size)
 
 

@@ -15,7 +15,7 @@ import maddpp
 from maddpp.cli import main
 from maddpp.errors import MaddError
 from maddpp.io import read_records, write_records
-from maddpp.densities import Scores
+from maddpp.densities import SIZE_LIMIT, Scores
 from train_oracle import load_model
 
 
@@ -394,6 +394,40 @@ def test_out_of_memory_prints_one_line(tmp_path, capsys, monkeypatch, argv, call
     assert capsys.readouterr().err == f"OutOfMemory: {message or 'out of memory'}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-g0", "{n}"],
+    ["simulate", "--n-g1", "{n}"],
+    ["madd", "{records}", "--m", "{n}"],
+    ["fip", "{records}", "--lambda", "0.5", "--m", "{n}"],
+    ["sweep", "{records}", "--m", "{n}"],
+    ["sweep", "{records}", "--grid", "{n}"],
+    ["pipeline", "{course}", "--sensitive", "gender", "--m", "{n}"],
+    ["pipeline", "{course}", "--sensitive", "gender", "--grid", "{n}"],
+], ids=lambda argv: "-".join(a.strip("-{}") for a in argv if a not in ("{records}", "{course}")))
+@pytest.mark.parametrize("n", [SIZE_LIMIT, 2**62, 10**20], ids=["2^48", "2^62", "10^20"])
+def test_size_no_array_can_hold_prints_one_line(tmp_path, capsys, argv, n):
+    # refused before numpy sees it, which for some of these sizes raises
+    # OverflowError or ValueError; and none of them is allocated
+    records = tmp_path / "records.csv"
+    records.write_text(TestMalformedInput.RECORDS)
+    course = tmp_path / "course.csv"
+    course.write_text(TestMalformedInput.COURSE + "F,1.5,0\nM,2.5,1\n" * 10)
+    out = tmp_path / "out"
+    argv = [arg.format(n=n, records=records, course=course) for arg in argv]
+    assert main(["--out-dir", str(out), *argv]) == 28
+    err = capsys.readouterr().err
+    assert err.startswith(f"OutOfMemory: cannot allocate {n} ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["madd"], ["fip", "--lambda", "0.5"], ["sweep"]])
+def test_one_group_records_exit_16(tmp_path, capsys, argv):
+    path = tmp_path / "r.csv"
+    path.write_text(TestMalformedInput.LABELLED + "0.2,1,1\n0.7,1,0\n")
+    assert run(tmp_path, argv[0], str(path), *argv[1:]) == 16
+    assert capsys.readouterr().err == "EmptyGroup: both groups must be non-empty\n"
+
+
 def test_header_only_records_print_one_line(tmp_path):
     # a file with no rows prints one line, and no warning, on stderr
     path = tmp_path / "r.csv"
@@ -418,10 +452,26 @@ def test_empty_label_cell_reads_as_unlabelled(tmp_path):
     assert run(tmp_path, "fip", str(path), "--lambda", "0.5", "--m", "10") == 0
 
 
+# codes of error classes that are gone, not to be reused
+RETIRED_EXIT_CODES = {13, 14, 15, 20, 23}
+# raised by the library alone: the CLI's readers build equal-length columns
+LIBRARY_ONLY = {"LengthMismatch"}
+
+
 def test_every_error_class_has_its_own_exit_code():
     codes = [cls.exit_code for cls in MaddError.__subclasses__()]
     assert len(set(codes)) == len(codes)
     assert min(codes) >= 10
+    assert not RETIRED_EXIT_CODES & set(codes)
+
+
+def test_readme_names_every_exit_code():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    for cls in MaddError.__subclasses__():
+        if cls.__name__ not in LIBRARY_ONLY:
+            assert f"`{cls.__name__}` (code {cls.exit_code})" in readme, cls.__name__
+    for code in RETIRED_EXIT_CODES:
+        assert f"Code {code} is retired and not reused" in readme, code
 
 
 # span targets of perfbench/run.py that name functions the package no

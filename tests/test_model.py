@@ -12,14 +12,7 @@ from hypothesis import strategies as st
 
 import maddpp.io
 from maddpp import model
-from maddpp.errors import (
-    EmptyPopulation,
-    EncodingError,
-    InvalidRatios,
-    MaddError,
-    NotTrained,
-    UnreadableInput,
-)
+from maddpp.errors import EmptyPopulation, EncodingError, MaddError, UnreadableInput
 from maddpp.model import (
     ORDINAL_LEVELS,
     LogisticModel,
@@ -400,14 +393,14 @@ def test_long_cell_costs_its_own_length(tmp_path):
 class TestStandardizer:
     def test_constant_column_maps_to_zeros(self):
         X = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
-        s = Standardizer.fit(X)
+        s = Standardizer.fit(X, np.array([True, True]), ["c", "x"])
         out = s.transform(X)
         np.testing.assert_allclose(out[:, 0], 0.0)
         assert abs(out[:, 1].mean()) < 1e-12
 
     def test_mask_leaves_columns_untouched(self):
         X = np.column_stack([np.arange(10.0), np.arange(10.0)])
-        s = Standardizer.fit(X, columns=np.array([True, False]))
+        s = Standardizer.fit(X, np.array([True, False]), ["a", "b"])
         out = s.transform(X)
         np.testing.assert_allclose(out[:, 1], X[:, 1])
 
@@ -431,10 +424,6 @@ class TestSplit:
         tr, va, te = split(83, seed=1)
         union = np.sort(np.concatenate([tr, va, te]))
         np.testing.assert_array_equal(union, np.arange(83))
-
-    def test_bad_ratios(self):
-        with pytest.raises(InvalidRatios):
-            split(10, ratios=(0.5, 0.4, 0.2))
 
 
 class TestTrain:
@@ -477,15 +466,28 @@ class TestTrain:
     def test_separable_toy_set(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
-        model = train(X, y, standardize=False)
+        model = train(X, y, {"x": "ordinal"})  # an ordinal column is not scaled
         assert loss(model.weights, model.bias, X, y, 1e-4) < 0.1
 
     def test_constant_labels(self):
         X = np.array([[0.5], [0.1], [0.9]])
         y = np.array([1, 1, 1])
-        model = train(X, y, standardize=False)
+        model = train(X, y, {"x": "ordinal"})
         assert model.bias > 0
         assert np.all(model.predict_proba(X) > 0.9)
+
+    def test_only_numeric_columns_are_standardized(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["gender", "age", "score", "label"],
+                  [["M", "0-35", "40.5", "1"], ["F", "55<=", "71.0", "0"],
+                   ["F", "35-55", "62.5", "1"], ["M", "35-55", "55.0", "0"]])
+        X, y, rules = encode(load_dataset(path, sensitive="gender"))
+        assert list(rules.values()) == ["categorical['F', 'M']", "ordinal", "numeric"]
+        model = train(X, y, rules)
+        assert model.feature_names == ["gender", "age", "score"]
+        std = model.to_json_dict()["standardizer"]
+        assert std["mean"] == [0.0, 0.0, X[:, 2].mean()]
+        assert std["std"] == [1.0, 1.0, X[:, 2].std()]
 
     def test_loss_non_increasing(self):
         rng = np.random.default_rng(2)
@@ -503,34 +505,39 @@ class TestTrain:
             b -= 0.1 * gb
 
 
+def unscaled_model(weights):
+    """A model with bias 0 on len(weights) features that are not scaled."""
+    d = len(weights)
+    return LogisticModel(weights=np.asarray(weights, dtype=float), bias=0.0,
+                         feature_names=[f"x{j}" for j in range(d)],
+                         standardizer=Standardizer(mean=np.zeros(d), std=np.ones(d)),
+                         training={})
+
+
 class TestPredict:
     def test_zero_model_gives_half(self):
-        model = LogisticModel(weights=np.zeros(3), bias=0.0, trained=True)
+        model = unscaled_model(np.zeros(3))
         np.testing.assert_allclose(model.predict_proba(np.ones((4, 3))), 0.5)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=4)
-        model = LogisticModel(weights=w, bias=0.0, trained=True)
+        model = unscaled_model(w)
         x = rng.normal(size=(1, 4))
         p_plus = model.predict_proba(x)[0]
         p_minus = model.predict_proba(-x)[0]
         assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_positive_weight_feature(self):
-        model = LogisticModel(weights=np.array([2.0]), bias=0.0, trained=True)
+        model = unscaled_model([2.0])
         p = model.predict_proba(np.array([[0.1], [0.5], [0.9]]))
         assert np.all(np.diff(p) > 0)
-
-    def test_untrained_raises(self):
-        with pytest.raises(NotTrained):
-            LogisticModel().predict_proba(np.ones((1, 2)))
 
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(50, 3))
         y = (X[:, 0] > 0).astype(float)
-        model = train(X, y, feature_names=["a", "b", "c"])
+        model = train(X, y, {"a": "numeric", "b": "numeric", "c": "numeric"})
         path = tmp_path / "model.json"
         model.save(path)
         loaded = load_model(path)

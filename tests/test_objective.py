@@ -117,10 +117,12 @@ class TestObjectiveConfig:
         with pytest.raises(InvalidObjective):
             default_lambda_grid(0)
 
-    def test_validation_holds_under_optimize(self):
-        code = ("from maddpp.densities import Scores\n"
+    def test_validation_holds_under_optimize(self, tmp_path):
+        code = ("from maddpp.cli import main\n"
+                "from maddpp.densities import Scores, check_bin_count\n"
                 "from maddpp.errors import InvalidLambda, InvalidObjective, InvalidProbability\n"
-                "from maddpp.objective import ObjectiveConfig\n"
+                "from maddpp.errors import OutOfMemory\n"
+                "from maddpp.objective import ObjectiveConfig, default_lambda_grid\n"
                 "from maddpp.transport import FipMap, fip\n"
                 "try:\n"
                 "    ObjectiveConfig(theta=5, threshold=3)\n"
@@ -136,12 +138,21 @@ class TestObjectiveConfig:
                 "try:\n"
                 "    Scores([1.5], [0])\n"
                 "except InvalidProbability:\n"
-                "    print('Scores')\n")
+                "    print('Scores')\n"
+                "for check in (check_bin_count, default_lambda_grid):\n"
+                "    try:\n"
+                "        check(2**48)\n"
+                "    except OutOfMemory:\n"
+                "        print('OutOfMemory')\n"
+                f"print(main(['--out-dir', {str(tmp_path / 'out')!r}, 'simulate',\n"
+                "            '--n-g0', str(2**48)]))\n")
         src = str(Path(maddpp.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert out.stdout.split() == ["False", "InvalidObjective", "InvalidLambda",
-                                      "InvalidLambda", "Scores"], out.stderr
+                                      "InvalidLambda", "Scores", "OutOfMemory",
+                                      "OutOfMemory", "28"], out.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestTotalLoss:

@@ -23,6 +23,11 @@ from train_oracle import loss, oracle_train
 REGIONS = [f"region_{i:02d}" for i in range(8)]
 
 
+def same_rule(d, rule="numeric"):
+    """`encode`'s rules for d columns, each encoded by `rule`."""
+    return {f"x{j}": rule for j in range(d)}
+
+
 def assert_optimal(monkeypatch, X, y, train_kwargs, oracle_kwargs=None):
     calls = []
     gradient = model.gradient
@@ -35,7 +40,7 @@ def assert_optimal(monkeypatch, X, y, train_kwargs, oracle_kwargs=None):
     fast = train(X, y, **train_kwargs)
     monkeypatch.undo()
     l2 = train_kwargs.get("l2", 1e-4)
-    Xs = X if fast.standardizer is None else fast.standardizer.transform(X)
+    Xs = fast.standardizer.transform(X)
     gw, gb = gradient(fast.weights, fast.bias, Xs, y, l2)
     norm = np.sqrt(gw @ gw + gb * gb)
     assert norm <= 1e-9
@@ -51,16 +56,17 @@ ORACLE_ONLY = ("lr", "max_iter", "tol")
 
 @pytest.mark.parametrize("seed, kwargs", [
     (0, {}),
-    (1, {"standardize": False}),
+    (1, {"rules": same_rule(3, "ordinal")}),  # none scaled
     (2, {"l2": 0.0, "lr": 0.5}),
     (3, {"max_iter": 50}),
     (4, {"tol": 1e-2}),
-    (5, {"numeric_columns": np.array([True, False, True])}),
+    (5, {"rules": {"x0": "numeric", "x1": "categorical['a', 'b']", "x2": "numeric"}}),
 ])
 def test_seeded_data(monkeypatch, seed, kwargs):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(300, 3)) * [1.0, 5.0, 0.1] + [0.0, 2.0, -1.0]
     y = (X[:, 0] + 0.3 * X[:, 1] + rng.normal(size=300) > 0.5).astype(float)
+    kwargs = {"rules": same_rule(3), **kwargs}
     train_kwargs = {k: v for k, v in kwargs.items() if k not in ORACLE_ONLY}
     oracle_kwargs = {k: v for k, v in kwargs.items() if k in ORACLE_ONLY}
     assert_optimal(monkeypatch, X, y, train_kwargs, oracle_kwargs)
@@ -70,9 +76,9 @@ def test_loose_tol_stops_early():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(300, 3))
     y = (X[:, 0] + rng.normal(size=300) > 0.5).astype(float)
-    loose = train(X, y, tol=1e-2).training
+    loose = train(X, y, same_rule(3), tol=1e-2).training
     assert loose["gradient_norm"] < 1e-2
-    assert loose["newton_steps"] < train(X, y).training["newton_steps"]
+    assert loose["newton_steps"] < train(X, y, same_rule(3)).training["newton_steps"]
 
 
 def write_course_csv(path, rows, seed):
@@ -106,24 +112,24 @@ def test_course_csv(monkeypatch, tmp_path):
     dataset = load_dataset(path, sensitive="gender")
     assert dataset.dropped_rows > 0
     X, y, rules = encode(dataset)
-    numeric = np.array([rules[name] == "numeric" for name in dataset.feature_names])
-    assert numeric.any() and not numeric.all()
+    assert list(rules) == dataset.feature_names
+    assert "numeric" in rules.values() and set(rules.values()) != {"numeric"}
     idx_train, _, _ = split(len(y), seed=0)
-    assert_optimal(monkeypatch, X[idx_train], y[idx_train], {"numeric_columns": numeric})
+    assert_optimal(monkeypatch, X[idx_train], y[idx_train], {"rules": rules})
 
 
 def duplicated_column(seed=4):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(50, 3))
-    return X[:, [0, 1, 2, 2]], (X[:, 0] > 0).astype(float)
+    return X[:, [0, 1, 2, 2]], (X[:, 0] > 0).astype(float), same_rule(4)
 
 
 def test_singular_hessian_raises():
-    X, y = duplicated_column()
+    X, y, rules = duplicated_column()
     with pytest.raises(TrainingDiverged, match="singular Hessian"):
-        train(X, y, l2=0.0)
+        train(X, y, rules, l2=0.0)
     # the l2 term makes the weight block positive definite
-    assert train(X, y).training["gradient_norm"] <= 1e-9
+    assert train(X, y, rules).training["gradient_norm"] <= 1e-9
 
 
 def test_non_finite_gradient_raises():
@@ -131,7 +137,7 @@ def test_non_finite_gradient_raises():
     X = rng.normal(size=(50, 3)) * 1e200
     y = (X[:, 0] > 0).astype(float)
     with pytest.raises(TrainingDiverged, match="gradient became non-finite"):
-        train(X, y, standardize=False)
+        train(X, y, same_rule(3, "ordinal"))  # not scaled
 
 
 def test_non_finite_step_raises(monkeypatch):
@@ -142,9 +148,8 @@ def test_non_finite_step_raises(monkeypatch):
 
 def test_no_convergence_raises(monkeypatch):
     monkeypatch.setattr(model, "MAX_NEWTON_STEPS", 1)
-    X, y = duplicated_column()
     with pytest.raises(TrainingDiverged, match="no convergence within 1 Newton steps"):
-        train(X, y)
+        train(*duplicated_column())
 
 
 def test_singular_hessian_raises_under_python_O():
@@ -153,7 +158,7 @@ def test_singular_hessian_raises_under_python_O():
             "from maddpp.model import train\n"
             "X = np.random.default_rng(4).normal(size=(50, 3))[:, [0, 1, 2, 2]]\n"
             "try:\n"
-            "    train(X, (X[:, 0] > 0).astype(float), l2=0.0)\n"
+            "    train(X, (X[:, 0] > 0).astype(float), dict.fromkeys('abcd', 'numeric'), l2=0.0)\n"
             "except TrainingDiverged:\n"
             "    print(__debug__, 'TrainingDiverged')\n")
     src = str(Path(maddpp.__file__).resolve().parents[1])

@@ -22,10 +22,11 @@ def load_model(path) -> LogisticModel:
     with open(path) as fh:
         d = json.load(fh)
     std = d["standardizer"]
-    return LogisticModel(weights=np.array(d["weights"]), bias=float(d["bias"]), trained=True,
+    return LogisticModel(weights=np.array(d["weights"]), bias=float(d["bias"]),
                          feature_names=d["feature_names"],
-                         standardizer=None if std is None else Standardizer(
-                             mean=np.array(std["mean"]), std=np.array(std["std"])))
+                         standardizer=Standardizer(mean=np.array(std["mean"]),
+                                                   std=np.array(std["std"])),
+                         training={})
 
 
 def loss(weights, bias, X, y, l2):
@@ -43,13 +44,13 @@ def loss_and_gradient(weights, bias, X, y, l2):
     return loss(weights, bias, X, y, l2), grad_w, float(resid.mean())
 
 
-def oracle_train(X, y, l2=1e-4, lr=0.1, max_iter=2000, tol=1e-6, standardize=True,
-                 numeric_columns=None):
-    """Returns (weights, bias)."""
+def oracle_train(X, y, rules, l2=1e-4, lr=0.1, max_iter=2000, tol=1e-6):
+    """Returns (weights, bias), fitted on X with its "numeric" columns of
+    `rules` standardized."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    std = Standardizer.fit(X, numeric_columns) if standardize else None
-    Xs = std.transform(X) if std is not None else X
+    numeric = np.array([rule == "numeric" for rule in rules.values()])
+    Xs = Standardizer.fit(X, numeric, list(rules)).transform(X)
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(max_iter):
