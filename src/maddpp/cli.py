@@ -1,8 +1,8 @@
 """Command-line surface: simulate, madd, fip, sweep and the full pipeline.
 
-Every command writes its outputs plus a run manifest; all failures exit
-nonzero with a one-line `ErrorName: message` diagnostic on stderr and the
-error class's own `exit_code`.
+Every command writes its outputs plus a run manifest, each where `_output`
+places it; all failures exit nonzero with a one-line `ErrorName: message`
+diagnostic on stderr and the error class's own `exit_code`.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .densities import (
     check_size,
     madd,
 )
-from .io import read_records, write_columns, write_records
+from .io import read_records, write_columns, write_json, write_records
 from .model import encode, load_dataset, split, train
 from .objective import (
     DEFAULT_GRID_SIZE,
@@ -44,35 +43,33 @@ from .objective import (
 from .simulate import SimulationSpec, sample
 from .transport import check_lambda, fip
 
-OUT_DIR_ENV = "MADDPP_OUT_DIR"
+
+def _output(args, name: str) -> Path:
+    """Where the output `name` goes: `--out` if given (for sweep a prefix to
+    `name`'s suffixes), else `name` inside `--out-dir`, created only here."""
+    if getattr(args, "out", None):
+        return Path(args.out + name[name.index("."):] if args.command == "sweep" else args.out)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    return args.out_dir / name
 
 
-def _out_dir(args) -> Path:
-    base = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _write_manifest(path: Path, command: str, config: dict, inputs: list,
-                    outputs: list, group: np.ndarray, **extra) -> None:
+def _write_manifest(args, config: dict, inputs: list, outputs: list,
+                    group: np.ndarray, **extra) -> None:
+    """The run manifest, beside the first output (for pipeline, `pipeline.manifest.json`)."""
+    path = (_output(args, f"{args.command}.manifest.json")
+            if args.command in ("sweep", "pipeline")
+            else outputs[0].with_suffix(".manifest.json"))
     n0 = int((group == G0).sum())
-    manifest = {
-        "command": command,
+    write_json(path, {
+        "command": args.command,
         "config": config,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "group_counts": {"g0": n0, "g1": group.size - n0},
         **extra,
-        "timestamp": _timestamp(),
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
-    }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    })
 
 
 def _check_seed(seed: int) -> None:
@@ -88,10 +85,9 @@ def cmd_simulate(args) -> int:
         raise errors.EmptyPopulation("both group sizes must be positive")
     check_size(max(spec.n_g0, spec.n_g1), "records")
     scores = sample(spec)
-    out_dir = _out_dir(args)
-    out = Path(args.out) if args.out else out_dir / "records.csv"
+    out = _output(args, "records.csv")
     write_records(scores, out)
-    _write_manifest(out.with_suffix(".manifest.json"), "simulate",
+    _write_manifest(args,
                     {"n_g0": spec.n_g0, "n_g1": spec.n_g1, "seed": spec.seed,
                      "c0": spec.c0, "c1": spec.c1},
                     inputs=[], outputs=[out], group=scores.group)
@@ -112,11 +108,9 @@ def cmd_madd(args) -> int:
         "bins_g1": bins[G1].tolist(),
         "bins_pooled": bins[POOLED].tolist(),
     }
-    out_dir = _out_dir(args)
-    out = Path(args.out) if args.out else out_dir / "madd.json"
-    with open(out, "w") as fh:
-        json.dump(result, fh, indent=2)
-    _write_manifest(out.with_suffix(".manifest.json"), "madd", {"m": args.m},
+    out = _output(args, "madd.json")
+    write_json(out, result)
+    _write_manifest(args, {"m": args.m},
                     inputs=[args.records], outputs=[out],
                     group=scores.group)
     print(json.dumps({"madd": value, "fairness_loss": 0.5 * value}))
@@ -128,10 +122,9 @@ def cmd_fip(args) -> int:
     check_bin_count(args.m)
     scores = read_records(args.records)
     new_probas = fip(scores, args.lam, args.m)
-    out_dir = _out_dir(args)
-    out = Path(args.out) if args.out else out_dir / "fip.csv"
+    out = _output(args, "fip.csv")
     write_columns(out, ["proba", "new_proba", "group"], scores.proba, new_probas, scores.group)
-    _write_manifest(out.with_suffix(".manifest.json"), "fip",
+    _write_manifest(args,
                     {"lambda": args.lam, "m": args.m},
                     inputs=[args.records], outputs=[out],
                     group=scores.group)
@@ -148,13 +141,11 @@ def cmd_sweep(args) -> int:
     config = _sweep_config(args)
     scores = read_records(args.records, require_labels=True)
     result = sweep(scores, config)
-    out_dir = _out_dir(args)
-    prefix = args.out or str(out_dir / "sweep")
-    csv_path = Path(f"{prefix}.csv")
-    json_path = Path(f"{prefix}.json")
+    csv_path = _output(args, "sweep.csv")
+    json_path = _output(args, "sweep.json")
     result.write_csv(csv_path)
     result.write_json(json_path)
-    _write_manifest(Path(f"{prefix}.manifest.json"), "sweep",
+    _write_manifest(args,
                     {"theta": args.theta, "t": args.t, "m": args.m, "grid": args.grid},
                     inputs=[args.records], outputs=[csv_path, json_path],
                     group=scores.group)
@@ -173,6 +164,11 @@ def cmd_pipeline(args) -> int:
     dropped_rows = dataset.dropped_rows
     del dataset  # its codes, one per cell, are not needed past encoding
     idx_train, idx_val, idx_test = split(len(y), seed=args.seed)
+    for name, idx in (("validation", idx_val), ("test", idx_test)):
+        counts = np.bincount(groups[idx], minlength=2)
+        if not counts.all():
+            raise errors.EmptyGroup(f"{args.dataset}: the {name} split ({idx.size} of {len(y)} "
+                                    f"rows) has no record of group {int(np.argmin(counts))}")
     model = train(X[idx_train], y[idx_train], rules)
 
     def scores(idx):
@@ -189,11 +185,10 @@ def cmd_pipeline(args) -> int:
             "fairness_loss": fairness_loss(Scores(probas, test.group, test.label), config.m),
         }
 
-    out_dir = _out_dir(args)
-    model_path = out_dir / "model.json"
-    sweep_csv = out_dir / "validation_sweep.csv"
-    sweep_json = out_dir / "validation_sweep.json"
-    metrics_path = out_dir / "test_metrics.json"
+    model_path = _output(args, "model.json")
+    sweep_csv = _output(args, "validation_sweep.csv")
+    sweep_json = _output(args, "validation_sweep.json")
+    metrics_path = _output(args, "test_metrics.json")
     model.save(model_path)
     result.write_csv(sweep_csv)
     result.write_json(sweep_json)
@@ -202,9 +197,8 @@ def cmd_pipeline(args) -> int:
         "before": metrics(test.proba),
         "after": metrics(test_after),
     }
-    with open(metrics_path, "w") as fh:
-        json.dump(test_metrics, fh, indent=2)
-    _write_manifest(out_dir / "pipeline.manifest.json", "pipeline",
+    write_json(metrics_path, test_metrics)
+    _write_manifest(args,
                     {"sensitive": args.sensitive, "theta": args.theta, "t": args.t,
                      "m": args.m, "grid": args.grid, "seed": args.seed,
                      "encodings": rules, "dropped_rows": dropped_rows},
@@ -219,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maddpp",
         description="MADD fairness metric and probability post-processing")
-    parser.add_argument("--out-dir", default=None,
-                        help=f"output directory (default: ${OUT_DIR_ENV} or .)")
+    parser.add_argument("--out-dir", type=Path, default=Path("."),
+                        help="output directory, created when an output goes into it (default: .)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic records CSV")

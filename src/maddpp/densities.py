@@ -72,11 +72,15 @@ def check_bin_count(m: int) -> None:
     check_size(m, "bins")
 
 
+def bin_edges(m: int) -> np.ndarray:
+    """The m + 1 bin edges k/m: the histograms' and the fitted remap's knots."""
+    return np.arange(m + 1) / m
+
+
 def bin_index(probas, m: int) -> np.ndarray:
     """Assign each probability to its bin: [(k-1)/m, k/m) with the last bin
     right-closed so 1.0 lands in bin m.  Returns 0-based indices."""
-    edges = np.arange(m + 1) / m
-    idx = np.searchsorted(edges, probas, side="right") - 1
+    idx = np.searchsorted(bin_edges(m), probas, side="right") - 1
     return np.minimum(idx, m - 1)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import json
 import os
 import stat
 
@@ -69,6 +70,12 @@ def write_columns(path, header: list[str], *columns: np.ndarray) -> None:
             text = np.concatenate([x for c in cells for x in (c, comma)][:-1] + [crlf],
                                   axis=1).ravel()
             fh.write(text[text != 0])
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` as JSON indented by 2: every JSON file the CLI writes."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
 
 
 def write_records(scores: Scores, path) -> None:

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyPopulation, EncodingError, TrainingDiverged
-from .io import blocks, grow, read_csv, resize, windows
+from .io import blocks, grow, read_csv, resize, windows, write_json
 
 # Known ordinal level orders for the course-data bands; anything else falls
 # back to numeric parsing or sorted-unique ranks (recorded in the manifest).
@@ -363,8 +362,8 @@ class LogisticModel:
         p = _sigmoid(self.standardizer.transform(X) @ self.weights + self.bias)
         return np.clip(p, 1e-12, 1.0 - 1e-12)
 
-    def to_json_dict(self) -> dict:
-        return {
+    def save(self, path):
+        write_json(path, {
             "feature_names": self.feature_names,
             "weights": self.weights.tolist(),
             "bias": self.bias,
@@ -372,11 +371,7 @@ class LogisticModel:
                 "mean": self.standardizer.mean.tolist(),
                 "std": self.standardizer.std.tolist(),
             },
-        }
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
+        })
 
 
 def gradient(weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray,

@@ -7,7 +7,6 @@ the largest lambda, i.e. toward more fairness).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
     LengthMismatch,
     MissingLabels,
 )
-from .io import write_columns
+from .io import write_columns, write_json
 from .transport import FipMap
 
 DEFAULT_THETA = 0.5
@@ -103,8 +102,7 @@ class SweepResult:
     def write_json(self, path):
         """The decision, lambda_star and min_total_loss with the config; every
         row is in `write_csv`'s file."""
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
+        write_json(path, self.to_json_dict())
 
 
 def apply_threshold(probas, t: float) -> np.ndarray:
@@ -163,8 +161,8 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     n0 = np.count_nonzero(scores.group == G0)
     groups = [(g, u[idx], np.concatenate(([0], np.cumsum(scores.label[idx]))))
               for g, idx in ((G0, order[:n0]), (G1, order[n0:]))]
-    # interior bin edges exactly as `bin_index` computes them, then the threshold
-    cuts = np.append(np.arange(1, config.m) / config.m, config.threshold)
+    # the interior bin edges, then the threshold
+    cuts = np.append(fm.x[1:-1], config.threshold)
 
     grid = config.lambda_grid
     acc = np.empty(grid.size)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import G0, G1, POOLED, Scores, build_density_vector
+from .densities import G0, G1, POOLED, Scores, bin_edges, build_density_vector
 from .errors import InvalidLambda
 
 
@@ -33,7 +33,7 @@ class FipMap:
         bins = build_density_vector(scores, m)
         y = np.concatenate((np.zeros((3, 1)), np.cumsum(bins, axis=1)), axis=1)
         y[:, -1] = 1.0  # exact, each cumsum is 1 up to rounding
-        return cls(x=np.arange(m + 1) / m, y=y)
+        return cls(x=bin_edges(m), y=y)
 
     def quantiles(self, scores: Scores) -> np.ndarray:
         """Each record's quantile under its own group's CDF, clipped to [0, 1], in input order."""

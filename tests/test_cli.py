@@ -2,6 +2,8 @@ import csv
 import importlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -33,15 +35,6 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "records.manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["group_counts"] == {"g0": 50, "g1": 40}
-
-    def test_rerun_is_byte_identical(self, tmp_path):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        run(tmp_path, "simulate", "--n-g0", "5", "--n-g1", "5", "--seed", "1",
-            "--out", str(out1))
-        run(tmp_path, "simulate", "--n-g0", "5", "--n-g1", "5", "--seed", "1",
-            "--out", str(out2))
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_empty_group_exits_nonzero(self, tmp_path, capsys):
         code = run(tmp_path, "simulate", "--n-g0", "0")
@@ -281,6 +274,57 @@ class TestPipelineCommand:
         assert "EncodingError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-g0", "5", "--n-g1", "5", "--seed", "1"],
+    ["madd", "{records}", "--m", "10"],
+    ["fip", "{records}", "--lambda", "0.5", "--m", "10"],
+    ["sweep", "{records}", "--m", "10", "--grid", "11"],
+    ["pipeline", "{course}", "--sensitive", "gender", "--m", "20", "--grid", "11"],
+], ids=lambda argv: argv[0])
+def test_rerun_is_byte_identical(tmp_path, monkeypatch, argv):
+    # each run in its own working directory, so the manifests name the same
+    # relative outputs; only their timestamp lines may differ
+    assert run(tmp_path, "simulate", "--n-g0", "60", "--n-g1", "40", "--seed", "3") == 0
+    write_flat_dataset(tmp_path / "course.csv", n=400)
+    argv = [arg.format(records=tmp_path / "records.csv", course=tmp_path / "course.csv")
+            for arg in argv]
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(argv) == 0
+        files = {}
+        for path in Path().iterdir():
+            data = path.read_bytes()
+            if path.suffix == ".json":  # the one format of io.write_json
+                assert data.decode() == json.dumps(json.loads(data), indent=2), path
+            files[path.name] = re.sub(rb'\n  "timestamp": "[^"]*",', b"", data)
+        runs.append(files)
+    assert runs[0] == runs[1]
+    assert any(name.endswith(".manifest.json") for name in runs[0]), runs[0]
+
+
+def test_out_dir_is_created_only_when_used(tmp_path, monkeypatch):
+    records = tmp_path / "r.csv"
+    records.write_text(TestMalformedInput.RECORDS)
+    # --out names the output, so --out-dir is neither created nor checked
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    ok = tmp_path / "ok.json"
+    assert main(["--out-dir", str(afile), "madd", str(records), "--out", str(ok)]) == 0
+    assert ok.is_file() and (tmp_path / "ok.manifest.json").is_file()
+    assert main(["--out-dir", str(tmp_path / "new" / "deep"), "fip", str(records),
+                 "--lambda", "0.5", "--out", str(tmp_path / "x.csv")]) == 0
+    assert (tmp_path / "x.csv").is_file() and not (tmp_path / "new").exists()
+    # the output directory comes from --out-dir alone, not from the environment
+    monkeypatch.setenv("MADDPP_OUT_DIR", str(tmp_path / "envdir"))
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    assert main(["simulate", "--n-g0", "5", "--n-g1", "5"]) == 0
+    assert (tmp_path / "work" / "records.csv").is_file()
+    assert not (tmp_path / "envdir").exists()
+
+
 class TestMalformedInput:
     LABELLED = "proba,group,label\n"
     COURSE = "gender,score,label\n"
@@ -355,6 +399,12 @@ class TestMalformedInput:
         # the header is checked before any row: a bad --sensitive before a bad label
         (["pipeline", "{input}", "--sensitive", "nosuch"], COURSE + "F,1.5,2\n", 21,
          "EncodingError", "sensitive column 'nosuch' not in features"),
+        # the file holds both groups, but a split of it does not
+        (["pipeline", "{input}", "--sensitive", "gender"], COURSE + "F,1.5,0\nM,2.5,1\n", 16,
+         "EmptyGroup", "the validation split (0 of 2 rows) has no record of group 0"),
+        (["pipeline", "{input}", "--sensitive", "gender", "--seed", "0"],
+         COURSE + "F,1.5,0\nM,2.5,1\n" * 10, 16, "EmptyGroup",
+         "the test split (3 of 20 rows) has no record of group 0"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"
@@ -480,11 +530,15 @@ STALE_SPAN_TARGETS = {"maddpp.objective.generalized_inverse", "maddpp.model.loss
                       "maddpp.cli.pool_density_vectors", "maddpp.transport.pool_density_vectors"}
 
 
+def import_perfbench(monkeypatch, name):
+    """A module of perfbench/, imported from its directory as it is."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module(name)
+
+
 @pytest.fixture
 def perfbench_run(monkeypatch):
-    """perfbench/run.py, imported from its directory as it is."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    return importlib.import_module("run")
+    return import_perfbench(monkeypatch, "run")
 
 
 def test_perfbench_span_targets_resolve(perfbench_run):
@@ -508,3 +562,17 @@ def test_one_histogram_per_batch(tmp_path, perfbench_run):
         calls = Counter(span[0] for span in tracer.spans)
         assert calls["densities.build_density_vector"] == 1, (argv[0], calls)
         assert calls["densities.madd"] >= madd_calls, (argv[0], calls)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # every `maddpp` line of the README's CLI block, in order, in one
+    # working directory; pipeline's course.csv is a small generated one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("maddpp ")]
+    assert [argv[3] for argv in lines] == ["simulate", "madd", "fip", "sweep", "pipeline"]
+    monkeypatch.chdir(tmp_path)
+    import_perfbench(monkeypatch, "coursegen").generate(tmp_path / "course.csv", seed=0,
+                                                        rows=2000)
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv

@@ -485,9 +485,8 @@ class TestTrain:
         assert list(rules.values()) == ["categorical['F', 'M']", "ordinal", "numeric"]
         model = train(X, y, rules)
         assert model.feature_names == ["gender", "age", "score"]
-        std = model.to_json_dict()["standardizer"]
-        assert std["mean"] == [0.0, 0.0, X[:, 2].mean()]
-        assert std["std"] == [1.0, 1.0, X[:, 2].std()]
+        assert model.standardizer.mean.tolist() == [0.0, 0.0, X[:, 2].mean()]
+        assert model.standardizer.std.tolist() == [1.0, 1.0, X[:, 2].std()]
 
     def test_loss_non_increasing(self):
         rng = np.random.default_rng(2)
