@@ -1,8 +1,8 @@
 """Command-line surface: simulate, madd, fip, sweep and the full pipeline.
 
-Every command writes its outputs plus a run manifest, each where `_output`
-places it; all failures exit nonzero with a one-line `ErrorName: message`
-diagnostic on stderr and the error class's own `exit_code`.
+Every command writes its outputs and `<command>.manifest.json` into
+`--out-dir` under fixed names; all failures exit nonzero with a one-line
+`ErrorName: message` diagnostic on stderr and the error class's own `exit_code`.
 """
 
 from __future__ import annotations
@@ -45,20 +45,15 @@ from .transport import check_lambda, fip
 
 
 def _output(args, name: str) -> Path:
-    """Where the output `name` goes: `--out` if given (for sweep a prefix to
-    `name`'s suffixes), else `name` inside `--out-dir`, created only here."""
-    if getattr(args, "out", None):
-        return Path(args.out + name[name.index("."):] if args.command == "sweep" else args.out)
+    """Where the output `name` goes: inside `--out-dir`, created only here."""
     args.out_dir.mkdir(parents=True, exist_ok=True)
     return args.out_dir / name
 
 
 def _write_manifest(args, config: dict, inputs: list, outputs: list,
                     group: np.ndarray, **extra) -> None:
-    """The run manifest, beside the first output (for pipeline, `pipeline.manifest.json`)."""
-    path = (_output(args, f"{args.command}.manifest.json")
-            if args.command in ("sweep", "pipeline")
-            else outputs[0].with_suffix(".manifest.json"))
+    """The run manifest, `<command>.manifest.json`."""
+    path = _output(args, f"{args.command}.manifest.json")
     n0 = int((group == G0).sum())
     write_json(path, {
         "command": args.command,
@@ -214,27 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="maddpp",
         description="MADD fairness metric and probability post-processing")
     parser.add_argument("--out-dir", type=Path, default=Path("."),
-                        help="output directory, created when an output goes into it (default: .)")
+                        help="directory of every output, created by the first one (default: .)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic records CSV")
     p.add_argument("--n-g0", type=int, default=10_000)
     p.add_argument("--n-g1", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("madd", help="compute the MADD of a records CSV")
     p.add_argument("records")
     p.add_argument("--m", type=int, default=DEFAULT_BINS)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_madd)
 
     p = sub.add_parser("fip", help="remap probabilities for one lambda")
     p.add_argument("records")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--m", type=int, default=DEFAULT_BINS)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fip)
 
     p = sub.add_parser("sweep", help="sweep the lambda grid and select lambda*")
@@ -243,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--m", type=int, default=DEFAULT_BINS)
     p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
-    p.add_argument("--out", default=None, help="output path prefix")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pipeline", help="train, sweep on validation, evaluate on test")

@@ -32,7 +32,7 @@ class TestSimulateCommand:
         records = read_records(tmp_path / "records.csv")
         assert len(records) == 90
         assert (records.group == 0).sum() == 50
-        manifest = json.loads((tmp_path / "records.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "simulate.manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["group_counts"] == {"g0": 50, "g1": 40}
 
@@ -274,6 +274,17 @@ class TestPipelineCommand:
         assert "EncodingError" in capsys.readouterr().err
 
 
+# the outputs of each command, in the order its manifest lists them
+OUTPUTS = {
+    "simulate": ["records.csv"],
+    "madd": ["madd.json"],
+    "fip": ["fip.csv"],
+    "sweep": ["sweep.csv", "sweep.json"],
+    "pipeline": ["model.json", "validation_sweep.csv", "validation_sweep.json",
+                 "test_metrics.json"],
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n-g0", "5", "--n-g1", "5", "--seed", "1"],
     ["madd", "{records}", "--m", "10"],
@@ -301,21 +312,25 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, argv):
             files[path.name] = re.sub(rb'\n  "timestamp": "[^"]*",', b"", data)
         runs.append(files)
     assert runs[0] == runs[1]
-    assert any(name.endswith(".manifest.json") for name in runs[0]), runs[0]
+    # exactly these files, and the manifest names the others
+    manifest = f"{argv[0]}.manifest.json"
+    assert set(runs[0]) == {*OUTPUTS[argv[0]], manifest}, runs[0]
+    assert json.loads(runs[0][manifest])["outputs"] == OUTPUTS[argv[0]]
 
 
 def test_out_dir_is_created_only_when_used(tmp_path, monkeypatch):
     records = tmp_path / "r.csv"
     records.write_text(TestMalformedInput.RECORDS)
-    # --out names the output, so --out-dir is neither created nor checked
-    afile = tmp_path / "afile"
-    afile.write_text("")
-    ok = tmp_path / "ok.json"
-    assert main(["--out-dir", str(afile), "madd", str(records), "--out", str(ok)]) == 0
-    assert ok.is_file() and (tmp_path / "ok.manifest.json").is_file()
+    # a run stopped by a bad option creates no --out-dir
     assert main(["--out-dir", str(tmp_path / "new" / "deep"), "fip", str(records),
-                 "--lambda", "0.5", "--out", str(tmp_path / "x.csv")]) == 0
-    assert (tmp_path / "x.csv").is_file() and not (tmp_path / "new").exists()
+                 "--lambda", "2"]) == 17
+    assert not (tmp_path / "new").exists()
+    # there is no per-command --out: argparse rejects it before anything is written
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path / "new"), "madd", str(records),
+              "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert sorted(tmp_path.iterdir()) == [records]
     # the output directory comes from --out-dir alone, not from the environment
     monkeypatch.setenv("MADDPP_OUT_DIR", str(tmp_path / "envdir"))
     (tmp_path / "work").mkdir()
@@ -355,13 +370,13 @@ class TestMalformedInput:
          21, "EncodingError", "column 'score', row 3: 'inf' is not a finite number"),
         (["pipeline", "{input}", "--sensitive", "gender"], COURSE + "F,nan,0\nM,2.5,1\n",
          21, "EncodingError", "column 'score', row 1: 'nan' is not a finite number"),
-        (["madd", "{input}", "--out", "{tmp}/missing/x.json"], RECORDS, 26,
-         "UnwritableOutput", "cannot write {tmp}/missing/x.json: No such file or directory"),
-        (["fip", "{input}", "--lambda", "0.5", "--out", "{tmp}/missing/fip.csv"], RECORDS,
-         26, "UnwritableOutput", "cannot write {tmp}/missing/fip.csv: No such file or directory"),
-        (["sweep", "{input}", "--out", "{tmp}/missing/sweep"], RECORDS, 26,
-         "UnwritableOutput", "cannot write {tmp}/missing/sweep.csv: No such file or directory"),
         # a second --out-dir overrides the one every row gets
+        (["--out-dir", "{input}/out", "fip", "{input}", "--lambda", "0.5"], RECORDS, 26,
+         "UnwritableOutput", "cannot write {input}/out: Not a directory"),
+        (["--out-dir", "{input}/out", "sweep", "{input}"], RECORDS, 26,
+         "UnwritableOutput", "cannot write {input}/out: Not a directory"),
+        (["--out-dir", "{input}", "simulate"], RECORDS, 26,
+         "UnwritableOutput", "cannot write {input}: File exists"),
         (["--out-dir", "{input}/out", "madd", "{input}"], RECORDS, 26,
          "UnwritableOutput", "cannot write {input}/out: Not a directory"),
         # options are checked before the input is read, so a missing file is not reached
@@ -389,7 +404,7 @@ class TestMalformedInput:
         (["madd", "{input}"], LABELLED + "\n0.2,0,1\n1.5,1,0\n", 11, "InvalidProbability",
          "row 3 has 1.5"),
         # numpy's generators take no negative seed; checked before any input is read
-        (["simulate", "--seed", "-1", "--out", "{input}"], None, 27, "InvalidSeed",
+        (["simulate", "--seed", "-1"], None, 27, "InvalidSeed",
          "seed must be >= 0, got -1"),
         (["pipeline", "{input}", "--sensitive", "gender", "--seed", "-1"], None, 27,
          "InvalidSeed", "seed must be >= 0, got -1"),
@@ -421,9 +436,10 @@ class TestMalformedInput:
         # output, an option error the option's value
         if code not in (12, 17, 21, 26, 27):
             assert str(path) in err, err
+        # and a failed run writes no output and no manifest
         assert not (tmp_path / "model.json").exists()
-        # and a run stopped by an option writes nothing, not even simulate's --out
-        assert content is not None or not path.exists()
+        assert not (tmp_path / "records.csv").exists()
+        assert not list(tmp_path.glob("*.manifest.json"))
 
 
 @pytest.mark.parametrize("argv, callee", [
@@ -576,3 +592,11 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
                                                         rows=2000)
     for argv in lines:
         assert main(argv[1:]) == 0, argv
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the README's python block, as written, in an empty working directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
