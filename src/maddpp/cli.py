@@ -204,8 +204,15 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses with InvalidOption, not a usage message and exit 2; subparsers are _Parsers."""
+
+    def error(self, message):
+        raise errors.InvalidOption(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maddpp",
         description="MADD fairness metric and probability post-processing")
     parser.add_argument("--out-dir", type=Path, default=Path("."),
@@ -252,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:
         # inputs are opened by io.open_input, which raises UnreadableInput

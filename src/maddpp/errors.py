@@ -67,3 +67,7 @@ class InvalidSeed(MaddError):
 
 class OutOfMemory(MaddError):
     exit_code = 28
+
+
+class InvalidOption(MaddError):
+    exit_code = 29

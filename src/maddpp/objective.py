@@ -13,8 +13,6 @@ import numpy as np
 
 from .densities import (
     DEFAULT_BINS,
-    G0,
-    G1,
     Scores,
     build_density_vector,
     check_bin_count,
@@ -140,7 +138,9 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     once; a grid point then only finds, per group, where that suffix starts
     for each of the m - 1 interior bin edges and the threshold.  Bin counts
     are differences of those starts and wrong predictions come from label
-    counts before the threshold's start.
+    counts before the threshold's start.  Ties may sort in any order: each
+    start is found from the quantiles' values alone, so it never splits a
+    run of equal quantiles, and the label count before it is the same.
 
     The grid is processed in blocks of lambdas, B at a time with
     B * (m + 1) <= BLOCK_ELEMENTS: a block's mixtures are one (B, m + 1)
@@ -154,13 +154,12 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     if scores.label is None:
         raise MissingLabels("every record needs a label to sweep")
     fm = FipMap.from_probas(scores, config.m)
-    u = fm.quantiles(scores)
     # per group: its quantiles, sorted, and the number of positive labels
     # before each sorted position
-    order = np.lexsort((u, scores.group))  # group 0 first, each by quantile, stably
-    n0 = np.count_nonzero(scores.group == G0)
-    groups = [(g, u[idx], np.concatenate(([0], np.cumsum(scores.label[idx]))))
-              for g, idx in ((G0, order[:n0]), (G1, order[n0:]))]
+    groups = []
+    for g, members, u in fm.groups(scores):
+        order = np.argsort(u)
+        groups.append((g, u[order], np.concatenate(([0], np.cumsum(scores.label[members[order]])))))
     # the interior bin edges, then the threshold
     cuts = np.append(fm.x[1:-1], config.threshold)
 

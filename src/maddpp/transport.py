@@ -35,9 +35,13 @@ class FipMap:
         y[:, -1] = 1.0  # exact, each cumsum is 1 up to rounding
         return cls(x=bin_edges(m), y=y)
 
-    def quantiles(self, scores: Scores) -> np.ndarray:
-        """Each record's quantile under its own group's CDF, clipped to [0, 1], in input order."""
-        return self._per_group(scores, lambda g, u: u)
+    def groups(self, scores: Scores):
+        """For each group g of a batch: g, the indices of its records and their
+        quantiles under cdf_g, clipped to [0, 1]; a group may have no record."""
+        for g in (G0, G1):
+            members = np.flatnonzero(scores.group == g)
+            u = np.clip(np.interp(scores.proba[members], self.x, self.y[g]), 0.0, 1.0)
+            yield g, members, u
 
     def mix_knots(self, group: int, lam):
         """Knot values of (1 - lam) * cdf_group + lam * cdf_pooled; a column of
@@ -47,17 +51,9 @@ class FipMap:
     def remap(self, scores: Scores, lam: float) -> np.ndarray:
         """The new probabilities of a batch at `lam`, in input order."""
         check_lambda(lam)
-        return self._per_group(
-            scores, lambda g, u: generalized_inverse(self.x, self.mix_knots(g, lam), u))
-
-    def _per_group(self, scores: Scores, f) -> np.ndarray:
-        """f(g, u) for each group g and its records' quantiles u, put back in
-        input order; a group may have no record."""
         out = np.empty_like(scores.proba)
-        for g in (G0, G1):
-            mask = scores.group == g
-            u = np.clip(np.interp(scores.proba[mask], self.x, self.y[g]), 0.0, 1.0)
-            out[mask] = f(g, u)
+        for g, members, u in self.groups(scores):
+            out[members] = generalized_inverse(self.x, self.mix_knots(g, lam), u)
         return out
 
 

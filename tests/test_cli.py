@@ -1,17 +1,23 @@
+import contextlib
 import csv
+import functools
 import importlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maddpp
 from maddpp.cli import main
@@ -318,18 +324,19 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, argv):
     assert json.loads(runs[0][manifest])["outputs"] == OUTPUTS[argv[0]]
 
 
-def test_out_dir_is_created_only_when_used(tmp_path, monkeypatch):
+def test_out_dir_is_created_only_when_used(tmp_path, monkeypatch, capsys):
     records = tmp_path / "r.csv"
     records.write_text(TestMalformedInput.RECORDS)
     # a run stopped by a bad option creates no --out-dir
     assert main(["--out-dir", str(tmp_path / "new" / "deep"), "fip", str(records),
                  "--lambda", "2"]) == 17
     assert not (tmp_path / "new").exists()
-    # there is no per-command --out: argparse rejects it before anything is written
-    with pytest.raises(SystemExit) as exc:
-        main(["--out-dir", str(tmp_path / "new"), "madd", str(records),
-              "--out", str(tmp_path / "x.json")])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    # there is no per-command --out: it is refused before anything is written
+    assert main(["--out-dir", str(tmp_path / "new"), "madd", str(records),
+                 "--out", str(tmp_path / "x.json")]) == 29
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidOption: ") and err.count("\n") == 1, err
     assert sorted(tmp_path.iterdir()) == [records]
     # the output directory comes from --out-dir alone, not from the environment
     monkeypatch.setenv("MADDPP_OUT_DIR", str(tmp_path / "envdir"))
@@ -420,6 +427,12 @@ class TestMalformedInput:
         (["pipeline", "{input}", "--sensitive", "gender", "--seed", "0"],
          COURSE + "F,1.5,0\nM,2.5,1\n" * 10, 16, "EmptyGroup",
          "the test split (3 of 20 rows) has no record of group 0"),
+        # what argparse refuses is a typed error too, before any input is read
+        (["madd", "{input}", "--m", "abc"], None, 29, "InvalidOption",
+         "maddpp madd: argument --m: invalid int value: 'abc'"),
+        (["madd", "{input}", "--nosuch"], None, 29, "InvalidOption",
+         "maddpp: unrecognized arguments: --nosuch"),
+        ([], None, 29, "InvalidOption", "maddpp: the following arguments are required: command"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"
@@ -434,7 +447,7 @@ class TestMalformedInput:
         assert detail.format(tmp=tmp_path, input=path) in err
         # an encoding error names the column and row instead, an output error its
         # output, an option error the option's value
-        if code not in (12, 17, 21, 26, 27):
+        if code not in (12, 17, 21, 26, 27, 29):
             assert str(path) in err, err
         # and a failed run writes no output and no manifest
         assert not (tmp_path / "model.json").exists()
@@ -600,3 +613,90 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
     monkeypatch.chdir(tmp_path)
     exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+
+
+# what `main` may return: success, or the exit code of a documented error class
+DOCUMENTED_EXITS = {0} | {cls.exit_code for cls in MaddError.__subclasses__()
+                          if cls.__name__ not in LIBRARY_ONLY}
+ERROR_NAMES = {cls.exit_code: cls.__name__ for cls in MaddError.__subclasses__()}
+# each command's options, mostly in range; sizes stay at most 1,000, or else
+# reach SIZE_LIMIT, which is refused before anything is allocated
+SIZE = st.one_of(st.integers(2, 1000), st.integers(2, 1000), st.integers(-3, 1),
+                 st.integers(SIZE_LIMIT, 2**64)).map(str)
+FRACTION = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.5, 1.5),
+                     st.sampled_from(["nan", "inf", "-0"])).map(str)
+COLUMN = st.sampled_from(["gender", "score", "sum_click", "label", "proba", "nosuch"])
+OPTIONS = {
+    "simulate": {"--n-g0": SIZE, "--n-g1": SIZE, "--seed": st.integers(-3, 2**40).map(str)},
+    "madd": {"--m": SIZE},
+    "fip": {"--lambda": FRACTION, "--m": SIZE},
+    "sweep": {"--theta": FRACTION, "--t": FRACTION, "--m": SIZE, "--grid": SIZE},
+    "pipeline": {"--sensitive": COLUMN, "--label-column": COLUMN, "--theta": FRACTION,
+                 "--t": FRACTION, "--m": SIZE, "--grid": SIZE,
+                 "--seed": st.integers(-3, 2**40).map(str)},
+}
+JUNK = st.text("abc019.,-e ", max_size=4)
+RARELY = st.sampled_from([False] * 4 + [True])
+
+
+@functools.cache
+def valid_inputs() -> dict:
+    """The bytes of a small labelled records CSV and of a small course CSV."""
+    with tempfile.TemporaryDirectory() as tmp:
+        records, course = Path(tmp) / "records.csv", Path(tmp) / "course.csv"
+        rng = np.random.default_rng(0)
+        proba = rng.random(100)
+        write_records(Scores(proba, np.arange(100) % 2, (rng.random(100) < proba).astype(int)),
+                      records)
+        write_flat_dataset(course, n=300)
+        return {"records": records.read_bytes(), "course": course.read_bytes()}
+
+
+@st.composite
+def cli_runs(draw):
+    """An input file's bytes (valid, truncated or corrupt) and an argv whose
+    "{input}" and "{dir}" name that file and the directory it is in."""
+    command = draw(st.sampled_from(list(OPTIONS))) if not draw(RARELY) else None
+    data = valid_inputs()[("course" if command == "pipeline" else "records")
+                          if not draw(RARELY) else draw(st.sampled_from(["records", "course"]))]
+    at = draw(st.integers(0, len(data)))
+    damage = draw(st.sampled_from(["valid", "valid", "truncated", "corrupt"]))
+    if damage == "truncated":
+        data = data[:at]
+    elif damage == "corrupt":
+        data = data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at + 8:]
+    out = "{dir}/out" if not draw(RARELY) else draw(st.sampled_from(["{input}", "{input}/out"]))
+    argv = ["--out-dir", out]
+    if command is not None:
+        argv.append(command)
+        if command != "simulate" and not draw(RARELY):
+            argv.append("{input}" if not draw(RARELY) else draw(st.sampled_from(["{dir}",
+                                                                                 "{dir}/missing"])))
+        options = [option for option in OPTIONS[command] if draw(st.booleans())
+                   or option in ("--lambda", "--sensitive") and not draw(RARELY)]
+        junk = draw(st.sampled_from(options)) if options and draw(RARELY) else None
+        for option in options:
+            argv += [option, draw(JUNK if option == junk else OPTIONS[command][option])]
+    if draw(RARELY):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.one_of(JUNK, st.just("--nosuch"))))
+    return data, argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(cli_runs())
+def test_main_never_leaks_a_traceback(run_case):
+    # any argv of the five commands on a valid, truncated or corrupt input
+    # ends in success or a documented error, with at most one stderr line
+    data, argv = run_case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(data)
+        argv = [arg.format(input=path, dir=tmp) for arg in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in DOCUMENTED_EXITS, (code, err)
+    assert "Traceback" not in err and err.count("\n") == (code != 0), err
+    if code:
+        assert err.startswith(f"{ERROR_NAMES[code]}: "), err

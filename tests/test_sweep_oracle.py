@@ -113,6 +113,32 @@ def test_group_of_size_one(proba):
                      ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(21)))
 
 
+TIED_PROBAS = np.array([0.05, 0.2, 0.35, 0.5, 0.65, 0.9])
+
+
+def heavy_ties(n=50_000):
+    """n records of both groups on the six TIED_PROBAS, labels drawn at each."""
+    rng = np.random.default_rng(0)
+    proba = TIED_PROBAS[rng.integers(0, TIED_PROBAS.size, n)]
+    return Scores(proba, rng.integers(0, 2, n), (rng.random(n) < proba).astype(int))
+
+
+@pytest.mark.parametrize("m", [4, 100])
+@pytest.mark.parametrize("t", [0.35, 0.6], ids=["on-a-tie", "off-the-ties"])
+def test_heavy_ties_in_any_order(m, t):
+    # groups of ~25k records on six values: numpy's default argsort reorders
+    # ties at that size, and a permutation of the records reorders them again
+    records = heavy_ties()
+    config = ObjectiveConfig(m=m, threshold=t, lambda_grid=default_lambda_grid(21))
+    res = assert_identical(records, config)
+    perm = np.random.default_rng(1).permutation(len(records))
+    shuffled = sweep(Scores(records.proba[perm], records.group[perm], records.label[perm]),
+                     config)
+    assert np.array_equal(shuffled.accuracy_losses, res.accuracy_losses)
+    assert np.array_equal(shuffled.fairness_losses, res.fairness_losses)
+    assert shuffled.repairs == res.repairs
+
+
 @st.composite
 def sweep_cases(draw):
     m = draw(st.integers(2, 500))
@@ -264,7 +290,7 @@ def test_interior_cut_checks_match_the_generalized_inverse(case):
     x = fm.x
     # each group's quantiles of one record at the centre of every bin
     centres = binned_probas(np.ones(m, int))
-    own = fm.quantiles(Scores(np.tile(centres, 2), np.repeat([0, 1], m))).reshape(2, m)
+    own = [u for _, _, u in fm.groups(Scores(np.tile(centres, 2), np.repeat([0, 1], m)))]
     reached = 0
     for t in thresholds(m):
         cuts = np.append(np.arange(1, m) / m, t)

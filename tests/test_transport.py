@@ -204,13 +204,18 @@ class TestFipMap:
         rng = np.random.default_rng(12)
         records = random_records(rng, 200)
         fm = FipMap.from_probas(records, m=13)
-        u = fm.quantiles(records)
-        for i, (p, g) in enumerate(zip(records.proba, records.group)):
-            assert u[i] == np.clip(np.interp(p, fm.x, fm.y[g]), 0.0, 1.0)
-        # at lambda 0 a record keeps its quantile under its own group's CDF
-        back = [np.interp(q, fm.x, fm.y[g])
-                for q, g in zip(fm.remap(records, 0.0), records.group)]
-        np.testing.assert_allclose(back, u, atol=1e-12)
+        split = list(fm.groups(records))
+        # every record once, under its own group, in input order within it
+        assert [g for g, _, _ in split] == [0, 1]
+        members = np.concatenate([idx for _, idx, _ in split])
+        assert np.array_equal(np.sort(members), np.arange(len(records)))
+        for g, idx, u in split:
+            assert (records.group[idx] == g).all() and (np.diff(idx) > 0).all()
+            for i, q in zip(idx, u):
+                assert q == np.clip(np.interp(records.proba[i], fm.x, fm.y[g]), 0.0, 1.0)
+            # at lambda 0 a record keeps its quantile under its own group's CDF
+            back = np.interp(fm.remap(records, 0.0)[idx], fm.x, fm.y[g])
+            np.testing.assert_allclose(back, u, atol=1e-12)
 
     def test_applies_to_another_batch(self):
         # the map is fitted on one batch and applied to another, of other sizes
@@ -223,4 +228,6 @@ class TestFipMap:
             assert q == generalized_inverse(fm.x, fm.mix_knots(g, 0.6), np.array([u]))[0]
         # a batch of one group is remapped as its records are in a batch of both
         assert fm.remap(Scores([0.5], [1]), 0.6) == fm.remap(Scores([0.3, 0.5], [0, 1]), 0.6)[1]
-        assert fm.quantiles(Scores([0.5], [1])) == fm.quantiles(Scores([0.3, 0.5], [0, 1]))[1]
+        (_, none, empty), (_, one, u) = fm.groups(Scores([0.5], [1]))
+        assert none.size == empty.size == 0 and one.tolist() == [0]
+        assert u == list(fm.groups(Scores([0.3, 0.5], [0, 1])))[1][2]
