@@ -44,22 +44,29 @@ from .simulate import SimulationSpec, sample
 from .transport import check_lambda, fip
 
 
+# what `vars(args)` holds besides the options of the command
+_NOT_CONFIG = {"command", "func", "out_dir", "input", "outputs"}
+
+
 def _output(args, name: str) -> Path:
-    """Where the output `name` goes: inside `--out-dir`, created only here."""
+    """Where the output `name` goes: inside `--out-dir`, created only here;
+    recorded in `args.outputs` for the manifest."""
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    return args.out_dir / name
+    args.outputs.append(args.out_dir / name)
+    return args.outputs[-1]
 
 
-def _write_manifest(args, config: dict, inputs: list, outputs: list,
-                    group: np.ndarray, **extra) -> None:
-    """The run manifest, `<command>.manifest.json`."""
+def _write_manifest(args, group: np.ndarray, **extra) -> None:
+    """The run manifest, `<command>.manifest.json`: the options as parsed,
+    the input and every output placed before it."""
+    outputs = [str(p) for p in args.outputs]
     path = _output(args, f"{args.command}.manifest.json")
     n0 = int((group == G0).sum())
     write_json(path, {
         "command": args.command,
-        "config": config,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "config": {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG},
+        "inputs": [args.input] if "input" in args else [],
+        "outputs": outputs,
         "group_counts": {"g0": n0, "g1": group.size - n0},
         **extra,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -82,17 +89,14 @@ def cmd_simulate(args) -> int:
     scores = sample(spec)
     out = _output(args, "records.csv")
     write_records(scores, out)
-    _write_manifest(args,
-                    {"n_g0": spec.n_g0, "n_g1": spec.n_g1, "seed": spec.seed,
-                     "c0": spec.c0, "c1": spec.c1},
-                    inputs=[], outputs=[out], group=scores.group)
+    _write_manifest(args, scores.group)
     print(f"wrote {out} ({len(scores)} records)")
     return 0
 
 
 def cmd_madd(args) -> int:
     check_bin_count(args.m)
-    scores = read_records(args.records)
+    scores = read_records(args.input)
     bins = build_density_vector(scores, args.m)
     value = float(madd(bins))
     result = {
@@ -103,26 +107,21 @@ def cmd_madd(args) -> int:
         "bins_g1": bins[G1].tolist(),
         "bins_pooled": bins[POOLED].tolist(),
     }
-    out = _output(args, "madd.json")
-    write_json(out, result)
-    _write_manifest(args, {"m": args.m},
-                    inputs=[args.records], outputs=[out],
-                    group=scores.group)
+    write_json(_output(args, "madd.json"), result)
+    _write_manifest(args, scores.group)
     print(json.dumps({"madd": value, "fairness_loss": 0.5 * value}))
     return 0
 
 
 def cmd_fip(args) -> int:
-    check_lambda(args.lam)
+    lam = getattr(args, "lambda")  # a keyword, so not `args.lambda`
+    check_lambda(lam)
     check_bin_count(args.m)
-    scores = read_records(args.records)
-    new_probas = fip(scores, args.lam, args.m)
+    scores = read_records(args.input)
+    new_probas = fip(scores, lam, args.m)
     out = _output(args, "fip.csv")
     write_columns(out, ["proba", "new_proba", "group"], scores.proba, new_probas, scores.group)
-    _write_manifest(args,
-                    {"lambda": args.lam, "m": args.m},
-                    inputs=[args.records], outputs=[out],
-                    group=scores.group)
+    _write_manifest(args, scores.group)
     print(f"wrote {out}")
     return 0
 
@@ -134,16 +133,11 @@ def _sweep_config(args) -> ObjectiveConfig:
 
 def cmd_sweep(args) -> int:
     config = _sweep_config(args)
-    scores = read_records(args.records, require_labels=True)
+    scores = read_records(args.input, require_labels=True)
     result = sweep(scores, config)
-    csv_path = _output(args, "sweep.csv")
-    json_path = _output(args, "sweep.json")
-    result.write_csv(csv_path)
-    result.write_json(json_path)
-    _write_manifest(args,
-                    {"theta": args.theta, "t": args.t, "m": args.m, "grid": args.grid},
-                    inputs=[args.records], outputs=[csv_path, json_path],
-                    group=scores.group)
+    result.write_csv(_output(args, "sweep.csv"))
+    result.write_json(_output(args, "sweep.json"))
+    _write_manifest(args, scores.group)
     print(json.dumps({"lambda_star": result.lambda_star,
                       "min_total_loss": result.min_total_loss}))
     return 0
@@ -152,7 +146,7 @@ def cmd_sweep(args) -> int:
 def cmd_pipeline(args) -> int:
     config = _sweep_config(args)
     _check_seed(args.seed)
-    dataset = load_dataset(args.dataset, sensitive=args.sensitive,
+    dataset = load_dataset(args.input, sensitive=args.sensitive,
                            label_column=args.label_column)
     X, y, rules = encode(dataset)
     groups = dataset.sensitive_groups()
@@ -162,7 +156,7 @@ def cmd_pipeline(args) -> int:
     for name, idx in (("validation", idx_val), ("test", idx_test)):
         counts = np.bincount(groups[idx], minlength=2)
         if not counts.all():
-            raise errors.EmptyGroup(f"{args.dataset}: the {name} split ({idx.size} of {len(y)} "
+            raise errors.EmptyGroup(f"{args.input}: the {name} split ({idx.size} of {len(y)} "
                                     f"rows) has no record of group {int(np.argmin(counts))}")
     model = train(X[idx_train], y[idx_train], rules)
 
@@ -180,26 +174,17 @@ def cmd_pipeline(args) -> int:
             "fairness_loss": fairness_loss(Scores(probas, test.group, test.label), config.m),
         }
 
-    model_path = _output(args, "model.json")
-    sweep_csv = _output(args, "validation_sweep.csv")
-    sweep_json = _output(args, "validation_sweep.json")
-    metrics_path = _output(args, "test_metrics.json")
-    model.save(model_path)
-    result.write_csv(sweep_csv)
-    result.write_json(sweep_json)
+    model.save(_output(args, "model.json"))
+    result.write_csv(_output(args, "validation_sweep.csv"))
+    result.write_json(_output(args, "validation_sweep.json"))
     test_metrics = {
         "lambda_star": result.lambda_star,
         "before": metrics(test.proba),
         "after": metrics(test_after),
     }
-    write_json(metrics_path, test_metrics)
-    _write_manifest(args,
-                    {"sensitive": args.sensitive, "theta": args.theta, "t": args.t,
-                     "m": args.m, "grid": args.grid, "seed": args.seed,
-                     "encodings": rules, "dropped_rows": dropped_rows},
-                    inputs=[args.dataset],
-                    outputs=[model_path, sweep_csv, sweep_json, metrics_path],
-                    group=groups, training=model.training)
+    write_json(_output(args, "test_metrics.json"), test_metrics)
+    _write_manifest(args, groups, encodings=rules, dropped_rows=dropped_rows,
+                    training=model.training)
     print(json.dumps(test_metrics))
     return 0
 
@@ -226,18 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("madd", help="compute the MADD of a records CSV")
-    p.add_argument("records")
+    p.add_argument("input", metavar="records")
     p.add_argument("--m", type=int, default=DEFAULT_BINS)
     p.set_defaults(func=cmd_madd)
 
     p = sub.add_parser("fip", help="remap probabilities for one lambda")
-    p.add_argument("records")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("input", metavar="records")
+    p.add_argument("--lambda", type=float, required=True)
     p.add_argument("--m", type=int, default=DEFAULT_BINS)
     p.set_defaults(func=cmd_fip)
 
     p = sub.add_parser("sweep", help="sweep the lambda grid and select lambda*")
-    p.add_argument("records")
+    p.add_argument("input", metavar="records")
     p.add_argument("--theta", type=float, default=DEFAULT_THETA)
     p.add_argument("--t", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--m", type=int, default=DEFAULT_BINS)
@@ -245,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pipeline", help="train, sweep on validation, evaluate on test")
-    p.add_argument("dataset")
+    p.add_argument("input", metavar="dataset")
     p.add_argument("--sensitive", required=True)
     p.add_argument("--label-column", default="label")
     p.add_argument("--theta", type=float, default=DEFAULT_THETA)
@@ -261,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        args.outputs = []  # every path `_output` returns, in order
         return args.func(args)
     except OSError as exc:
         # inputs are opened by io.open_input, which raises UnreadableInput

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import functools
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maddpp
-from maddpp.cli import main
+from maddpp.cli import build_parser, main
 from maddpp.errors import MaddError
 from maddpp.io import read_records, write_records
 from maddpp.densities import SIZE_LIMIT, Scores
@@ -244,8 +245,8 @@ class TestPipelineCommand:
             manifest = json.loads((out / "pipeline.manifest.json").read_text())
             results[name] = ([(out / f).read_bytes() for f in (
                 "model.json", "validation_sweep.csv", "validation_sweep.json",
-                "test_metrics.json")], manifest["config"]["encodings"],
-                manifest["config"]["dropped_rows"])
+                "test_metrics.json")], manifest["encodings"],
+                manifest["dropped_rows"])
         assert results["lf"][2] == len(range(3, len(rows), 41)) + 1
         for name in copies:
             assert results[name] == results["lf"], name
@@ -322,6 +323,38 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, argv):
     manifest = f"{argv[0]}.manifest.json"
     assert set(runs[0]) == {*OUTPUTS[argv[0]], manifest}, runs[0]
     assert json.loads(runs[0][manifest])["outputs"] == OUTPUTS[argv[0]]
+
+
+def option_dests(command: str) -> set:
+    """The dests of `command`'s options, read from the CLI's own parser."""
+    [sub] = [action for action in build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    return {action.dest for action in sub.choices[command]._actions
+            if action.option_strings and action.dest != "help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-g0", "5", "--n-g1", "7", "--seed", "2"],
+    ["madd", "{records}", "--m", "10"],
+    ["fip", "{records}", "--lambda", "0.5"],
+    ["sweep", "{records}", "--theta", "0.25", "--m", "10", "--grid", "11"],
+    ["pipeline", "{course}", "--sensitive", "gender", "--label-column", "final_result",
+     "--m", "20", "--grid", "11"],
+], ids=lambda argv: argv[0])
+def test_manifest_config_is_the_parsed_options(tmp_path, argv):
+    # every option of the command, defaults included, with its value as
+    # parsed, and nothing else; pipeline's label column is not `label`
+    assert run(tmp_path, "simulate", "--n-g0", "60", "--n-g1", "40", "--seed", "3") == 0
+    course = tmp_path / "course.csv"
+    write_flat_dataset(course, n=400)
+    course.write_text(course.read_text().replace("label", "final_result", 1))
+    argv = [arg.format(records=tmp_path / "records.csv", course=course) for arg in argv]
+    out = tmp_path / "out"
+    assert run(out, *argv) == 0
+    manifest = json.loads((out / f"{argv[0]}.manifest.json").read_text())
+    parsed = vars(build_parser().parse_args(argv))
+    assert manifest["config"] == {dest: parsed[dest] for dest in option_dests(argv[0])}
+    assert manifest["inputs"] == ([] if argv[0] == "simulate" else [argv[1]])
 
 
 def test_out_dir_is_created_only_when_used(tmp_path, monkeypatch, capsys):
@@ -625,31 +658,41 @@ SIZE = st.one_of(st.integers(2, 1000), st.integers(2, 1000), st.integers(-3, 1),
                  st.integers(SIZE_LIMIT, 2**64)).map(str)
 FRACTION = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.5, 1.5),
                      st.sampled_from(["nan", "inf", "-0"])).map(str)
+# seeds near 0 as often as large ones, so a negative seed is drawn too
+SEED = st.one_of(st.integers(0, 2**40), st.integers(-3, 3)).map(str)
 COLUMN = st.sampled_from(["gender", "score", "sum_click", "label", "proba", "nosuch"])
 OPTIONS = {
-    "simulate": {"--n-g0": SIZE, "--n-g1": SIZE, "--seed": st.integers(-3, 2**40).map(str)},
+    "simulate": {"--n-g0": SIZE, "--n-g1": SIZE, "--seed": SEED},
     "madd": {"--m": SIZE},
     "fip": {"--lambda": FRACTION, "--m": SIZE},
     "sweep": {"--theta": FRACTION, "--t": FRACTION, "--m": SIZE, "--grid": SIZE},
     "pipeline": {"--sensitive": COLUMN, "--label-column": COLUMN, "--theta": FRACTION,
-                 "--t": FRACTION, "--m": SIZE, "--grid": SIZE,
-                 "--seed": st.integers(-3, 2**40).map(str)},
+                 "--t": FRACTION, "--m": SIZE, "--grid": SIZE, "--seed": SEED},
 }
 JUNK = st.text("abc019.,-e ", max_size=4)
 RARELY = st.sampled_from([False] * 4 + [True])
+# the records files of `valid_inputs`
+RECORDS = st.sampled_from(["records", "one_group", "unlabelled"])
 
 
 @functools.cache
 def valid_inputs() -> dict:
-    """The bytes of a small labelled records CSV and of a small course CSV."""
+    """The bytes of a small labelled records CSV, of a small course CSV, and
+    of two records CSVs that only some commands accept: one whose records
+    are all of group 0, and one with no labels."""
     with tempfile.TemporaryDirectory() as tmp:
-        records, course = Path(tmp) / "records.csv", Path(tmp) / "course.csv"
+        path = Path(tmp) / "input.csv"
         rng = np.random.default_rng(0)
         proba = rng.random(100)
-        write_records(Scores(proba, np.arange(100) % 2, (rng.random(100) < proba).astype(int)),
-                      records)
-        write_flat_dataset(course, n=300)
-        return {"records": records.read_bytes(), "course": course.read_bytes()}
+        label = (rng.random(100) < proba).astype(int)
+        inputs = {}
+        for name, scores in (("records", Scores(proba, np.arange(100) % 2, label)),
+                             ("one_group", Scores(proba, np.zeros(100, dtype=int), label)),
+                             ("unlabelled", Scores(proba, np.arange(100) % 2))):
+            write_records(scores, path)
+            inputs[name] = path.read_bytes()
+        write_flat_dataset(path, n=300)
+        return {**inputs, "course": path.read_bytes()}
 
 
 @st.composite
@@ -657,8 +700,8 @@ def cli_runs(draw):
     """An input file's bytes (valid, truncated or corrupt) and an argv whose
     "{input}" and "{dir}" name that file and the directory it is in."""
     command = draw(st.sampled_from(list(OPTIONS))) if not draw(RARELY) else None
-    data = valid_inputs()[("course" if command == "pipeline" else "records")
-                          if not draw(RARELY) else draw(st.sampled_from(["records", "course"]))]
+    data = valid_inputs()[("course" if command == "pipeline" else draw(RECORDS))
+                          if not draw(RARELY) else draw(st.sampled_from(list(valid_inputs())))]
     at = draw(st.integers(0, len(data)))
     damage = draw(st.sampled_from(["valid", "valid", "truncated", "corrupt"]))
     if damage == "truncated":
