@@ -12,14 +12,13 @@ from .objective import (
     sweep,
     total_loss,
 )
-from .simulate import SimulationSpec, sample
+from .simulate import sample
 from .transport import FipMap, fip
 
 __all__ = [
     "FipMap",
     "ObjectiveConfig",
     "Scores",
-    "SimulationSpec",
     "SweepResult",
     "accuracy_loss",
     "apply_threshold",

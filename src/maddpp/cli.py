@@ -40,7 +40,7 @@ from .objective import (
     fairness_loss,
     sweep,
 )
-from .simulate import SimulationSpec, sample
+from .simulate import sample
 from .transport import check_lambda, fip
 
 
@@ -82,11 +82,10 @@ def _check_seed(seed: int) -> None:
 
 def cmd_simulate(args) -> int:
     _check_seed(args.seed)
-    spec = SimulationSpec(n_g0=args.n_g0, n_g1=args.n_g1, seed=args.seed)
-    if spec.n_g0 <= 0 or spec.n_g1 <= 0:
+    if args.n_g0 <= 0 or args.n_g1 <= 0:
         raise errors.EmptyPopulation("both group sizes must be positive")
-    check_size(max(spec.n_g0, spec.n_g1), "records")
-    scores = sample(spec)
+    check_size(max(args.n_g0, args.n_g1), "records")
+    scores = sample(args.n_g0, args.n_g1, args.seed)
     out = _output(args, "records.csv")
     write_records(scores, out)
     _write_manifest(args, scores.group)

@@ -17,7 +17,6 @@ then plain blocks of whole lines in numpy, or else a csv.reader row loop.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import json
 import os
@@ -48,9 +47,10 @@ _QUADS = np.stack([_QUAD, _QUAD * ~np.logical_and.accumulate(_QUAD[:, ::-1] == 4
 
 
 def open_input(path):
-    """Open a text input for reading; an OS-level failure becomes UnreadableInput."""
+    """Open a text input for reading as UTF-8, whatever the locale; an
+    OS-level failure becomes UnreadableInput."""
     try:
-        return open(path, newline="")
+        return open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from None
 
@@ -163,17 +163,17 @@ def read_csv(path, header, rows, fast=None):
     `header(lines)` takes csv.reader's first row from the file's lines, each
     read through its line end and no further and decoded on its own
     (`_lines`), and checks it before any byte after it is read.  `fast(raw,
-    head)` reads the rest of a regular file in a UTF-8 locale from its
-    binary buffer, in `blocks`.  Where it returns None, and for any other
-    file, `rows(fh, head)` reads the rest of the text file, from the top
-    again for the former.  A byte that does not decode, or a csv.Error, is
-    an UnreadableInput.
+    head)` reads the rest of a regular file from its binary buffer, in
+    `blocks`.  Where it returns None, and for a pipe, `rows(fh, head)` reads
+    the rest of the text file, from the top again for the former.  Every
+    file is decoded as UTF-8 whatever the locale; a byte that does not
+    decode, or a csv.Error, is an UnreadableInput.
     """
     with open_input(path) as fh:
         try:
             head = header(_lines(fh))
-            if (fast is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-                    and codecs.lookup(fh.encoding).name == "utf-8"):  # a pipe cannot be read twice
+            # a pipe cannot be read twice
+            if fast is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 table = fast(fh.buffer, head)
                 if table is not None:
                     return table

@@ -84,11 +84,11 @@ def load_dataset(path, sensitive: str, label_column: str = "label") -> TabularDa
     are ignored.  A row's number counts every line after the header, blank
     ones too.
 
-    A regular file in a UTF-8 locale is read once (`io.read_csv`), in
-    binary blocks of whole lines (`_read_blocks`): each plain block is cut
-    into rows and factorized column by column.  Any other file, or one
-    with a block that is not plain, goes to `load_rows`' row loop from the
-    top.
+    The file is read as UTF-8 whatever the locale.  A regular file is read
+    once (`io.read_csv`), in binary blocks of whole lines (`_read_blocks`):
+    each plain block is cut into rows and factorized column by column.  A
+    pipe, or a file with a block that is not plain, goes to `load_rows`'
+    row loop from the top.
     """
     return _load(path, sensitive, label_column, _read_blocks)
 

@@ -85,8 +85,10 @@ class SweepResult:
         write_columns(path, ["lambda", "accuracy_loss", "fairness_loss", "total_loss"],
                       *self.columns())
 
-    def to_json_dict(self) -> dict:
-        return {
+    def write_json(self, path):
+        """The decision, lambda_star and min_total_loss with the config; every
+        row is in `write_csv`'s file."""
+        write_json(path, {
             "lambda_star": self.lambda_star,
             "min_total_loss": self.min_total_loss,
             "config": {
@@ -95,12 +97,7 @@ class SweepResult:
                 "m": self.config.m,
                 "grid_size": int(self.lambdas.size),
             },
-        }
-
-    def write_json(self, path):
-        """The decision, lambda_star and min_total_loss with the config; every
-        row is in `write_csv`'s file."""
-        write_json(path, self.to_json_dict())
+        })
 
 
 def apply_threshold(probas, t: float) -> np.ndarray:

@@ -12,7 +12,6 @@ classifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,34 +39,24 @@ def _raw_g1(x):
             / (NORMAL_SD * math.sqrt(2 * math.pi)))
 
 
-@dataclass(frozen=True)
-class SimulationSpec:
-    n_g0: int = 10_000
-    n_g1: int = 10_000
-    seed: int = 0
-    c0: float = field(init=False)
-    c1: float = field(init=False)
-
-    def __post_init__(self):
-        xs = np.linspace(0.0, 1.0, CDF_TABLE_NODES)
-        c0 = np.trapezoid(_gamma41_pdf(GAMMA_XSCALE * xs), xs)
-        c1 = np.trapezoid(_raw_g1(xs), xs)
-        object.__setattr__(self, "c0", float(c0))
-        object.__setattr__(self, "c1", float(c1))
+_XS = np.linspace(0.0, 1.0, CDF_TABLE_NODES)  # the nodes of the CDF tables
+# the normalizing constants of the two densities on [0, 1], by the trapezoid rule
+C0 = float(np.trapezoid(_gamma41_pdf(GAMMA_XSCALE * _XS), _XS))
+C1 = float(np.trapezoid(_raw_g1(_XS), _XS))
 
 
-def pdf_g0(x, spec: SimulationSpec):
+def pdf_g0(x):
     """Normalized truncated density of group 0 probabilities; 0 outside [0, 1]."""
     x = np.asarray(x, dtype=float)
     inside = (x >= 0.0) & (x <= 1.0)
-    return np.where(inside, _gamma41_pdf(GAMMA_XSCALE * x) / spec.c0, 0.0)
+    return np.where(inside, _gamma41_pdf(GAMMA_XSCALE * x) / C0, 0.0)
 
 
-def pdf_g1(x, spec: SimulationSpec):
+def pdf_g1(x):
     """Normalized truncated density of group 1 probabilities; 0 outside [0, 1]."""
     x = np.asarray(x, dtype=float)
     inside = (x >= 0.0) & (x <= 1.0)
-    return np.where(inside, _raw_g1(x) / spec.c1, 0.0)
+    return np.where(inside, _raw_g1(x) / C1, 0.0)
 
 
 def tabulated_cdf(pdf_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -78,22 +67,21 @@ def tabulated_cdf(pdf_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def sample(spec: SimulationSpec) -> Scores:
+def sample(n_g0: int = 10_000, n_g1: int = 10_000, seed: int = 0) -> Scores:
     """Draw the full record set: group 0 first, then group 1.
 
     A single seeded generator drives both the inverse-transform probability
     draws and the Bernoulli labels, consumed in record order, so the whole
     experiment is reproducible from the seed alone.
     """
-    xs = np.linspace(0.0, 1.0, CDF_TABLE_NODES)
-    cdf0 = tabulated_cdf(pdf_g0(xs, spec), xs)
-    cdf1 = tabulated_cdf(pdf_g1(xs, spec), xs)
+    cdf0 = tabulated_cdf(pdf_g0(_XS), _XS)
+    cdf1 = tabulated_cdf(pdf_g1(_XS), _XS)
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     probas, groups, labels = [], [], []
-    for group, cdf, count in ((G0, cdf0, spec.n_g0), (G1, cdf1, spec.n_g1)):
+    for group, cdf, count in ((G0, cdf0, n_g0), (G1, cdf1, n_g1)):
         draws = rng.random((count, 2))
-        p = np.interp(draws[:, 0], cdf, xs)  # inverse transform
+        p = np.interp(draws[:, 0], cdf, _XS)  # inverse transform
         probas.append(p)
         groups.append(np.full(count, group))
         labels.append((draws[:, 1] < p).astype(int))

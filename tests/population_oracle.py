@@ -1,23 +1,31 @@
-"""The simulation's population losses at lambda = 0 (n -> infinity).
+"""The simulation's population losses at any lambda (n -> infinity).
 
 The two group densities of `maddpp.simulate` are known in closed form, so
-the losses of the unremapped probabilities have population values that
-the in-sample sweep must approach.  Both come from the trapezoid rule on a
-fine grid of [0, 1], with equal group weights (the simulation's default
-10k/10k):
+the losses the in-sample sweep must approach have population values.  All
+come from the trapezoid rule on a fine grid of [0, 1] (the integration
+nodes), with equal group weights (the simulation's default 10k/10k):
 
-- accuracy loss: a record of probability p is predicted 1 iff p >= t and
-  its label is Bernoulli(p), so it is wrong with probability p if p < t,
-  else 1 - p; the loss is 1/2 * sum_g integral pdf_g(p) * that dp;
-- fairness loss: half the MADD of the bin masses,
-  1/2 * sum_k |P0(bin k) - P1(bin k)|.
+- the fitted remap is a `FipMap` on the population bin masses b0 and b1,
+  with pooled masses 1/2 (b0 + b1); each group's nodes are remapped
+  through it at lambda;
+- accuracy loss: a record of probability p is remapped to p' and predicted
+  1 iff p' >= t; its label is Bernoulli(p), so it is wrong with
+  probability p if p' < t, else 1 - p; the loss is
+  1/2 * sum_g integral pdf_g(p) * that dp;
+- fairness loss: half the MADD of the remapped bin masses,
+  1/2 * sum_k |P0(bin k) - P1(bin k)|, where a group's mass below an edge
+  is its cumulative trapezoid integral up to the node remapped to that edge.
+
+At lambda = 0 the remap is the identity and the bin masses are b0 and b1.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from maddpp.simulate import SimulationSpec, pdf_g0, pdf_g1, tabulated_cdf
+from maddpp.densities import G0, G1, Scores, bin_edges
+from maddpp.simulate import pdf_g0, pdf_g1, tabulated_cdf
+from maddpp.transport import FipMap
 
 NODES = 200_001
 
@@ -26,8 +34,11 @@ NODES = 200_001
 class PopulationLosses:
     accuracy: float
     fairness: float
-    bins_g0: np.ndarray  # each group's probability mass per bin
+    bins_g0: np.ndarray  # each group's remapped probability mass per bin
     bins_g1: np.ndarray
+
+    def total(self, theta: float) -> float:
+        return (1.0 - theta) * self.accuracy + theta * self.fairness
 
     def accuracy_se(self, n: int) -> float:
         """Standard error of the in-sample accuracy loss over n records."""
@@ -42,18 +53,42 @@ class PopulationLosses:
                + (self.bins_g1 * (1 - self.bins_g1)).sum() / n1)
         return float(0.5 * np.sqrt(var))
 
+    def noise_floor(self, n0: int, n1: int) -> float:
+        """The expected in-sample fairness loss of two groups of n0 and n1
+        records drawn from one distribution with the pooled bin masses p_k:
+        1/2 * sum_k E|p0k^ - p1k^| = 1/2 * sum_k sqrt(2/pi * p_k(1 - p_k)
+        (1/n0 + 1/n1)), each difference taken as normal."""
+        p = 0.5 * (self.bins_g0 + self.bins_g1)
+        return float(0.5 * np.sqrt(2 / np.pi * p * (1 - p) * (1 / n0 + 1 / n1)).sum())
 
-def population_losses(m: int = 100, t: float = 0.5, nodes: int = NODES) -> PopulationLosses:
-    """The n -> infinity losses at lambda = 0 for bin count m and threshold t."""
-    spec = SimulationSpec()
-    xs = np.linspace(0.0, 1.0, nodes)
-    wrong = np.where(xs < t, xs, 1.0 - xs)
-    pdfs = (pdf_g0(xs, spec), pdf_g1(xs, spec))
-    accuracy = 0.5 * sum(np.trapezoid(pdf * wrong, xs) for pdf in pdfs)
+
+def population_losses(lam: float = 0.0, m: int = 100, t: float = 0.5,
+                      nodes: int = NODES) -> PopulationLosses:
+    """The n -> infinity losses at `lam` for bin count m and threshold t."""
     if (nodes - 1) % m:
         raise ValueError(f"the bin edges k/{m} are not all among {nodes} nodes")
-    edges = np.arange(0, nodes, (nodes - 1) // m)
-    bins = [np.diff(tabulated_cdf(pdf, xs)[edges]) for pdf in pdfs]
+    xs = np.linspace(0.0, 1.0, nodes)
+    pdfs = (pdf_g0(xs), pdf_g1(xs))
+    cdfs = [tabulated_cdf(pdf, xs) for pdf in pdfs]
+    knots = [cdf[::(nodes - 1) // m] for cdf in cdfs]
+    fm = FipMap(x=bin_edges(m), y=np.array([*knots, 0.5 * (knots[G0] + knots[G1])]))
+    remapped = fm.remap(Scores(np.concatenate((xs, xs)), np.repeat([G0, G1], nodes)), lam)
+    accuracy, bins = 0.0, []
+    for g in (G0, G1):
+        new = remapped[g * nodes:(g + 1) * nodes]
+        wrong = np.where(new < t, xs, 1.0 - xs)
+        accuracy += 0.5 * np.trapezoid(pdfs[g] * wrong, xs)
+        below = np.interp(fm.x, new, cdfs[g])  # the remap is non-decreasing in p
+        below[0], below[-1] = 0.0, 1.0
+        bins.append(np.diff(below))
     return PopulationLosses(accuracy=float(accuracy),
-                            fairness=float(0.5 * np.abs(bins[0] - bins[1]).sum()),
-                            bins_g0=bins[0], bins_g1=bins[1])
+                            fairness=float(0.5 * np.abs(bins[G0] - bins[G1]).sum()),
+                            bins_g0=bins[G0], bins_g1=bins[G1])
+
+
+def population_minimum(theta: float = 0.5, m: int = 100, t: float = 0.5,
+                       lambdas=np.linspace(0.0, 1.0, 11)) -> tuple[float, float]:
+    """The least population total loss over `lambdas`, and its lambda."""
+    totals = [population_losses(lam, m, t).total(theta) for lam in lambdas]
+    best = int(np.argmin(totals))
+    return float(totals[best]), float(lambdas[best])

@@ -13,7 +13,7 @@ import pytest
 from maddpp.densities import POOLED, Scores, bin_index, build_density_vector, madd
 from maddpp.model import gradient
 from maddpp.objective import ObjectiveConfig, apply_threshold, sweep
-from maddpp.simulate import SimulationSpec, pdf_g0, pdf_g1, sample, tabulated_cdf
+from maddpp.simulate import C0, C1, pdf_g0, pdf_g1, sample, tabulated_cdf
 from maddpp.transport import fip
 from train_oracle import loss
 
@@ -30,7 +30,7 @@ def report(criterion, ok, detail):
 def simulated_sweeps():
     config = ObjectiveConfig(theta=0.5, threshold=0.5, m=100,
                              lambda_grid=np.linspace(0, 1, 1000))
-    return {seed: sweep(sample(SimulationSpec(seed=seed)), config)
+    return {seed: sweep(sample(seed=seed), config)
             for seed in SEEDS}
 
 
@@ -158,13 +158,12 @@ def test_criterion_6_logistic_gradient():
 
 
 def test_criterion_7_sampler_fidelity():
-    spec = SimulationSpec(seed=0)
-    records = sample(spec)
+    records = sample(seed=0)
     xs = np.linspace(0, 1, 10_001)
     ks_stats = []
     for group, pdf in ((0, pdf_g0), (1, pdf_g1)):
         probas = np.sort(records.proba[records.group == group])
-        theory = np.interp(probas, xs, tabulated_cdf(pdf(xs, spec), xs))
+        theory = np.interp(probas, xs, tabulated_cdf(pdf(xs), xs))
         n = probas.size
         ks = max(np.abs(np.arange(1, n + 1) / n - theory).max(),
                  np.abs(theory - np.arange(0, n) / n).max())
@@ -176,10 +175,10 @@ def test_criterion_7_sampler_fidelity():
         h = 1.0 / n
         return h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-1:2].sum())
 
-    c0 = simpson(lambda x: pdf_g0(x, spec) * spec.c0)
-    c1 = simpson(lambda x: pdf_g1(x, spec) * spec.c1)
-    rel0 = abs(c0 - spec.c0) / spec.c0
-    rel1 = abs(c1 - spec.c1) / spec.c1
+    c0 = simpson(lambda x: pdf_g0(x) * C0)
+    c1 = simpson(lambda x: pdf_g1(x) * C1)
+    rel0 = abs(c0 - C0) / C0
+    rel1 = abs(c1 - C1) / C1
     ok = max(ks_stats) <= 0.02 and rel0 <= 1e-6 and rel1 <= 1e-6
     report(7, ok, f"KS = {ks_stats[0]:.4f}/{ks_stats[1]:.4f}, "
                   f"normalization rel. err = {rel0:.2e}/{rel1:.2e}")

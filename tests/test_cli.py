@@ -268,6 +268,31 @@ class TestPipelineCommand:
         assert proc.stderr.startswith("EncodingError: column 'score': ")
         assert proc.stderr.count("\n") == 1 and "RuntimeWarning" not in proc.stderr
 
+    def test_inputs_are_utf8_whatever_the_locale(self, tmp_path, monkeypatch):
+        # the same course CSV, with one cell that is not ASCII, gives the same
+        # outputs under an ASCII locale as under a UTF-8 one
+        data = tmp_path / "course.csv"
+        import_perfbench(monkeypatch, "coursegen").generate(data, seed=7, rows=2000)
+        data.write_bytes(data.read_bytes().replace(b"region_03", "région_03".encode(), 1))
+        src = str(Path(maddpp.__file__).resolve().parents[1])
+        outputs = []
+        for name, locale in (("utf8", {"LC_ALL": "C.UTF-8"}),
+                             ("ascii", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                                        "PYTHONUTF8": "0"})):
+            out = tmp_path / name
+            out.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-m", "maddpp.cli", "pipeline", str(data), "--sensitive",
+                 "gender"], cwd=out, capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src, **locale})
+            assert proc.returncode == 0, (name, proc.stderr)
+            manifest = json.loads((out / "pipeline.manifest.json").read_text())
+            del manifest["timestamp"]
+            outputs.append((manifest, {p.name: p.read_bytes() for p in out.iterdir()
+                                       if p.name != "pipeline.manifest.json"}))
+        assert outputs[0] == outputs[1]
+        assert set(outputs[0][1]) == set(OUTPUTS["pipeline"])
+
     def test_non_binary_sensitive_exit_code(self, tmp_path, capsys):
         data = tmp_path / "course.csv"
         rng = np.random.default_rng(0)
@@ -472,7 +497,7 @@ class TestMalformedInput:
         if isinstance(content, bytes):
             path.write_bytes(content)
         elif content is not None:
-            path.write_text(content)
+            path.write_text(content, encoding="utf-8")
         argv = [arg.format(tmp=tmp_path, input=path) for arg in argv]
         assert run(tmp_path, *argv) == code
         err = capsys.readouterr().err
@@ -578,7 +603,8 @@ def test_every_error_class_has_its_own_exit_code():
 
 
 def test_readme_names_every_exit_code():
-    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = " ".join(readme.split())
     for cls in MaddError.__subclasses__():
         if cls.__name__ not in LIBRARY_ONLY:
             assert f"`{cls.__name__}` (code {cls.exit_code})" in readme, cls.__name__
@@ -629,7 +655,7 @@ def test_one_histogram_per_batch(tmp_path, perfbench_run):
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
     # every `maddpp` line of the README's CLI block, in order, in one
     # working directory; pipeline's course.csv is a small generated one
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line) for line in block.splitlines() if line.startswith("maddpp ")]
     assert [argv[3] for argv in lines] == ["simulate", "madd", "fip", "sweep", "pipeline"]
@@ -642,7 +668,7 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
     # the README's python block, as written, in an empty working directory
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
     monkeypatch.chdir(tmp_path)
     exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})

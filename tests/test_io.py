@@ -18,7 +18,7 @@ from maddpp.errors import InvalidProbability, MaddError, MissingLabels, Unreadab
 from maddpp.cli import main
 from maddpp.io import read_records, read_rows, write_records
 from maddpp.objective import ObjectiveConfig, default_lambda_grid, sweep
-from maddpp.simulate import SimulationSpec, sample
+from maddpp.simulate import sample
 from maddpp.transport import fip
 
 EXTREMES = [0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0))]
@@ -296,7 +296,7 @@ def test_well_formed_files_skip_the_row_parser(tmp_path, monkeypatch):
     def row_parser_called(*_):
         raise AssertionError("fell back to the row parser")
 
-    sim = sample(SimulationSpec(n_g0=300, n_g1=200, seed=3))
+    sim = sample(n_g0=300, n_g1=200, seed=3)
     write_records(sim, tmp_path / "sim.csv")
     write_records(Scores(sim.proba, sim.group), tmp_path / "unlabelled.csv")
     oracle = read_rows(tmp_path / "sim.csv")
@@ -460,17 +460,6 @@ def test_header_ends_at_a_lone_cr(tmp_path):
     path.write_bytes(b"proba,group,label\r0.2,0,1\n0.7,1,0\n")
     for read in (read_records, read_rows):
         assert read(path).proba.tolist() == [0.2, 0.7]
-
-
-def test_other_encodings_go_to_the_row_parser(tmp_path, monkeypatch):
-    # the bulk reader decodes a cell as UTF-8, where b"\xc2\xa0" is a space
-    monkeypatch.setattr(maddpp.io, "open_input",
-                        lambda p: open(p, newline="", encoding="latin-1"))
-    path = tmp_path / "r.csv"
-    path.write_bytes(LABELLED + b"\xc2\xa00.2,0,1\n0.7,1,0\n")
-    with pytest.raises(InvalidProbability, match="row 1: proba 'Â"):  # Latin-1 for b"\xc2"
-        read_records(path)
-    assert_agrees_with_row_parser(path)
 
 
 # names that a reader given a path may decompress (np.loadtxt does)

@@ -30,7 +30,7 @@ from maddpp.objective import (
     sweep,
     total_loss,
 )
-from maddpp.simulate import SimulationSpec, sample
+from maddpp.simulate import sample
 
 
 class TestApplyThreshold:
@@ -246,7 +246,7 @@ class TestSweep:
 def test_sweep_memory_is_bounded(m):
     # blocks of lambdas keep the temporaries at O(BLOCK_ELEMENTS); one unblocked
     # (1000, 1000) float64 temporary alone would be 7.6 MiB
-    scores = sample(SimulationSpec(seed=0))
+    scores = sample(seed=0)
     tracemalloc.start()
     try:
         sweep(scores, ObjectiveConfig(m=m, lambda_grid=default_lambda_grid(1000)))
@@ -301,10 +301,11 @@ class TestSerialization:
         res = sweep(labeled_records(np.random.default_rng(10), 100),
                     ObjectiveConfig(m=10, lambda_grid=default_lambda_grid(grid)))
         res.write_json(tmp_path / "sweep.json")
-        expected = json.dumps(res.to_json_dict(), indent=2).encode()
-        assert (tmp_path / "sweep.json").read_bytes() == expected
-        assert set(res.to_json_dict()) == {"lambda_star", "min_total_loss", "config"}
-        assert res.to_json_dict()["config"]["grid_size"] == grid
+        written = (tmp_path / "sweep.json").read_bytes()
+        payload = json.loads(written)
+        assert written == json.dumps(payload, indent=2).encode()
+        assert set(payload) == {"lambda_star", "min_total_loss", "config"}
+        assert payload["config"]["grid_size"] == grid
 
     @pytest.mark.parametrize("values", [[0.0, 1.0, 0.1, 1e-05, 5e-324],
                                         [float("nan"), float("inf"), -float("inf"), -0.0, 0.5]])

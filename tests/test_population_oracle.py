@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 
 from maddpp.objective import ObjectiveConfig, sweep
-from maddpp.simulate import SimulationSpec, sample
-from population_oracle import population_losses
+from maddpp.simulate import sample
+from population_oracle import population_losses, population_minimum
 
 N_G0 = N_G1 = 10_000
+THETA = 0.5
 
 
 @pytest.fixture(scope="module")
 def oracle():
     return population_losses(m=100, t=0.5)
+
+
+@pytest.fixture(scope="module")
+def minimum():
+    return population_minimum(theta=THETA, m=100, t=0.5)
 
 
 def test_oracle_values(oracle):
@@ -27,7 +33,43 @@ def test_lambda_zero_losses_approach_the_oracle(oracle, seed):
     # the in-sample losses of the unremapped probabilities are within four
     # standard errors of their population values
     config = ObjectiveConfig(theta=0.5, threshold=0.5, m=100, lambda_grid=np.array([0.0]))
-    result = sweep(sample(SimulationSpec(n_g0=N_G0, n_g1=N_G1, seed=seed)), config)
+    result = sweep(sample(N_G0, N_G1, seed=seed), config)
     accuracy, fairness = result.accuracy_losses[0], result.fairness_losses[0]
     assert abs(accuracy - oracle.accuracy) <= 4 * oracle.accuracy_se(N_G0 + N_G1), accuracy
     assert abs(fairness - oracle.fairness) <= 4 * oracle.fairness_se(N_G0, N_G1), fairness
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
+def test_fairness_falls_as_one_minus_lambda(oracle, lam):
+    # at the bin edges the remapped CDFs are the mixtures, so the fairness
+    # is (1 - lam) times its lambda = 0 value, up to the densities' shape
+    # inside each bin
+    remapped = population_losses(lam, m=100, t=0.5)
+    assert remapped.fairness == pytest.approx((1 - lam) * oracle.fairness, abs=1e-3)
+    assert remapped.bins_g0.sum() == pytest.approx(1.0)
+    assert remapped.bins_g1.sum() == pytest.approx(1.0)
+
+
+def test_oracle_near_and_at_full_repair(minimum):
+    assert population_losses(0.9, m=100, t=0.5).fairness == pytest.approx(0.0601, abs=2e-4)
+    full = population_losses(1.0, m=100, t=0.5)
+    assert full.accuracy == pytest.approx(0.3862, abs=1e-4)
+    assert full.fairness == pytest.approx(0.0040, abs=1e-4)
+    total, lam = minimum
+    assert total == pytest.approx(0.195, abs=1e-3) and lam == 1.0
+    assert total == pytest.approx(full.total(THETA))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_in_sample_minimum_converges_to_the_oracle(minimum, seed):
+    # the sweep's in-sample minimum approaches the population minimum as the
+    # sample grows; the remap leaves each group's in-sample fairness no
+    # further from its population value than two samples of one
+    # distribution lie apart, so the gap is at most theta * the noise floor
+    config = ObjectiveConfig(theta=THETA, threshold=0.5, m=100)
+    full = population_losses(minimum[1], m=100, t=0.5)
+    gaps = {}
+    for n in (10_000, 100_000):
+        gaps[n] = sweep(sample(n, n, seed=seed), config).min_total_loss - minimum[0]
+        assert abs(gaps[n]) <= THETA * full.noise_floor(n, n), (n, gaps[n])
+    assert abs(gaps[100_000]) < abs(gaps[10_000]), gaps

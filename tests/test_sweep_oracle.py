@@ -12,7 +12,7 @@ import maddpp.objective
 import maddpp.transport
 from maddpp.objective import (BLOCK_ELEMENTS, ObjectiveConfig, _levels, _reaches,
                               default_lambda_grid, sweep)
-from maddpp.simulate import SimulationSpec, sample
+from maddpp.simulate import sample
 from maddpp.transport import FipMap, generalized_inverse
 from sweep_oracle import oracle_sweep
 
@@ -49,7 +49,7 @@ def edge_records(m, extra_g0=()):
 def test_acceptance_seeds(seed):
     config = ObjectiveConfig(theta=0.5, threshold=0.5, m=100,
                              lambda_grid=np.linspace(0, 1, 1000))
-    assert_identical(sample(SimulationSpec(seed=seed)), config)
+    assert_identical(sample(seed=seed), config)
 
 
 @pytest.mark.parametrize("m", [2, 3, 10])
@@ -70,7 +70,7 @@ def test_simulation_needs_no_repair(t):
     # no quantile of the smooth simulation sits on a knot, so every
     # candidate, the interpolated threshold's included, is right first time
     config = ObjectiveConfig(m=100, threshold=t, lambda_grid=default_lambda_grid(101))
-    res = assert_identical(sample(SimulationSpec(seed=0)), config)
+    res = assert_identical(sample(seed=0), config)
     assert res.repairs == 0
 
 
@@ -178,7 +178,7 @@ def test_matches_oracle_on_generated_cases(case):
 
 def simulated_with_edges(m):
     """A small simulation plus records on every bin edge, which need repairs."""
-    sim = sample(SimulationSpec(n_g0=600, n_g1=400, seed=0))
+    sim = sample(n_g0=600, n_g1=400, seed=0)
     proba, group, label = zip(*edge_records(m, extra_g0=[k / m for k in range(m + 1)]))
     return Scores(np.concatenate((sim.proba, proba)), np.concatenate((sim.group, group)),
                   np.concatenate((sim.label, label)))
@@ -217,7 +217,7 @@ def test_repairs_in_rows_after_the_first_of_a_block():
 def test_interior_cuts_are_knots_of_every_mixture():
     # the sweep reads the mixtures' values at the interior cuts k/m off their knots
     m = 100
-    fm = FipMap.from_probas(sample(SimulationSpec(n_g0=600, n_g1=400, seed=1)), m)
+    fm = FipMap.from_probas(sample(n_g0=600, n_g1=400, seed=1), m)
     x = fm.x
     assert np.array_equal(np.arange(1, m) / m, x[1:m])
     grid = default_lambda_grid(257)
@@ -325,7 +325,7 @@ def test_sweep_makes_no_generalized_inverse_call(monkeypatch):
     monkeypatch.setattr(maddpp.transport, "generalized_inverse", spy)
     assert not hasattr(maddpp.objective, "generalized_inverse")
     config = ObjectiveConfig(m=500, lambda_grid=default_lambda_grid(1000))
-    assert sweep(sample(SimulationSpec(seed=0)), config).repairs == 0
+    assert sweep(sample(seed=0), config).repairs == 0
     assert sweep(simulated_with_edges(500), config).repairs > 0  # the bisection runs too
     assert calls == []
     # the spy does see the remap's calls, one per group
