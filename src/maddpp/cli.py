@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -46,6 +47,10 @@ from .transport import check_lambda, fip
 
 # what `vars(args)` holds besides the options of the command
 _NOT_CONFIG = {"command", "func", "out_dir", "input", "outputs"}
+
+
+def _utf8(value: str) -> str:
+    return os.fsencode(value).decode("utf-8")  # the bytes given, as UTF-8 whatever the locale
 
 
 def _output(args, name: str) -> Path:
@@ -230,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="train, sweep on validation, evaluate on test")
     p.add_argument("input", metavar="dataset")
-    p.add_argument("--sensitive", required=True)
-    p.add_argument("--label-column", default="label")
+    p.add_argument("--sensitive", required=True, type=_utf8)
+    p.add_argument("--label-column", default="label", type=_utf8)
     p.add_argument("--theta", type=float, default=DEFAULT_THETA)
     p.add_argument("--t", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--m", type=int, default=DEFAULT_BINS)

@@ -46,6 +46,10 @@ _QUADS = np.stack([_QUAD, _QUAD * ~np.logical_and.accumulate(_QUAD[:, ::-1] == 4
                   ).view(np.uint32).ravel()
 
 
+class RowLoop(Exception):
+    """Only the row reader may read this file: raised by a block reader, caught by `read_csv`."""
+
+
 def open_input(path):
     """Open a text input for reading as UTF-8, whatever the locale; an
     OS-level failure becomes UnreadableInput."""
@@ -164,21 +168,21 @@ def read_csv(path, header, rows, fast=None):
     read through its line end and no further and decoded on its own
     (`_lines`), and checks it before any byte after it is read.  `fast(raw,
     head)` reads the rest of a regular file from its binary buffer, in
-    `blocks`.  Where it returns None, and for a pipe, `rows(fh, head)` reads
-    the rest of the text file, from the top again for the former.  Every
-    file is decoded as UTF-8 whatever the locale; a byte that does not
-    decode, or a csv.Error, is an UnreadableInput.
+    `blocks`.  Where it raises RowLoop (caught here and nowhere else), and
+    for a pipe, `rows(fh, head)` reads the rest of the text file, from the
+    top again for the former.  Every file is decoded as UTF-8 whatever the
+    locale; an undecodable byte, or a csv.Error, is an UnreadableInput.
     """
     with open_input(path) as fh:
         try:
             head = header(_lines(fh))
             # a pipe cannot be read twice
             if fast is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                table = fast(fh.buffer, head)
-                if table is not None:
-                    return table
-                fh.seek(0)
-                header(_lines(fh))
+                try:
+                    return fast(fh.buffer, head)
+                except RowLoop:
+                    fh.seek(0)
+                    header(_lines(fh))
             return rows(fh, head)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise UnreadableInput(f"cannot read {path}: {exc}") from None
@@ -211,7 +215,7 @@ def blocks(raw):
     block `text` is text[starts[i]:ends[i]], its line end left out; `buf`
     holds text and _PAD bytes more, unset (for `windows`); `rest` is the
     bytes still to read per byte read.  A last line without its LF gets
-    one.  A block that is not plain is None, and the last."""
+    one.  At a block that is not plain, RowLoop is raised."""
     left = os.fstat(raw.fileno()).st_size - raw.tell()  # the bytes to read, as of now
     size, carry, read = BLOCK_BYTES, 0, 0
     buf = np.empty(size + _PAD, np.uint8)
@@ -230,8 +234,7 @@ def blocks(raw):
             starts = np.concatenate(([0], nl[:-1] + 1))
             ends = nl - (text[nl - 1] == 13)  # for an LF at 0, text[-1]: the last LF
             if not _plain(text, starts, ends, nl):
-                yield None
-                return
+                raise RowLoop
             read += stop
             yield text, starts, ends, buf, max(left - read, 0) / read
             carry = end - stop
@@ -290,7 +293,7 @@ def read_records(path, require_labels: bool = False) -> Scores:
 
     The file is opened once (`read_csv`).  A regular file is read in binary
     blocks by `_read_columns`, and the row parser reads any file from the
-    start where it returns None.  Either accepts the file or the typed
+    start where it raises RowLoop.  Either accepts the file or the typed
     error names the bad header, row or cell.
 
     A proba cell `0.` + k digits (1 <= k <= 19) is the integer S of its
@@ -332,19 +335,15 @@ def _width(lines, path) -> int:
 def _read_columns(raw, width: int):
     """proba, group, label (None without a label column) and the rows before
     each blank line of the binary file `raw`, past its header, read in
-    `blocks`; or None where the row parser must read it: a block that is not
+    `blocks`; RowLoop where the row parser must read it: a block that is not
     plain, a row without one cell per column, a cell that float()/int()
     rejects, or a group or label other than 0 or 1 (an empty label too)."""
     columns = [np.empty(0, t) for t in (np.float64, np.int64, np.int64)[:width]]
     n, blanks = 0, [np.empty(0, np.intp)]
-    for block in blocks(raw):
-        if block is None:
-            return None
-        text, starts, ends, buf, rest = block
+    for text, starts, ends, buf, rest in blocks(raw):
         grow(columns, n, starts.size, rest)
         rows = ends > starts  # blank lines are skipped
-        if not _parse_block(text, starts[rows], ends[rows], buf, [c[n:] for c in columns]):
-            return None
+        _parse_block(text, starts[rows], ends[rows], buf, [c[n:] for c in columns])
         blank = np.flatnonzero(~rows)
         blanks.append(n + blank - np.arange(blank.size))  # the rows before each
         n += int(np.count_nonzero(rows))
@@ -352,17 +351,17 @@ def _read_columns(raw, width: int):
     return columns[0], columns[1], columns[2] if width == 3 else None, np.concatenate(blanks)
 
 
-def _parse_block(text, starts, ends, buf, columns) -> bool:
+def _parse_block(text, starts, ends, buf, columns) -> None:
     """Parse the rows text[starts[i]:ends[i]] into the heads of `columns`;
-    False where `_read_columns` returns None."""
+    RowLoop where `_read_columns` hands the file to the row parser."""
     n, width = starts.size, len(columns)
     commas = np.flatnonzero(text == 44)
     if commas.size != n * (width - 1):
-        return False
+        raise RowLoop
     # the commas counted for each row lie in its line, so each line has width - 1
     commas = commas.reshape(n, width - 1)
     if not ((commas[:, 0] >= starts) & (commas[:, -1] < ends)).all():
-        return False
+        raise RowLoop
     bounds = [starts - 1, *commas.T, ends]  # cell j lies between bounds j and j + 1
     a, b = bounds[0] + 1, bounds[1]
     digits = np.clip(b - a - 2, 0, 20)  # of a cell "0." + digits
@@ -385,30 +384,26 @@ def _parse_block(text, starts, ends, buf, columns) -> bool:
     tie = (err != 0) & ((s + 2 * err) - s == 2 * err)  # s + 2 * err is a double
     columns[0][:n] = s * 2.0**-19
     slow = np.flatnonzero(~fast | tie)
-    values = _cells(text, a[slow], b[slow], float)
-    if values is None:
-        return False
-    columns[0][slow] = values
+    columns[0][slow] = _cells(text, a[slow], b[slow], float)
     for j in range(1, width):
         a, b = bounds[j] + 1, bounds[j + 1]
         value = text[a] - ord("0")
         columns[j][:n] = value
         slow = np.flatnonzero((b - a != 1) | (value > 1))
         values = _cells(text, a[slow], b[slow], int)
-        if values is None or not set(values) <= {0, 1}:
-            return False
+        if not set(values) <= {0, 1}:
+            raise RowLoop
         columns[j][slow] = values
-    return True
 
 
 def _cells(text, starts, ends, parse):
-    """`parse` of the text of each cell text[start:end], or None if one does
+    """`parse` of the text of each cell text[start:end]; RowLoop if one does
     not parse."""
     try:
         return [parse(text[i:j].tobytes().decode())
                 for i, j in zip(starts.tolist(), ends.tolist())]
     except ValueError:
-        return None
+        raise RowLoop from None
 
 
 def _parse_rows(fh, path, width: int):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPopulation, EncodingError, TrainingDiverged
-from .io import blocks, grow, read_csv, resize, windows, write_json
+from .io import RowLoop, blocks, grow, read_csv, resize, windows, write_json
 
 # Known ordinal level orders for the course-data bands; anything else falls
 # back to numeric parsing or sorted-unique ranks (recorded in the manifest).
@@ -141,18 +141,15 @@ def _read_rows(fh, header: list[str]):
 
 def _read_blocks(raw, header: list[str]):
     """What `_read_rows` returns, read from the binary file `raw`, past its
-    header, in `io.blocks`; or None where `_read_rows` must read it: at the
-    first block that is not plain, or two distinct cells of a column with
-    the same hash."""
+    header, in `io.blocks`.  RowLoop, raised by `io.blocks` or `_distinct`,
+    hands it to `_read_rows`: at the first block that is not plain, or two
+    distinct cells of a column with the same hash."""
     width = len(header)
     seen = [{} for _ in header]
     codes = [np.empty(0, np.intp) for _ in header]
     row_numbers = np.empty(0, np.intp)
     n = dropped = line = 0  # line: the lines before this block
-    for block in blocks(raw):
-        if block is None:
-            return None
-        text, starts, ends, buf, rest = block
+    for text, starts, ends, buf, rest in blocks(raw):
         nonblank = ends > starts  # a blank line is skipped, not counted
         commas = np.flatnonzero(text == ord(","))
         first = np.searchsorted(commas, starts)  # of each line's commas
@@ -177,10 +174,7 @@ def _read_blocks(raw, header: list[str]):
         words = windows(buf, "<u8")
         for ids, column, a, b in zip(seen, codes, bounds, bounds[1:]):
             a = a + 1
-            distinct = _distinct(words, a, b)
-            if distinct is None:
-                return None
-            rep, inv = distinct
+            rep, inv = _distinct(words, a, b)
             new = [text[i:j].tobytes() for i, j in zip(a[rep].tolist(), b[rep].tolist())]
             column[n:n + k] = np.array([ids.setdefault(c, len(ids)) for c in new], np.intp)[inv]
         n += k
@@ -192,7 +186,7 @@ def _read_blocks(raw, header: list[str]):
 def _distinct(words: np.ndarray, a: np.ndarray, b: np.ndarray):
     """(a row with each distinct cell, each row's index among those) for the
     nonempty cells text[a:b], with `words` the 8 bytes at each offset of the
-    text, or None if two distinct cells have the same hash.
+    text; RowLoop if two distinct cells have the same hash.
 
     Up to 8 bytes, a cell's key is its bytes, zero-padded (no cell holds a
     NUL).  If any cell is longer, each cell's key is the sum of its own
@@ -218,7 +212,7 @@ def _distinct(words: np.ndarray, a: np.ndarray, b: np.ndarray):
         twin = rep[inv]
         if ((size[twin] != size).any()
                 or (_word(words, at + np.repeat(a[twin] - a, count), left) != word).any()):
-            return None
+            raise RowLoop
     return rep, inv
 
 

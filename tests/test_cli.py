@@ -268,12 +268,10 @@ class TestPipelineCommand:
         assert proc.stderr.startswith("EncodingError: column 'score': ")
         assert proc.stderr.count("\n") == 1 and "RuntimeWarning" not in proc.stderr
 
-    def test_inputs_are_utf8_whatever_the_locale(self, tmp_path, monkeypatch):
-        # the same course CSV, with one cell that is not ASCII, gives the same
-        # outputs under an ASCII locale as under a UTF-8 one
-        data = tmp_path / "course.csv"
-        import_perfbench(monkeypatch, "coursegen").generate(data, seed=7, rows=2000)
-        data.write_bytes(data.read_bytes().replace(b"region_03", "région_03".encode(), 1))
+    @staticmethod
+    def pipeline_under_each_locale(tmp_path, *argv):
+        """The manifest less its timestamp, and the bytes of every other output,
+        of `pipeline *argv` in a subprocess under a UTF-8 and an ASCII locale."""
         src = str(Path(maddpp.__file__).resolve().parents[1])
         outputs = []
         for name, locale in (("utf8", {"LC_ALL": "C.UTF-8"}),
@@ -282,16 +280,42 @@ class TestPipelineCommand:
             out = tmp_path / name
             out.mkdir()
             proc = subprocess.run(
-                [sys.executable, "-m", "maddpp.cli", "pipeline", str(data), "--sensitive",
-                 "gender"], cwd=out, capture_output=True, text=True, timeout=120,
+                [sys.executable, "-m", "maddpp.cli", "pipeline", *argv], cwd=out,
+                capture_output=True, text=True, timeout=120,
                 env={**os.environ, "PYTHONPATH": src, **locale})
             assert proc.returncode == 0, (name, proc.stderr)
             manifest = json.loads((out / "pipeline.manifest.json").read_text())
             del manifest["timestamp"]
             outputs.append((manifest, {p.name: p.read_bytes() for p in out.iterdir()
                                        if p.name != "pipeline.manifest.json"}))
-        assert outputs[0] == outputs[1]
         assert set(outputs[0][1]) == set(OUTPUTS["pipeline"])
+        return outputs
+
+    def test_inputs_are_utf8_whatever_the_locale(self, tmp_path, monkeypatch):
+        # the same course CSV, with one cell that is not ASCII, gives the same
+        # outputs under an ASCII locale as under a UTF-8 one
+        data = tmp_path / "course.csv"
+        import_perfbench(monkeypatch, "coursegen").generate(data, seed=7, rows=2000)
+        data.write_bytes(data.read_bytes().replace(b"region_03", "région_03".encode(), 1))
+        outputs = self.pipeline_under_each_locale(tmp_path, str(data), "--sensitive", "gender")
+        assert outputs[0] == outputs[1]
+
+    def test_option_values_are_utf8_whatever_the_locale(self, tmp_path, monkeypatch):
+        # a --sensitive and a --label-column that are not ASCII name their UTF-8
+        # headers under an ASCII locale too, where argv is not decoded as UTF-8
+        data = tmp_path / "course.csv"
+        import_perfbench(monkeypatch, "coursegen").generate(data, seed=7, rows=2000)
+        header, rest = data.read_bytes().split(b"\n", 1)
+        header = header.replace(b"gender", "région".encode())
+        header = header.replace(b"label", "réussi".encode())
+        data.write_bytes(header + b"\n" + rest)
+        # as bytes, which the test's own locale need not be able to encode
+        outputs = self.pipeline_under_each_locale(
+            tmp_path, str(data), "--sensitive", "région".encode(),
+            "--label-column", "réussi".encode())
+        assert outputs[0] == outputs[1]
+        config = outputs[0][0]["config"]
+        assert (config["sensitive"], config["label_column"]) == ("région", "réussi")
 
     def test_non_binary_sensitive_exit_code(self, tmp_path, capsys):
         data = tmp_path / "course.csv"
@@ -491,6 +515,11 @@ class TestMalformedInput:
         (["madd", "{input}", "--nosuch"], None, 29, "InvalidOption",
          "maddpp: unrecognized arguments: --nosuch"),
         ([], None, 29, "InvalidOption", "maddpp: the following arguments are required: command"),
+        # an option value whose bytes are not UTF-8 names no column
+        (["pipeline", "{input}", "--sensitive", "r\udcffgion"], None, 29, "InvalidOption",
+         "maddpp pipeline: argument --sensitive: invalid _utf8 value: 'r\\udcffgion'"),
+        (["pipeline", "{input}", "--sensitive", "gender", "--label-column", "\udce9"], None,
+         29, "InvalidOption", "argument --label-column: invalid _utf8 value: '\\udce9'"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"

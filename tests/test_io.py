@@ -474,9 +474,9 @@ def test_names_do_not_change_how_a_file_reads(tmp_path, name, content):
     assert_agrees_with_row_parser(path)
 
 
-def read_through_pipe(content):
-    """`read_records` of `content` fed through a pipe, as `<(zcat r.csv.gz)`
-    gives: an input that can be read only once."""
+def read_through_pipe(content, read=read_records):
+    """`read` of `content` fed through a pipe, as `<(zcat r.csv.gz)` gives:
+    an input that can be read only once."""
     r, w = os.pipe()
 
     def feed():
@@ -486,7 +486,7 @@ def read_through_pipe(content):
     writer = threading.Thread(target=feed)
     writer.start()
     try:
-        return read_records(f"/dev/fd/{r}")
+        return read(f"/dev/fd/{r}")
     finally:
         os.close(r)  # a writer still blocked then fails rather than hangs
         writer.join()
@@ -504,6 +504,43 @@ def test_reads_every_row_of_a_pipe(tmp_path, n, label):
     assert len(s) == n
     assert s.proba.tobytes() == expected.proba.tobytes()
     assert (s.label is None) == (label == "")
+
+
+def test_read_csv_hands_the_file_to_the_row_reader(tmp_path, monkeypatch):
+    # a block reader that raises RowLoop after two blocks hands the file to
+    # the row reader, which reads it from the first line after the header
+    # again: what the row reader returns is the result
+    monkeypatch.setattr(maddpp.io, "BLOCK_BYTES", 32)
+    head, body = b"a,b\r\n", b"".join(b"%d,x\r\n" % i for i in range(40))
+    calls = []
+
+    def header(lines):
+        calls.append("header")
+        return next(csv.reader(lines))
+
+    def fast(raw, names):
+        calls.append("fast")
+        for k, _ in enumerate(maddpp.io.blocks(raw)):
+            if k == 2:
+                raise maddpp.io.RowLoop
+        raise AssertionError("the file ended first")
+
+    def rows(fh, names):
+        calls.append("rows")
+        table.append((names, fh.read()))
+        return table[-1]
+
+    table = []
+    path = tmp_path / "t.csv"
+    path.write_bytes(head + body)
+    assert maddpp.io.read_csv(path, header, rows, fast) is table[0]
+    assert table == [(["a", "b"], body.decode())]
+    assert calls == ["header", "fast", "header", "rows"]
+    if os.path.isdir("/dev/fd"):  # a pipe cannot be read twice, so `fast` never reads one
+        calls.clear()
+        read = read_through_pipe(head + body, lambda p: maddpp.io.read_csv(p, header, rows, fast))
+        assert read is table[1] and read[1] == body.decode()
+        assert calls == ["header", "rows"]
 
 
 # cells one defect away from a well-formed file
