@@ -6,9 +6,7 @@ from .densities import Scores, build_density_vector, madd
 from .objective import (
     ObjectiveConfig,
     SweepResult,
-    accuracy_loss,
-    apply_threshold,
-    fairness_loss,
+    losses,
     sweep,
     total_loss,
 )
@@ -20,11 +18,9 @@ __all__ = [
     "ObjectiveConfig",
     "Scores",
     "SweepResult",
-    "accuracy_loss",
-    "apply_threshold",
     "build_density_vector",
-    "fairness_loss",
     "fip",
+    "losses",
     "madd",
     "sample",
     "sweep",

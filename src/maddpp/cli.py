@@ -35,10 +35,8 @@ from .objective import (
     DEFAULT_THETA,
     DEFAULT_THRESHOLD,
     ObjectiveConfig,
-    accuracy_loss,
-    apply_threshold,
     default_lambda_grid,
-    fairness_loss,
+    losses,
     sweep,
 )
 from .simulate import sample
@@ -64,13 +62,15 @@ def _output(args, name: str) -> Path:
 def _write_manifest(args, group: np.ndarray, **extra) -> None:
     """The run manifest, `<command>.manifest.json`: the options as parsed,
     the input and every output placed before it."""
-    outputs = [str(p) for p in args.outputs]
+    def utf8(paths):  # each path's bytes as UTF-8 whatever the locale, U+FFFD where not
+        return [os.fsencode(p).decode("utf-8", "replace") for p in paths]
+    outputs = utf8(args.outputs)
     path = _output(args, f"{args.command}.manifest.json")
     n0 = int((group == G0).sum())
     write_json(path, {
         "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG},
-        "inputs": [args.input] if "input" in args else [],
+        "inputs": utf8([args.input] if "input" in args else []),
         "outputs": outputs,
         "group_counts": {"g0": n0, "g1": group.size - n0},
         **extra,
@@ -169,21 +169,17 @@ def cmd_pipeline(args) -> int:
 
     result = sweep(scores(idx_val), config)
     test = scores(idx_test)
-    test_after = fip(test, result.lambda_star, config.m)
+    test_after = Scores(fip(test, result.lambda_star, config.m), test.group, test.label)
 
-    def metrics(probas):
-        return {
-            "accuracy_loss": accuracy_loss(apply_threshold(probas, config.threshold),
-                                           test.label),
-            "fairness_loss": fairness_loss(Scores(probas, test.group, test.label), config.m),
-        }
+    def metrics(batch):
+        return dict(zip(("accuracy_loss", "fairness_loss"), losses(batch, config)))
 
     model.save(_output(args, "model.json"))
     result.write_csv(_output(args, "validation_sweep.csv"))
     result.write_json(_output(args, "validation_sweep.json"))
     test_metrics = {
         "lambda_star": result.lambda_star,
-        "before": metrics(test.proba),
+        "before": metrics(test),
         "after": metrics(test_after),
     }
     write_json(_output(args, "test_metrics.json"), test_metrics)

@@ -20,10 +20,8 @@ from .densities import (
     madd,
 )
 from .errors import (
-    EmptyPopulation,
     InvalidLambda,
     InvalidObjective,
-    LengthMismatch,
     MissingLabels,
 )
 from .io import write_columns, write_json
@@ -100,25 +98,16 @@ class SweepResult:
         })
 
 
-def apply_threshold(probas, t: float) -> np.ndarray:
-    """Binary predictions: 1 iff proba >= t (boundary inclusive)."""
-    return (np.asarray(probas, dtype=float) >= t).astype(int)
-
-
-def accuracy_loss(preds, labels) -> float:
-    """Fraction of incorrect predictions (1 minus accuracy)."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.size != labels.size:
-        raise LengthMismatch(f"{preds.size} predictions vs {labels.size} labels")
-    if preds.size == 0:
-        raise EmptyPopulation("no predictions to score")
-    return float(np.mean(preds != labels))
-
-
-def fairness_loss(scores: Scores, m: int) -> float:
-    """Half the MADD between the two groups' density vectors, in [0, 1]."""
-    return float(0.5 * madd(build_density_vector(scores, m)))
+def losses(scores: Scores, config: ObjectiveConfig) -> tuple[float, float]:
+    """The accuracy loss, the share of records whose (proba >= threshold)
+    differs from the label, and the fairness loss, half the MADD over m bins,
+    of a labelled batch as it is: the one per-record evaluation, which `sweep`
+    equals at every grid lambda on the remapped batch (`tests/sweep_oracle.py`)."""
+    if scores.label is None:
+        raise MissingLabels("every record needs a label to score")
+    # first: it raises EmptyGroup for a batch of no records, which np.mean would warn on
+    fairness = float(0.5 * madd(build_density_vector(scores, config.m)))
+    return float(np.mean((scores.proba >= config.threshold) != scores.label)), fairness
 
 
 def total_loss(acc, fair, theta: float):

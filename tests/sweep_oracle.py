@@ -1,17 +1,17 @@
 """Reference lambda sweep: remap every record at every grid point.
 
 This is the per-record definition of `maddpp.objective.sweep`, kept as the
-oracle the fast sweep must match exactly (`==`, no tolerance):
-`FipMap.remap` at every grid lambda.  It costs O(G * n * log m) for a grid
-of G lambdas and n records.
+oracle the fast sweep must match exactly (`==`, no tolerance): every record
+remapped by `FipMap.remap` at each grid lambda, then scored by
+`maddpp.objective.losses`, the one evaluation of a batch as it is.  It costs
+O(G * n * log m) for a grid of G lambdas and n records.
 """
 
 import numpy as np
 
 from maddpp.densities import Scores
 from maddpp.errors import MissingLabels
-from maddpp.objective import (ObjectiveConfig, SweepResult, accuracy_loss, apply_threshold,
-                              fairness_loss)
+from maddpp.objective import ObjectiveConfig, SweepResult, losses
 from maddpp.transport import FipMap
 
 
@@ -23,9 +23,8 @@ def oracle_sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     acc = np.empty(grid.size)
     fair = np.empty(grid.size)
     for i, lam in enumerate(grid.tolist()):
-        new_p = fm.remap(scores, lam)
-        acc[i] = accuracy_loss(apply_threshold(new_p, config.threshold), scores.label)
-        fair[i] = fairness_loss(Scores(new_p, scores.group), config.m)
+        acc[i], fair[i] = losses(Scores(fm.remap(scores, lam), scores.group, scores.label),
+                                 config)
 
     tot = (1.0 - config.theta) * acc + config.theta * fair
     # argmin with ties broken toward the largest lambda

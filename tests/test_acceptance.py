@@ -12,7 +12,7 @@ import pytest
 
 from maddpp.densities import POOLED, Scores, bin_index, build_density_vector, madd
 from maddpp.model import gradient
-from maddpp.objective import ObjectiveConfig, apply_threshold, sweep
+from maddpp.objective import ObjectiveConfig, sweep
 from maddpp.simulate import C0, C1, pdf_g0, pdf_g1, sample, tabulated_cdf
 from maddpp.transport import fip
 from train_oracle import loss
@@ -129,8 +129,7 @@ def test_criterion_5_threshold_crossing():
         records = Scores(probas, groups)
         lam = float(rng.random())
         new_p = fip(records, lam, 20)
-        flipped = set(np.nonzero(apply_threshold(new_p, t)
-                                 != apply_threshold(probas, t))[0])
+        flipped = set(np.nonzero((new_p >= t) != (probas >= t))[0])
         straddle = set(np.nonzero((probas >= t) != (new_p >= t))[0])
         ok = ok and flipped == straddle
     report(5, ok, "100 random (records, lambda) pairs, flip set == straddle set")

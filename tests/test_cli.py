@@ -32,6 +32,11 @@ def run(tmp_path, *argv):
     return main(["--out-dir", str(tmp_path), *argv])
 
 
+# the environment of a subprocess under a UTF-8 locale and under an ASCII one
+LOCALES = (("utf8", {"LC_ALL": "C.UTF-8"}),
+           ("ascii", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}))
+
+
 class TestSimulateCommand:
     def test_writes_records_and_manifest(self, tmp_path):
         assert run(tmp_path, "simulate", "--n-g0", "50", "--n-g1", "40",
@@ -274,9 +279,7 @@ class TestPipelineCommand:
         of `pipeline *argv` in a subprocess under a UTF-8 and an ASCII locale."""
         src = str(Path(maddpp.__file__).resolve().parents[1])
         outputs = []
-        for name, locale in (("utf8", {"LC_ALL": "C.UTF-8"}),
-                             ("ascii", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
-                                        "PYTHONUTF8": "0"})):
+        for name, locale in LOCALES:
             out = tmp_path / name
             out.mkdir()
             proc = subprocess.run(
@@ -316,6 +319,38 @@ class TestPipelineCommand:
         assert outputs[0] == outputs[1]
         config = outputs[0][0]["config"]
         assert (config["sensitive"], config["label_column"]) == ("région", "réussi")
+
+    def test_manifest_paths_are_utf8_whatever_the_locale(self, tmp_path):
+        # a non-ASCII input and --out-dir are recorded as the same UTF-8 text
+        # under an ASCII locale too, where argv is not decoded as UTF-8
+        src = str(Path(maddpp.__file__).resolve().parents[1])
+        manifests = []
+        for name, locale in LOCALES:
+            cwd = tmp_path / name
+            cwd.mkdir()
+            # as bytes, which the test's own locale need not be able to encode
+            write_records(Scores([0.2, 0.7], [0, 1]), os.fsencode(cwd) + "/rec_é.csv".encode())
+            proc = subprocess.run(
+                [sys.executable, "-m", "maddpp.cli", "--out-dir", "oé".encode(), "madd",
+                 "rec_é.csv".encode()], cwd=cwd, capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src, **locale})
+            assert proc.returncode == 0, (name, proc.stderr)
+            with open(os.fsencode(cwd) + "/oé/madd.manifest.json".encode(), "rb") as fh:
+                manifest = json.loads(fh.read().decode("utf-8"))
+            del manifest["timestamp"]
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+        assert (manifests[0]["inputs"], manifests[0]["outputs"]) == (["rec_é.csv"],
+                                                                     ["oé/madd.json"])
+
+    def test_manifest_path_not_utf8_is_replaced(self, tmp_path):
+        # a path whose bytes are not UTF-8 is still recorded as valid JSON text
+        path = os.fsencode(tmp_path) + b"/rec_\xff.csv"
+        write_records(Scores([0.2, 0.7], [0, 1]), path)
+        assert run(tmp_path, "madd", os.fsdecode(path)) == 0
+        text = (tmp_path / "madd.manifest.json").read_bytes().decode("utf-8")
+        assert "\\ud" not in text
+        assert json.loads(text)["inputs"] == [os.fsdecode(tmp_path) + "/rec_\ufffd.csv"]
 
     def test_non_binary_sensitive_exit_code(self, tmp_path, capsys):
         data = tmp_path / "course.csv"
@@ -644,7 +679,8 @@ def test_readme_names_every_exit_code():
 # span targets of perfbench/run.py that name functions the package no
 # longer has; its tracer skips them and lists them as absent
 STALE_SPAN_TARGETS = {"maddpp.objective.generalized_inverse", "maddpp.model.loss_and_gradient",
-                      "maddpp.cli.pool_density_vectors", "maddpp.transport.pool_density_vectors"}
+                      "maddpp.cli.pool_density_vectors", "maddpp.transport.pool_density_vectors",
+                      "maddpp.cli.accuracy_loss", "maddpp.cli.fairness_loss"}
 
 
 def import_perfbench(monkeypatch, name):

@@ -13,7 +13,6 @@ import maddpp
 from maddpp.densities import Scores, bin_index, madd
 from maddpp.errors import (
     EmptyGroup,
-    EmptyPopulation,
     InvalidBinCount,
     InvalidLambda,
     InvalidObjective,
@@ -23,73 +22,80 @@ from maddpp.errors import (
 from maddpp.objective import (
     ObjectiveConfig,
     SweepResult,
-    accuracy_loss,
-    apply_threshold,
     default_lambda_grid,
-    fairness_loss,
+    losses,
     sweep,
     total_loss,
 )
 from maddpp.simulate import sample
+from maddpp.transport import fip
 
 
-class TestApplyThreshold:
-    def test_boundary_inclusive(self):
-        np.testing.assert_array_equal(apply_threshold([0.49, 0.5, 0.51], 0.5), [0, 1, 1])
+class TestLosses:
+    """`losses(scores, config)`: the accuracy and fairness losses of a batch as it is."""
 
-    def test_one(self):
-        np.testing.assert_array_equal(apply_threshold([1.0], 0.5), [1])
+    @pytest.mark.parametrize("proba, group, label, expected", [
+        pytest.param([0.49, 0.5, 0.51], [0, 1, 0], [0, 1, 1], 0.0, id="boundary_inclusive"),
+        pytest.param([1.0, 0.2], [0, 1], [1, 0], 0.0, id="proba_one"),
+        pytest.param([0.2, 0.8], [0, 1], [0, 1], 0.0, id="plain"),
+        pytest.param([0.2, 0.8, 0.9], [0, 1, 0], [0, 1, 1], 0.0, id="perfect"),
+        pytest.param([0.8, 0.2], [0, 1], [0, 1], 1.0, id="all_wrong"),
+        pytest.param([0.9] * 10, [0, 1] * 5, [0] * 3 + [1] * 7, 0.3, id="hand_count"),
+    ])
+    def test_accuracy_loss(self, proba, group, label, expected):
+        # predictions are 1 iff proba >= threshold, boundary inclusive
+        acc, _ = losses(Scores(proba, group, label), ObjectiveConfig(m=10))
+        assert acc == pytest.approx(expected)
 
-    def test_plain(self):
-        np.testing.assert_array_equal(apply_threshold([0.2, 0.8], 0.5), [0, 1])
-
-
-class TestAccuracyLoss:
-    def test_perfect(self):
-        assert accuracy_loss([0, 1, 1], [0, 1, 1]) == 0.0
-
-    def test_all_wrong(self):
-        assert accuracy_loss([1, 0], [0, 1]) == 1.0
-
-    def test_hand_count(self):
-        preds = [1] * 10
-        labels = [0] * 3 + [1] * 7
-        assert accuracy_loss(preds, labels) == pytest.approx(0.3)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            accuracy_loss([1], [1, 0])
-
-    def test_empty(self):
-        with pytest.raises(EmptyPopulation):
-            accuracy_loss([], [])
-
-
-class TestFairnessLoss:
-    def test_identical_groups(self):
-        records = Scores([0.3, 0.3], [0, 1])
-        assert fairness_loss(records, 10) == 0.0
-
-    def test_disjoint_supports(self):
-        records = Scores([0.1, 0.9], [0, 1])
-        assert fairness_loss(records, 2) == pytest.approx(1.0)
-
-    def test_hand_value(self):
+    @pytest.mark.parametrize("records, m, expected", [
+        pytest.param([(0.3, 0), (0.3, 1)], 10, 0.0, id="identical_groups"),
+        pytest.param([(0.1, 0), (0.9, 1)], 2, 1.0, id="disjoint_supports"),
         # group densities [0.6, 0.4] and [0.4, 0.6] -> half of 0.4
-        records = Scores(*zip(*([(0.2, 0)] * 3 + [(0.8, 0)] * 2 +
-                                [(0.2, 1)] * 2 + [(0.8, 1)] * 3)))
-        assert fairness_loss(records, 2) == pytest.approx(0.2)
+        pytest.param([(0.2, 0)] * 3 + [(0.8, 0)] * 2 + [(0.2, 1)] * 2 + [(0.8, 1)] * 3, 2, 0.2,
+                     id="hand_value"),
+    ])
+    def test_fairness_loss(self, records, m, expected):
+        proba, group = zip(*records)
+        _, fair = losses(Scores(proba, group, [0] * len(proba)), ObjectiveConfig(m=m))
+        assert fair == pytest.approx(expected)
 
-    def test_empty_group(self):
-        with pytest.raises(EmptyGroup):
-            fairness_loss(Scores([0.1], [0]), 2)
+    @pytest.mark.parametrize("proba, group, label, error", [
+        pytest.param([0.1], [0], [0], EmptyGroup, id="empty_group"),
+        # a batch of no records has two empty groups
+        pytest.param([], [], [], EmptyGroup, id="empty"),
+        pytest.param([0.9], [0], [1, 0], LengthMismatch, id="length_mismatch"),
+        pytest.param([0.5, 0.5], [0, 1], None, MissingLabels, id="missing_labels"),
+    ])
+    def test_typed_errors(self, proba, group, label, error):
+        # lengths are checked by Scores, when the batch is built
+        with pytest.raises(error):
+            losses(Scores(proba, group, label), ObjectiveConfig(m=2))
 
-    def test_is_half_the_madd(self):
+    def test_fairness_is_half_the_madd(self):
         rng = np.random.default_rng(11)
         recs = labeled_records(rng, 300)
         b0, b1 = (np.bincount(bin_index(recs.proba[recs.group == g], 30), minlength=30)
                   / np.count_nonzero(recs.group == g) for g in (0, 1))
-        assert fairness_loss(recs, 30) == 0.5 * madd((b0, b1))
+        assert losses(recs, ObjectiveConfig(m=30))[1] == 0.5 * madd((b0, b1))
+
+    def test_knot_valued_records_are_scored_as_given(self):
+        # the remap at lambda = 0 is not the identity: a record on the left
+        # edge of its bin, after a run of bins its group leaves empty, maps to
+        # the start of that run (generalized_inverse's leftmost preimage).  So
+        # the sweep's lambda = 0 row is not the batch as given.
+        scores = Scores([0.1, 0.5, 0.9, 0.3, 0.6, 0.7], [0, 0, 0, 1, 1, 1],
+                        [0, 1, 1, 0, 1, 1])
+        config = ObjectiveConfig(m=10, lambda_grid=[0.0])
+        assert losses(scores, config) == (0.0, pytest.approx(1.0))
+        res = sweep(scores, config)
+        assert (res.accuracy_losses[0], res.fairness_losses[0]) == pytest.approx((1 / 3, 2 / 3))
+        np.testing.assert_array_equal(fip(scores, 0.0, 10), [0, 0.2, 0.6, 0, 0.4, 0.7])
+
+
+def test_every_exported_name_resolves():
+    # `from maddpp import *` fails on a name in __all__ the package lacks
+    for name in maddpp.__all__:
+        assert hasattr(maddpp, name), name
 
 
 class TestObjectiveConfig:
@@ -225,11 +231,10 @@ class TestSweep:
         recs = labeled_records(rng, 500)
         m = 50
         res = sweep(recs, ObjectiveConfig(m=m, lambda_grid=default_lambda_grid(3)))
-        probas = recs.proba
-        labels = recs.label
-        acc0 = accuracy_loss(apply_threshold(probas, 0.5), labels)
-        fair0 = fairness_loss(recs, m)
-        # lambda=0 remap moves each record by at most one bin
+        acc0, fair0 = losses(recs, ObjectiveConfig(m=m))
+        # continuous draws put no record on a knot, so the lambda = 0 remap
+        # moves each record by rounding alone; a record on a knot can move
+        # across bins (`TestLosses::test_knot_valued_records_are_scored_as_given`)
         assert res.accuracy_losses[0] == pytest.approx(acc0, abs=0.05)
         assert res.fairness_losses[0] == pytest.approx(fair0, abs=0.1)
 
@@ -259,16 +264,13 @@ def test_sweep_memory_is_bounded(m):
 class TestThresholdCrossing:
     def test_flips_equal_straddles(self):
         rng = np.random.default_rng(8)
-        from maddpp.transport import fip
-
         for _ in range(30):
             recs = labeled_records(rng, int(rng.integers(20, 200)))
             lam = float(rng.random())
             t = 0.5
             probas = recs.proba
             new_p = fip(recs, lam, 25)
-            flipped = set(np.nonzero(apply_threshold(new_p, t)
-                                     != apply_threshold(probas, t))[0])
+            flipped = set(np.nonzero((new_p >= t) != (probas >= t))[0])
             straddle = set(np.nonzero((probas >= t) != (new_p >= t))[0])
             assert flipped == straddle
 
