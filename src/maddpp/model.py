@@ -293,36 +293,23 @@ def encode(dataset: TabularDataset) -> tuple[np.ndarray, np.ndarray, dict]:
     return X, dataset.labels.copy(), rules
 
 
-@dataclass
-class Standardizer:
-    """Zero-mean unit-variance scaling with train-split statistics only."""
+def _scaling(X: np.ndarray, columns: np.ndarray, names: list[str]):
+    """(mean, std) that scale the features of the boolean mask `columns` to
+    zero mean and unit variance; the others pass through (mean 0, std 1).
 
-    mean: np.ndarray
-    std: np.ndarray
-
-    @classmethod
-    def fit(cls, X: np.ndarray, columns: np.ndarray, names: list[str]) -> "Standardizer":
-        """Scale the features of the boolean mask `columns`; the others pass
-        through (mean 0, std 1).
-
-        A scaled column whose mean or std overflows raises EncodingError,
-        naming it from `names`, the feature names in column order.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = X.mean(axis=0)
-            std = X.std(axis=0)
-            bad = np.flatnonzero(columns & ~(np.isfinite(mean) & np.isfinite(std)))
-            if bad.size:
-                k = int(bad[0])
-                raise EncodingError(f"column {names[k]!r}: values too large "
-                                    f"to scale (mean {mean[k]}, std {std[k]})")
-            std = np.where(std ** 2 < 1e-12, 1.0, std)  # variance floor for constant columns
-        return cls(mean=np.where(columns, mean, 0.0), std=np.where(columns, std, 1.0))
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        scaled = X - self.mean
-        scaled /= self.std  # in place: one n x d temporary, not two
-        return scaled
+    A scaled column whose mean or std overflows raises EncodingError,
+    naming it from `names`, the feature names in column order.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+        bad = np.flatnonzero(columns & ~(np.isfinite(mean) & np.isfinite(std)))
+        if bad.size:
+            k = int(bad[0])
+            raise EncodingError(f"column {names[k]!r}: values too large "
+                                f"to scale (mean {mean[k]}, std {std[k]})")
+        std = np.where(std ** 2 < 1e-12, 1.0, std)  # variance floor for constant columns
+    return np.where(columns, mean, 0.0), np.where(columns, std, 1.0)
 
 
 def split(n: int, seed: int):
@@ -342,29 +329,23 @@ def _sigmoid(z):
 
 @dataclass(frozen=True, eq=False)
 class LogisticModel:
-    """A fitted model, as `train` returns it: weights on the features, in the
-    order of `feature_names`, as `standardizer` scales them."""
+    """A fitted model, as `train` returns it: weights on the encoded
+    features, in the order of `feature_names`, and a bias."""
 
     weights: np.ndarray
     bias: float
     feature_names: list[str]
-    standardizer: Standardizer
     # how `train` ended (newton_steps, gradient_norm, l2); not saved to model.json
     training: dict
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.standardizer.transform(X) @ self.weights + self.bias)
-        return np.clip(p, 1e-12, 1.0 - 1e-12)
+        return np.clip(_sigmoid(X @ self.weights + self.bias), 1e-12, 1.0 - 1e-12)
 
     def save(self, path):
         write_json(path, {
             "feature_names": self.feature_names,
             "weights": self.weights.tolist(),
             "bias": self.bias,
-            "standardizer": {
-                "mean": self.standardizer.mean.tolist(),
-                "std": self.standardizer.std.tolist(),
-            },
         })
 
 
@@ -439,18 +420,26 @@ def train(X: np.ndarray, y: np.ndarray, rules: dict, l2: float = 1e-4,
 
     `rules` is `encode`'s report, one rule per column of X in column order:
     its keys are the feature names, and exactly its "numeric" columns are
-    standardized, with statistics from X alone (binary, ordinal and
-    categorical codes are left as they are).  Minimizes mean cross-entropy
-    plus l2 * ||w||^2 (bias unpenalized).  Each step computes the gradient,
-    the Hessian and one (d+1) x (d+1) solve; training stops once the
-    gradient norm falls below `tol`, so the returned weights have gradient
-    norm < `tol`.  A singular Hessian, a non-finite gradient or step, or no
-    convergence within MAX_NEWTON_STEPS raises TrainingDiverged.
+    standardized for the fit, with statistics from X alone (binary, ordinal
+    and categorical codes are left as they are).  Minimizes mean
+    cross-entropy plus l2 * ||w||^2 (bias unpenalized).  Each step computes
+    the gradient, the Hessian and one (d+1) x (d+1) solve; training stops
+    once the gradient norm falls below `tol`.  A singular Hessian, a
+    non-finite gradient or step, or no convergence within MAX_NEWTON_STEPS
+    raises TrainingDiverged.
+
+    The model acts on X unscaled: weights w / std, bias b - mean @ (w / std).
+    The logit's rounding grows with a numeric column's |mean / std|: in
+    measured fits the probabilities differ from the standardized fit's by
+    under 1e-14 at 1e2, 1e-10 at 1e6 and 1e-8 at 1e8.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     names = list(rules)
-    std = Standardizer.fit(X, np.array([rule == "numeric" for rule in rules.values()]), names)
-    w, b, steps, norm = _newton(std.transform(X), y, l2, tol)
-    return LogisticModel(weights=w, bias=b, feature_names=names, standardizer=std,
+    mean, std = _scaling(X, np.array([rule == "numeric" for rule in rules.values()]), names)
+    scaled = X - mean
+    scaled /= std  # in place: one n x d temporary, not two
+    w, b, steps, norm = _newton(scaled, y, l2, tol)
+    w = w / std
+    return LogisticModel(weights=w, bias=b - float(mean @ w), feature_names=names,
                          training={"newton_steps": steps, "gradient_norm": norm, "l2": l2})

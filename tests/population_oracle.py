@@ -5,9 +5,10 @@ the losses the in-sample sweep must approach have population values.  All
 come from the trapezoid rule on a fine grid of [0, 1] (the integration
 nodes), with equal group weights (the simulation's default 10k/10k):
 
-- the fitted remap is a `FipMap` on the population bin masses b0 and b1,
-  with pooled masses 1/2 (b0 + b1); each group's nodes are remapped
-  through it at lambda;
+- the remap is a given fitted `FipMap` (say one fitted on a sample), or by
+  default the `FipMap` on the population bin masses b0 and b1, with pooled
+  masses 1/2 (b0 + b1); each group's nodes are remapped through it at
+  lambda;
 - accuracy loss: a record of probability p is remapped to p' and predicted
   1 iff p' >= t; its label is Bernoulli(p), so it is wrong with
   probability p if p' < t, else 1 - p; the loss is
@@ -16,7 +17,8 @@ nodes), with equal group weights (the simulation's default 10k/10k):
   1/2 * sum_k |P0(bin k) - P1(bin k)|, where a group's mass below an edge
   is its cumulative trapezoid integral up to the node remapped to that edge.
 
-At lambda = 0 the remap is the identity and the bin masses are b0 and b1.
+At lambda = 0 the population map is the identity and the bin masses are b0
+and b1.
 """
 
 from dataclasses import dataclass
@@ -63,15 +65,16 @@ class PopulationLosses:
 
 
 def population_losses(lam: float = 0.0, m: int = 100, t: float = 0.5,
-                      nodes: int = NODES) -> PopulationLosses:
-    """The n -> infinity losses at `lam` for bin count m and threshold t."""
+                      nodes: int = NODES, fitted: FipMap | None = None) -> PopulationLosses:
+    """The n -> infinity losses at `lam` for bin count m and threshold t of
+    the map `fitted` on m bins, by default the population's own."""
     if (nodes - 1) % m:
         raise ValueError(f"the bin edges k/{m} are not all among {nodes} nodes")
     xs = np.linspace(0.0, 1.0, nodes)
     pdfs = (pdf_g0(xs), pdf_g1(xs))
     cdfs = [tabulated_cdf(pdf, xs) for pdf in pdfs]
     knots = [cdf[::(nodes - 1) // m] for cdf in cdfs]
-    fm = FipMap(x=bin_edges(m), y=np.array([*knots, 0.5 * (knots[G0] + knots[G1])]))
+    fm = fitted or FipMap(x=bin_edges(m), y=np.array([*knots, 0.5 * (knots[G0] + knots[G1])]))
     remapped = fm.remap(Scores(np.concatenate((xs, xs)), np.repeat([G0, G1], nodes)), lam)
     accuracy, bins = 0.0, []
     for g in (G0, G1):

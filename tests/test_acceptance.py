@@ -15,6 +15,7 @@ from maddpp.model import gradient
 from maddpp.objective import ObjectiveConfig, sweep
 from maddpp.simulate import C0, C1, pdf_g0, pdf_g1, sample, tabulated_cdf
 from maddpp.transport import fip
+from sweep_oracle import threshold_crossings
 from train_oracle import loss
 
 SEEDS = (0, 1, 2)
@@ -129,10 +130,14 @@ def test_criterion_5_threshold_crossing():
         records = Scores(probas, groups)
         lam = float(rng.random())
         new_p = fip(records, lam, 20)
-        flipped = set(np.nonzero((new_p >= t) != (probas >= t))[0])
-        straddle = set(np.nonzero((probas >= t) != (new_p >= t))[0])
-        ok = ok and flipped == straddle
-    report(5, ok, "100 random (records, lambda) pairs, flip set == straddle set")
+        # continuous draws put no record on a level of the fitted map
+        for g, expected in threshold_crossings(records, lam, 20, t).items():
+            members = groups == g
+            up = np.count_nonzero(members & (probas < t) & (new_p >= t))
+            down = np.count_nonzero(members & (probas >= t) & (new_p < t))
+            ok = ok and (up, down) == expected
+    report(5, ok, "100 random (records, lambda) pairs, flips per group == records "
+                  "between cdf_g(t) and the mixture's level at t, all one way")
 
 
 def test_criterion_6_logistic_gradient():

@@ -211,7 +211,10 @@ class TestPipelineCommand:
         training = manifest["training"]
         assert training["l2"] == 1e-4 and training["gradient_norm"] <= 1e-9
         assert 0 < training["newton_steps"] <= 20
-        # model.json keeps its format: the training outcome is not saved with it
+        # model.json is the weights and bias on the encoded features alone:
+        # the training outcome is not saved with it
+        model_json = json.loads((tmp_path / "model.json").read_text())
+        assert sorted(model_json) == ["bias", "feature_names", "weights"]
         model = load_model(tmp_path / "model.json")
         assert model.training == {}
 

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import json
 import os
 import threading
 import tracemalloc
@@ -16,7 +17,8 @@ from maddpp.errors import EmptyPopulation, EncodingError, MaddError, UnreadableI
 from maddpp.model import (
     ORDINAL_LEVELS,
     LogisticModel,
-    Standardizer,
+    _scaling,
+    _sigmoid,
     encode,
     gradient,
     hessian,
@@ -25,7 +27,7 @@ from maddpp.model import (
     split,
     train,
 )
-from train_oracle import load_model, loss
+from train_oracle import load_model, loss, standardized_fit
 
 
 def write_csv(path, header, rows):
@@ -386,19 +388,24 @@ def test_long_cell_costs_its_own_length(tmp_path):
     assert peak < 2**22
 
 
-class TestStandardizer:
+class TestScaling:
     def test_constant_column_maps_to_zeros(self):
         X = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
-        s = Standardizer.fit(X, np.array([True, True]), ["c", "x"])
-        out = s.transform(X)
+        mean, std = _scaling(X, np.array([True, True]), ["c", "x"])
+        out = (X - mean) / std
         np.testing.assert_allclose(out[:, 0], 0.0)
         assert abs(out[:, 1].mean()) < 1e-12
 
     def test_mask_leaves_columns_untouched(self):
         X = np.column_stack([np.arange(10.0), np.arange(10.0)])
-        s = Standardizer.fit(X, np.array([True, False]), ["a", "b"])
-        out = s.transform(X)
-        np.testing.assert_allclose(out[:, 1], X[:, 1])
+        mean, std = _scaling(X, np.array([True, False]), ["a", "b"])
+        assert (mean[1], std[1]) == (0.0, 1.0)
+        np.testing.assert_allclose(((X - mean) / std)[:, 1], X[:, 1])
+
+    def test_overflowing_column_raises_from_train(self):
+        X = np.array([[1.0, 1e308], [2.0, 1.5e308]])
+        with pytest.raises(EncodingError, match="column 'big': values too large to scale"):
+            train(X, np.array([0, 1]), {"small": "numeric", "big": "numeric"})
 
 
 class TestSplit:
@@ -472,17 +479,31 @@ class TestTrain:
         assert model.bias > 0
         assert np.all(model.predict_proba(X) > 0.9)
 
-    def test_only_numeric_columns_are_standardized(self, tmp_path):
+    def test_only_numeric_columns_are_standardized(self, monkeypatch, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["gender", "age", "score", "label"],
                   [["M", "0-35", "40.5", "1"], ["F", "55<=", "71.0", "0"],
                    ["F", "35-55", "62.5", "1"], ["M", "35-55", "55.0", "0"]])
         X, y, rules = encode(load_dataset(path, sensitive="gender"))
         assert list(rules.values()) == ["categorical['F', 'M']", "ordinal", "numeric"]
-        model = train(X, y, rules)
+        mean, std = _scaling(X, np.array([False, False, True]), list(rules))
+        assert mean.tolist() == [0.0, 0.0, X[:, 2].mean()]
+        assert std.tolist() == [1.0, 1.0, X[:, 2].std()]
+        model, Xs, w, b = standardized_fit(monkeypatch, X, y, rules=rules)
+        np.testing.assert_array_equal(Xs, (X - mean) / std)  # the codes as they are
         assert model.feature_names == ["gender", "age", "score"]
-        assert model.standardizer.mean.tolist() == [0.0, 0.0, X[:, 2].mean()]
-        assert model.standardizer.std.tolist() == [1.0, 1.0, X[:, 2].std()]
+        assert np.abs(model.predict_proba(X) - _sigmoid(Xs @ w + b)).max() <= 1e-15
+
+    def test_large_mean_over_std_stays_near_the_standardized_fit(self, monkeypatch):
+        # the folded logit rounds mean @ (w / std) on a scale of |mean / std|
+        rng = np.random.default_rng(12)
+        z = rng.normal(size=2000)
+        X = np.column_stack([1e6 + z, rng.integers(0, 3, 2000)])
+        assert abs(X[:, 0].mean() / X[:, 0].std()) == pytest.approx(1e6, rel=0.1)
+        y = (z + rng.normal(size=2000) > 0).astype(float)
+        model, Xs, w, b = standardized_fit(monkeypatch, X, y,
+                                           rules={"score": "numeric", "band": "ordinal"})
+        assert np.abs(model.predict_proba(X) - _sigmoid(Xs @ w + b)).max() <= 1e-9
 
     def test_loss_non_increasing(self):
         rng = np.random.default_rng(2)
@@ -501,11 +522,9 @@ class TestTrain:
 
 
 def unscaled_model(weights):
-    """A model with bias 0 on len(weights) features that are not scaled."""
-    d = len(weights)
+    """A model with bias 0 on len(weights) features."""
     return LogisticModel(weights=np.asarray(weights, dtype=float), bias=0.0,
-                         feature_names=[f"x{j}" for j in range(d)],
-                         standardizer=Standardizer(mean=np.zeros(d), std=np.ones(d)),
+                         feature_names=[f"x{j}" for j in range(len(weights))],
                          training={})
 
 
@@ -535,6 +554,8 @@ class TestPredict:
         model = train(X, y, {"a": "numeric", "b": "numeric", "c": "numeric"})
         path = tmp_path / "model.json"
         model.save(path)
+        with open(path) as fh:
+            assert sorted(json.load(fh)) == ["bias", "feature_names", "weights"]
         loaded = load_model(path)
-        np.testing.assert_allclose(loaded.predict_proba(X), model.predict_proba(X))
+        np.testing.assert_array_equal(loaded.predict_proba(X), model.predict_proba(X))
         assert loaded.feature_names == ["a", "b", "c"]

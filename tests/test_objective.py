@@ -29,6 +29,7 @@ from maddpp.objective import (
 )
 from maddpp.simulate import sample
 from maddpp.transport import fip
+from sweep_oracle import threshold_crossings
 
 
 class TestLosses:
@@ -270,9 +271,12 @@ class TestThresholdCrossing:
             t = 0.5
             probas = recs.proba
             new_p = fip(recs, lam, 25)
-            flipped = set(np.nonzero((new_p >= t) != (probas >= t))[0])
-            straddle = set(np.nonzero((probas >= t) != (new_p >= t))[0])
-            assert flipped == straddle
+            # continuous draws put no record on a level of the fitted map
+            for g, expected in threshold_crossings(recs, lam, 25, t).items():
+                members = recs.group == g
+                up = np.count_nonzero(members & (probas < t) & (new_p >= t))
+                down = np.count_nonzero(members & (probas >= t) & (new_p < t))
+                assert (up, down) == expected
 
 
 class TestSerialization:

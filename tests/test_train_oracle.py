@@ -18,7 +18,7 @@ import maddpp
 from maddpp import model
 from maddpp.errors import TrainingDiverged
 from maddpp.model import ORDINAL_LEVELS, encode, load_dataset, split, train
-from train_oracle import loss, oracle_train
+from train_oracle import loss, oracle_train, standardized_fit
 
 REGIONS = [f"region_{i:02d}" for i in range(8)]
 
@@ -37,16 +37,20 @@ def assert_optimal(monkeypatch, X, y, train_kwargs, oracle_kwargs=None):
         return gradient(*args)
 
     monkeypatch.setattr(model, "gradient", counted)
-    fast = train(X, y, **train_kwargs)
+    fast, Xs, w_std, b_std = standardized_fit(monkeypatch, X, y, **train_kwargs)
     monkeypatch.undo()
     l2 = train_kwargs.get("l2", 1e-4)
-    Xs = fast.standardizer.transform(X)
-    gw, gb = gradient(fast.weights, fast.bias, Xs, y, l2)
+    gw, gb = gradient(w_std, b_std, Xs, y, l2)
     norm = np.sqrt(gw @ gw + gb * gb)
     assert norm <= 1e-9
     assert fast.training == {"newton_steps": len(calls) - 1, "gradient_norm": norm, "l2": l2}
+    rules = train_kwargs["rules"]
+    mean, std = model._scaling(np.asarray(X, dtype=float),
+                               np.array([r == "numeric" for r in rules.values()]), list(rules))
+    assert np.array_equal(fast.weights, w_std / std)
+    assert fast.bias == b_std - float(mean @ fast.weights)
     w, b = oracle_train(X, y, **train_kwargs, **(oracle_kwargs or {}))
-    assert loss(fast.weights, fast.bias, Xs, y, l2) <= loss(w, b, Xs, y, l2)
+    assert loss(w_std, b_std, Xs, y, l2) <= loss(w, b, Xs, y, l2)
 
 
 # lr, max_iter and tol set only the oracle's early stop; Newton has no lr or
