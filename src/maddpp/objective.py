@@ -128,45 +128,52 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     start is found from the quantiles' values alone, so it never splits a
     run of equal quantiles, and the label count before it is the same.
 
-    The grid is processed in blocks of lambdas, B at a time with
-    B * (m + 1) <= BLOCK_ELEMENTS: a block's mixtures are one (B, m + 1)
-    array of knot values (`FipMap.mix_knots`).  Per block and group, one
-    `searchsorted` of the sorted quantiles finds every candidate start, and
-    one closed-form test checks them all (`_suffix_starts`).  The sweep
-    costs O(n log n + G * m * log n) time for n records and G grid points,
-    and O(n + BLOCK_ELEMENTS) memory.  Its losses are bit-identical to
+    Each start's candidate is the rank of a level among the group's sorted
+    quantiles, read in O(1) off the group's bucket table (`_RankTable`).
+    The threshold lies in one segment of the mixtures, so its starts are
+    found for the whole grid at once (`_threshold_starts`).  The bin edges
+    are processed in blocks of lambdas, B at a time with B * (m + 1) <=
+    BLOCK_ELEMENTS: a block's mixtures are one (B, m + 1) array of knot
+    values (`FipMap.mix_knots`).  The edges are knots, so their levels are
+    the knot values themselves and only candidates within rounding of them
+    need a check (`_bin_starts`).  For n records, N < 8n buckets over both
+    groups and G grid points, the sweep costs O(n log n + N + G * m) time,
+    plus O(log n) per level in a bucket of two or more quantiles, and
+    O(n + N + G + BLOCK_ELEMENTS) memory.  Its losses are bit-identical to
     remapping every record at every lambda (`tests/sweep_oracle.py`).
     """
     if scores.label is None:
         raise MissingLabels("every record needs a label to sweep")
     fm = FipMap.from_probas(scores, config.m)
-    # per group: its quantiles, sorted, and the number of positive labels
-    # before each sorted position
-    groups = []
+    grid = config.lambda_grid
+    k = np.searchsorted(fm.x, config.threshold)  # x[k - 1] < threshold <= x[k]
+    # the threshold's segment alone, whose mixtures for the whole grid are
+    # small; `mix_knots` works knot by knot, so its values are the full map's
+    segment = FipMap(fm.x[k - 1:k + 1], fm.y[:, k - 1:k + 1])
+    tables = {}
+    wrong = 0
+    repairs = 0
     for g, members, u in fm.groups(scores):
         order = np.argsort(u)
-        groups.append((g, u[order], np.concatenate(([0], np.cumsum(scores.label[members[order]])))))
-    # the interior bin edges, then the threshold
-    cuts = np.append(fm.x[1:-1], config.threshold)
+        tables[g] = _RankTable(u[order])
+        # the number of positive labels before each sorted position
+        ones_before = np.concatenate(([0], np.cumsum(scores.label[members[order]])))
+        c_t, repaired = _threshold_starts(segment.x, segment.mix_knots(g, grid[:, None]),
+                                          tables[g], config.threshold)
+        repairs += repaired
+        # predicted 1 from c_t on: positives before it and negatives after it are wrong
+        wrong = wrong + 2 * ones_before[c_t] + (u.size - c_t) - ones_before[-1]
+    acc = wrong / len(scores)
 
-    grid = config.lambda_grid
-    acc = np.empty(grid.size)
     fair = np.empty(grid.size)
-    repairs = 0
     block = max(1, BLOCK_ELEMENTS // (config.m + 1))
     for lo in range(0, grid.size, block):
         lams = grid[lo:lo + block, None]
-        wrong = 0
         proportions = []
-        for g, su, ones_before in groups:
-            starts, repaired = _suffix_starts(fm.x, fm.mix_knots(g, lams), su, cuts)
+        for g, ranks in tables.items():
+            starts, repaired = _bin_starts(fm.x, fm.mix_knots(g, lams), ranks)
             repairs += repaired
-            c_t = starts[:, -1]
-            # predicted 1 from c_t on: positives before it and negatives after it are wrong
-            wrong = wrong + 2 * ones_before[c_t] + (su.size - c_t) - ones_before[-1]
-            counts = np.diff(starts[:, :-1], axis=1, prepend=0, append=su.size)
-            proportions.append(counts / su.size)
-        acc[lo:lo + block] = wrong / len(scores)
+            proportions.append(np.diff(starts) / ranks.sorted_u.size)
         fair[lo:lo + block] = 0.5 * madd(proportions)
 
     tot = total_loss(acc, fair, config.theta)
@@ -177,28 +184,129 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
                        min_total_loss=float(tot[best]), config=config, repairs=repairs)
 
 
-def _suffix_starts(x, y, sorted_u, cuts) -> tuple[np.ndarray, int]:
-    """For B mixture CDFs with knots (x, y[i]), a (B, cuts.size) array whose
-    entry (i, k) is the first index j with remap_i(sorted_u[j]) >= cuts[k],
-    or sorted_u.size if there is none; also the number of entries re-found.
+class _RankTable:
+    """searchsorted(sorted_u, level, side="right"), the number of quantiles at
+    or below a level, in O(1) per level, for n quantiles in [0, 1].
 
-    The candidate c is the first quantile above the level mixture_i(cuts[k])
-    (`_levels`).  It is right when sorted_u[c - 1] remaps below the cut and
-    sorted_u[c] to at least the cut, which `_reaches` checks for every cut.
-    Rounding can make a candidate wrong; such entries are re-found by
-    bisection over `sorted_u` with the same test.
+    N, the least power of two >= 4n, cuts [0, 1] into buckets [b/N, (b + 1)/N);
+    u * N is exact, so u lies in bucket floor(u * N), and table[b] =
+    #{u < b/N} is a `bincount` and a `cumsum`.  A level L in bucket b =
+    floor(L * N) has rank c in [table[b], table[b + 1]]: table[b] if the
+    bucket holds no quantile, one more if it holds one and that one is <= L.
+    A level in a bucket of two or more quantiles falls back to
+    `np.searchsorted`.  Bucket indices past either end clip to the first or
+    the last bucket, so a level below 0 or just above 1 ranks right too.  The
+    table holds N + 2 int64, the bucket flags N + 1 bools and the padded
+    quantiles n + 2 float64.
     """
-    n = sorted_u.size
-    s = np.searchsorted(x, cuts)  # first knot >= each cut: x[s - 1] < cut <= x[s]
-    c = np.searchsorted(sorted_u, _levels(x, y, s, cuts), side="right")
-    # sorted_u[c - 1] and sorted_u[c]; a missing one, -inf or +inf, passes
-    padded = np.concatenate(([-np.inf], sorted_u, [np.inf]))
-    reached = _reaches(padded[np.stack((c, c + 1))], x, y, s, cuts)
+
+    def __init__(self, sorted_u):
+        n = sorted_u.size
+        self.buckets = N = 1 << (4 * n - 1).bit_length()
+        bucket = (sorted_u * N).astype(np.intp)
+        # table[b + 1] counts bucket b, then sums in place to table[b] = #{u < b/N}
+        table = np.bincount(bucket + 1, minlength=N + 2)
+        self.table = np.cumsum(table, out=table)
+        self.crowded = None
+        # bucket is sorted, so a bucket of two or more quantiles repeats
+        shared = bucket[1:][bucket[1:] == bucket[:-1]]
+        if shared.size:
+            self.crowded = np.zeros(N + 1, dtype=bool)
+            self.crowded[shared] = True
+        # -inf and +inf around the quantiles: padded[c] and padded[c + 1] are
+        # the last at or below a level of rank c and the first above it
+        self.padded = np.concatenate(([-np.inf], sorted_u, [np.inf]))
+        self.sorted_u = self.padded[1:-1]
+
+    def __call__(self, levels) -> np.ndarray:
+        b = (levels * self.buckets).astype(np.intp)
+        lo = self.table.take(b, mode="clip")
+        c = lo + (self.padded[1:].take(lo) <= levels)
+        if self.crowded is not None:
+            crowded = self.crowded.take(b, mode="clip")
+            if crowded.any():
+                c[crowded] = np.searchsorted(self.sorted_u, levels[crowded], side="right")
+        return c
+
+
+def _reach_bound(m: int) -> float:
+    """The farthest a lower candidate can lie below an interior level and
+    still reach its cut (`_bin_starts`)."""
+    return (m + 8) * 2.0**-51
+
+
+def _bin_starts(x, y, ranks) -> tuple[np.ndarray, int]:
+    """For B mixture CDFs with knots (x, y[i]) over m bins, a C-ordered (B,
+    m + 1) array whose row i holds 0, then for each interior knot x[s] the
+    first index j with remap_i(sorted_u[j]) >= x[s], or n = sorted_u.size
+    if there is none, then n: its differences are the bin counts, and
+    `madd`'s sums of those depend on memory order.  Also the number of
+    starts re-found.
+
+    The candidate c is the rank of the level y[i, s] (`ranks`), the knot
+    value at the cut.  It is right when sorted_u[c - 1] remaps below the cut
+    and sorted_u[c] to at least the cut (`_reaches`).  sorted_u[c] > y[i, s]
+    always reaches it (case (i) of `_reaches`), and u = sorted_u[c - 1] <=
+    y[i, s] is checked only when y[i, s] - u <= (m + 8) * 2**-51
+    (`_reach_bound`).  Farther below, u cannot reach.  With eps = 2**-53,
+    a = y[i, s - 1], d = y[i, s] - a and delta = y[i, s] - u, `_reaches`
+    needs a < u (else case (ii)) and frac >= 1/2, where each rounding below
+    is exact or to a normal float:
+    (1) frac = fl(fl(u - a) / fl(d)) <= (1 - delta/d) (1 + eps)^2 / (1 - eps)
+        <= 1 - delta/d + 4 eps;
+    (2) h = x[s] - x[s - 1] is exact (Sterbenz, or x[0] = 0), and each knot
+        k/m is off by at most eps/2, so h >= 1/m - eps >= (31/32)/m, as
+        m < 2**48;
+    (3) fl(x[s - 1] + fl(frac * h)) >= x[s] needs x[s - 1] + frac * h (1 + eps)
+        >= x[s] - eps x[s], the float below x[s] being at most 2 eps x[s]
+        away; so frac >= 1 - eps - eps x[s]/h >= 1 - eps (1 + 32m/31), as
+        x[s] <= 1.
+    Together, delta <= d eps (5 + 32m/31), and d <= 1 + 2**-4, each knot
+    being a sum of proportions that add up to 1, off by fewer than m + 8
+    roundings: so delta < (1.1m + 5.4) eps, with a factor of about 4 to
+    spare.  A wrong candidate is re-found by `_bisect`.
+    """
+    m = x.size - 1
+    starts = np.empty((y.shape[0], m + 1), dtype=np.intp)
+    starts[:, 0], starts[:, m] = 0, ranks.sorted_u.size
+    inner = y[:, 1:-1]  # the levels of the interior knots x[1:-1]
+    starts[:, 1:m] = c = ranks(inner)
+    near = (inner - ranks.padded.take(c) <= _reach_bound(m)).any(axis=1)
+    if not near.any():
+        return starts, 0
+    s = np.arange(1, m)
+    ok = np.ones(c.shape, dtype=bool)
+    ok[near] = ~_reaches(ranks.padded[c[near]], x, y[near], s, x[s])
+    repaired = _bisect(ranks.sorted_u, x, y, s, x[s], c, ok)
+    starts[:, 1:m] = c
+    return starts, repaired
+
+
+def _threshold_starts(x, y, ranks, t) -> tuple[np.ndarray, int]:
+    """For mixture CDFs with knots (x, y[i]) on the one segment x[0] < t <=
+    x[1], the first index j with remap_i(sorted_u[j]) >= t, or sorted_u.size
+    if there is none, for each row i; also the number re-found.
+
+    The candidate c is the rank of the level mixture_i(t) (`_levels`,
+    `ranks`).  It is right when sorted_u[c - 1] remaps below t and
+    sorted_u[c] to at least t (`_reaches`); both are checked, and a wrong
+    candidate is re-found by `_bisect`.  `_levels` and `_reaches` read the
+    segment around t alone, so its two knots give the full CDFs' verdicts.
+    """
+    s, cuts = np.array([1]), np.array([t])
+    c = ranks(_levels(x, y, s, cuts))
+    reached = _reaches(ranks.padded[np.stack((c, c + 1))], x, y, s, cuts)
     ok = ~reached[0] & reached[1]
-    if ok.all():
-        return c, 0
-    # bisection on the rows with a failed entry; entries that passed start
-    # with lo == hi == c and so stay put
+    repaired = 0 if ok.all() else _bisect(ranks.sorted_u, x, y, s, cuts, c, ok)
+    return c[:, 0], repaired
+
+
+def _bisect(sorted_u, x, y, s, cuts, c, ok) -> int:
+    """Re-find in place each start c[i, k] whose check failed (ok[i, k] is
+    False) by bisection over `sorted_u` with `_reaches`; return how many."""
+    n = sorted_u.size
+    # only the rows with a failed entry; entries that passed start with
+    # lo == hi == c and so stay put
     rows = np.flatnonzero(~ok.all(axis=1))
     failed = ~ok[rows]
     y = y[rows]
@@ -210,7 +318,7 @@ def _suffix_starts(x, y, sorted_u, cuts) -> tuple[np.ndarray, int]:
         hi = np.where(active & reached, mid, hi)
         lo = np.where(active & ~reached, mid + 1, lo)
     c[rows] = lo
-    return c, int(failed.sum())
+    return int(failed.sum())
 
 
 def _levels(x, y, s, cuts) -> np.ndarray:

@@ -248,18 +248,37 @@ class TestSweep:
         assert corr <= -0.95
 
 
+def sweep_peak(scores, m):
+    """The most memory the sweep of `scores` holds at once, in bytes."""
+    tracemalloc.start()
+    try:
+        sweep(scores, ObjectiveConfig(m=m, lambda_grid=default_lambda_grid(1000)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("m", [100, 500])
 def test_sweep_memory_is_bounded(m):
     # blocks of lambdas keep the temporaries at O(BLOCK_ELEMENTS); one unblocked
     # (1000, 1000) float64 temporary alone would be 7.6 MiB
-    scores = sample(seed=0)
-    tracemalloc.start()
-    try:
-        sweep(scores, ObjectiveConfig(m=m, lambda_grid=default_lambda_grid(1000)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert sweep_peak(sample(seed=0), m) <= 4 * 2**20
+
+
+@pytest.mark.parametrize("m", [100, 500])
+def test_sweep_memory_grows_with_the_rank_tables(m):
+    # per group of n records the sweep keeps, as `_RankTable` documents, a
+    # table of N + 2 int64 for N the least power of two >= 4n, N + 1 bucket
+    # flags and n + 2 padded float64 quantiles; building a group's table
+    # holds at most eight more arrays of n 8-byte values (the last group's
+    # label counts, and this group's members, quantiles, their order, the
+    # sorted quantiles, their buckets, those plus one, or its label counts);
+    # everything else is the 20k case's 4 MiB
+    sizes = (100_000, 100_000)
+    tables = [1 << (4 * n - 1).bit_length() for n in sizes]
+    kept = sum(8 * (N + 2) + (N + 1) + 8 * (n + 2) for n, N in zip(sizes, tables))
+    bound = kept + 8 * 8 * max(sizes) + 4 * 2**20
+    assert sweep_peak(sample(*sizes, seed=0), m) <= bound
 
 
 class TestThresholdCrossing:

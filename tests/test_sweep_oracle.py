@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from maddpp.densities import Scores
 import maddpp.objective
 import maddpp.transport
-from maddpp.objective import (BLOCK_ELEMENTS, ObjectiveConfig, _levels, _reaches,
-                              default_lambda_grid, sweep)
+from maddpp.objective import (BLOCK_ELEMENTS, ObjectiveConfig, _levels, _RankTable,
+                              _reach_bound, _reaches, default_lambda_grid, sweep)
 from maddpp.simulate import sample
 from maddpp.transport import FipMap, generalized_inverse
 from sweep_oracle import oracle_sweep
@@ -305,6 +305,12 @@ def test_interior_cut_checks_match_the_generalized_inverse(case):
                     got = _reaches(u, x, y[None], s, cuts)
                     assert np.array_equal(got, generalized_inverse(x, y, u) >= cuts)
                     reached += got[0].sum()
+                    # a lower candidate reaches an interior cut, a knot, only
+                    # within `_reach_bound` of its level, the knot value there;
+                    # on cases 1, 3 and 4 some reach from one ulp or more below it
+                    lower = got[0, :-1] & (c[:-1] > 0)
+                    gap = (y[s] - u[0])[:-1][lower]
+                    assert (gap <= _reach_bound(m)).all()
     assert reached > 0  # some lower candidates on knots do reach their cut
     # the sweep on the records the fit came from
     grid = np.sort(MIX_LAMBDAS)
@@ -332,3 +338,50 @@ def test_sweep_makes_no_generalized_inverse_call(monkeypatch):
     records = Scores([0.2, 0.7, 0.3], [0, 1, 0])
     FipMap.from_probas(records, 500).remap(records, 0.5)
     assert calls == [2, 1]
+
+
+def rank_quantiles():
+    """Sorted quantile sets for `_RankTable`: group sizes around a power of
+    two, the ends 0 and 1, ties, and every quantile in one bucket."""
+    rng = np.random.default_rng(12)
+    sets = {}
+    for n in (1, 2, 2**10 - 1, 2**10, 2**10 + 1):
+        sets[f"uniform-{n}"] = rng.random(n)
+        sets[f"ends-and-ties-{n}"] = rng.choice([0.0, 1 / 3, 0.5, 1.0], n)
+    sets["one-bucket"] = np.full(300, 0.3)
+    sets["two-values-one-bucket"] = np.repeat([0.3, np.nextafter(0.3, 1.0)], [5, 9])
+    return {name: np.sort(u) for name, u in sets.items()}
+
+
+@pytest.mark.parametrize("name", list(rank_quantiles()))
+def test_rank_table_is_searchsorted(name):
+    su = rank_quantiles()[name]
+    ranks = _RankTable(su)
+    n_buckets = ranks.buckets
+    # a power of two >= 4n, so that u * N is exact
+    assert n_buckets >= 4 * su.size and n_buckets & (n_buckets - 1) == 0
+    edges = np.arange(n_buckets + 1) / n_buckets
+    levels = np.concatenate((
+        su, np.nextafter(su, -1.0), np.nextafter(su, 2.0),  # on a quantile and one ulp off
+        edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),  # on a bucket edge
+        [0.0, 1.0, 1.0 + 2**-52, 1.0 + 2**-40],  # the ends, and a last knot above 1
+        np.random.default_rng(13).random(500)))
+    expected = np.searchsorted(su, levels, side="right")
+    assert np.array_equal(ranks(levels), expected)
+    # as the sweep calls it: a block of rows, a view into a wider array
+    rows = np.pad(levels[:levels.size // 4 * 4].reshape(4, -1), ((0, 0), (1, 1)))[:, 1:-1]
+    assert np.array_equal(ranks(rows), expected[:rows.size].reshape(4, -1))
+    if name.endswith("bucket"):  # the fallback to np.searchsorted is taken
+        assert ranks.crowded is not None and ranks.crowded[int(0.3 * n_buckets)]
+
+
+@pytest.mark.parametrize("m", [2, 100])
+def test_bin_starts_are_c_ordered(m):
+    # `madd` sums the differences of each row of starts; a Fortran-ordered
+    # array can move those sums in the last bits
+    records = simulated_with_edges(m)
+    fm = FipMap.from_probas(records, m)
+    _, _, u = next(fm.groups(records))
+    starts, repaired = maddpp.objective._bin_starts(
+        fm.x, fm.mix_knots(0, default_lambda_grid(7)[:, None]), _RankTable(np.sort(u)))
+    assert starts.shape == (7, m + 1) and starts.flags.c_contiguous and repaired > 0
