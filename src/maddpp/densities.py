@@ -11,6 +11,7 @@ half of it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +66,17 @@ def check_size(n: int, what: str) -> None:
         raise OutOfMemory(f"cannot allocate {n} {what}: the limit is 2**48 - 1")
 
 
-def check_bin_count(m: int) -> None:
-    """Raise InvalidBinCount unless m >= 2, and OutOfMemory if m is too large."""
+def check_bin_count(m: int) -> int:
+    """m as a Python int; raise InvalidBinCount unless m is an integer >= 2,
+    and OutOfMemory if m is too large."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise InvalidBinCount(f"m must be an integer, got {m!r}") from None
     if m < 2:
         raise InvalidBinCount(f"m must be >= 2, got {m}")
     check_size(m, "bins")
+    return m
 
 
 def bin_edges(m: int) -> np.ndarray:

@@ -56,7 +56,7 @@ class ObjectiveConfig:
             raise InvalidObjective(f"theta must be in [0, 1], got {self.theta}")
         if not 0.0 < self.threshold < 1.0:
             raise InvalidObjective(f"threshold must be in (0, 1), got {self.threshold}")
-        check_bin_count(self.m)
+        object.__setattr__(self, "m", check_bin_count(self.m))
         if g.ndim != 1 or g.size == 0 or not np.all(np.diff(g) >= 0):
             raise InvalidObjective("lambda grid must be a sorted, non-empty 1-d array")
         if not (g[0] >= 0.0 and g[-1] <= 1.0):
@@ -74,7 +74,7 @@ class SweepResult:
     lambda_star: float
     min_total_loss: float
     config: ObjectiveConfig
-    repairs: int = 0  # (lambda, group, cut) suffix starts re-found by bisection
+    repairs: int = 0  # (lambda, group, bin edge) starts whose candidate was wrong
 
     def columns(self) -> list[np.ndarray]:
         return [self.lambdas, self.accuracy_losses, self.fairness_losses, self.total_losses]
@@ -130,13 +130,14 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
 
     Each start's candidate is the rank of a level among the group's sorted
     quantiles, read in O(1) off the group's bucket table (`_RankTable`).
-    The threshold lies in one segment of the mixtures, so its starts are
-    found for the whole grid at once (`_threshold_starts`).  The bin edges
-    are processed in blocks of lambdas, B at a time with B * (m + 1) <=
-    BLOCK_ELEMENTS: a block's mixtures are one (B, m + 1) array of knot
-    values (`FipMap.mix_knots`).  The edges are knots, so their levels are
-    the knot values themselves and only candidates within rounding of them
-    need a check (`_bin_starts`).  For n records, N < 8n buckets over both
+    The threshold lies in one segment of the mixtures, so its starts for
+    the whole grid lie between the ranks of that segment's two knot values,
+    and are bisected there (`_bisect`).  The bin edges are processed in
+    blocks of lambdas, B at a time with B * (m + 1) <= BLOCK_ELEMENTS: a
+    block's mixtures are one (B, m + 1) array of knot values
+    (`FipMap.mix_knots`).  The edges are knots, so their levels are the knot
+    values themselves and only candidates within rounding of them need a
+    check (`_bin_starts`).  For n records, N < 8n buckets over both
     groups and G grid points, the sweep costs O(n log n + N + G * m) time,
     plus O(log n) per level in a bucket of two or more quantiles, and
     O(n + N + G + BLOCK_ELEMENTS) memory.  Its losses are bit-identical to
@@ -152,20 +153,24 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     segment = FipMap(fm.x[k - 1:k + 1], fm.y[:, k - 1:k + 1])
     tables = {}
     wrong = 0
-    repairs = 0
     for g, members, u in fm.groups(scores):
         order = np.argsort(u)
         tables[g] = _RankTable(u[order])
         # the number of positive labels before each sorted position
         ones_before = np.concatenate(([0], np.cumsum(scores.label[members[order]])))
-        c_t, repaired = _threshold_starts(segment.x, segment.mix_knots(g, grid[:, None]),
-                                          tables[g], config.threshold)
-        repairs += repaired
+        knots = segment.mix_knots(g, grid[:, None])
+        # quantiles at or below the first knot's level never reach the
+        # threshold and those above the second's always do (`_reaches`), so
+        # each start lies between the two levels' ranks
+        bracket = tables[g](knots)
+        c_t = _bisect(tables[g].sorted_u, segment.x, knots, np.array([1]),
+                      np.array([config.threshold]), bracket[:, :1], bracket[:, 1:])[:, 0]
         # predicted 1 from c_t on: positives before it and negatives after it are wrong
         wrong = wrong + 2 * ones_before[c_t] + (u.size - c_t) - ones_before[-1]
     acc = wrong / len(scores)
 
     fair = np.empty(grid.size)
+    repairs = 0
     block = max(1, BLOCK_ELEMENTS // (config.m + 1))
     for lo in range(0, grid.size, block):
         lams = grid[lo:lo + block, None]
@@ -264,7 +269,8 @@ def _bin_starts(x, y, ranks) -> tuple[np.ndarray, int]:
     Together, delta <= d eps (5 + 32m/31), and d <= 1 + 2**-4, each knot
     being a sum of proportions that add up to 1, off by fewer than m + 8
     roundings: so delta < (1.1m + 5.4) eps, with a factor of about 4 to
-    spare.  A wrong candidate is re-found by `_bisect`.
+    spare.  A wrong candidate is too high, as sorted_u[c] reaches the
+    cut, so its start is bisected in [0, c] (`_bisect`).
     """
     m = x.size - 1
     starts = np.empty((y.shape[0], m + 1), dtype=np.intp)
@@ -275,62 +281,25 @@ def _bin_starts(x, y, ranks) -> tuple[np.ndarray, int]:
     if not near.any():
         return starts, 0
     s = np.arange(1, m)
-    ok = np.ones(c.shape, dtype=bool)
-    ok[near] = ~_reaches(ranks.padded[c[near]], x, y[near], s, x[s])
-    repaired = _bisect(ranks.sorted_u, x, y, s, x[s], c, ok)
-    starts[:, 1:m] = c
-    return starts, repaired
+    rows = np.flatnonzero(near)
+    # a candidate whose lower neighbour reaches its cut is too high
+    failed = _reaches(ranks.padded[c[rows]], x, y[rows], s, x[s])
+    starts[rows, 1:m] = _bisect(ranks.sorted_u, x, y[rows], s, x[s],
+                                np.where(failed, 0, c[rows]), c[rows])
+    return starts, int(failed.sum())
 
 
-def _threshold_starts(x, y, ranks, t) -> tuple[np.ndarray, int]:
-    """For mixture CDFs with knots (x, y[i]) on the one segment x[0] < t <=
-    x[1], the first index j with remap_i(sorted_u[j]) >= t, or sorted_u.size
-    if there is none, for each row i; also the number re-found.
-
-    The candidate c is the rank of the level mixture_i(t) (`_levels`,
-    `ranks`).  It is right when sorted_u[c - 1] remaps below t and
-    sorted_u[c] to at least t (`_reaches`); both are checked, and a wrong
-    candidate is re-found by `_bisect`.  `_levels` and `_reaches` read the
-    segment around t alone, so its two knots give the full CDFs' verdicts.
-    """
-    s, cuts = np.array([1]), np.array([t])
-    c = ranks(_levels(x, y, s, cuts))
-    reached = _reaches(ranks.padded[np.stack((c, c + 1))], x, y, s, cuts)
-    ok = ~reached[0] & reached[1]
-    repaired = 0 if ok.all() else _bisect(ranks.sorted_u, x, y, s, cuts, c, ok)
-    return c[:, 0], repaired
-
-
-def _bisect(sorted_u, x, y, s, cuts, c, ok) -> int:
-    """Re-find in place each start c[i, k] whose check failed (ok[i, k] is
-    False) by bisection over `sorted_u` with `_reaches`; return how many."""
+def _bisect(sorted_u, x, y, s, cuts, lo, hi) -> np.ndarray:
+    """For starts known to lie in [lo, hi], elementwise, the first index j
+    in that range whose quantile sorted_u[j] reaches its cut (`_reaches`),
+    or hi if none below hi does; j may be n = sorted_u.size."""
     n = sorted_u.size
-    # only the rows with a failed entry; entries that passed start with
-    # lo == hi == c and so stay put
-    rows = np.flatnonzero(~ok.all(axis=1))
-    failed = ~ok[rows]
-    y = y[rows]
-    lo = np.where(failed, 0, c[rows])
-    hi = np.where(failed, n, c[rows])
     while (active := lo < hi).any():
         mid = (lo + hi) // 2
         reached = _reaches(sorted_u[np.minimum(mid, n - 1)], x, y, s, cuts)
-        hi = np.where(active & reached, mid, hi)
+        hi = np.where(reached, mid, hi)  # mid == hi where inactive
         lo = np.where(active & ~reached, mid + 1, lo)
-    c[rows] = lo
-    return int(failed.sum())
-
-
-def _levels(x, y, s, cuts) -> np.ndarray:
-    """np.interp(cuts, x, y[i]) for every row i at once, bit for bit, with
-    every cut but the last on a knot: y[i, s] for a cut on knot x[s], and
-    interp's own formula for a last cut strictly inside segment s."""
-    levels = y[:, s]
-    k, t = s[-1], cuts[-1]
-    if x[k] != t:
-        slope = (y[:, k] - y[:, k - 1]) / (x[k] - x[k - 1])
-        levels[:, -1] = slope * (t - x[k - 1]) + y[:, k - 1]
-    return levels
+    return lo
 
 
 def _reaches(u, x, y, s, cuts) -> np.ndarray:

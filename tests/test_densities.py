@@ -99,9 +99,14 @@ class TestBuildDensityVector:
             build_density_vector(Scores([float("nan"), 0.5], [0, 1]), m=4)
 
     def test_invalid_bin_count(self):
-        for m in (1, 0, -3):
+        for m in (1, 0, -3, 2.5, 10.0, np.float64(4.0)):
             with pytest.raises(InvalidBinCount):
                 build_density_vector(Scores([0.5, 0.5], [0, 1]), m=m)
+
+    @pytest.mark.parametrize("m", [4, np.int64(4), np.int32(4), np.uint8(4)])
+    def test_integer_bin_counts(self, m):
+        bins = build_density_vector(Scores([0.1, 0.6], [0, 1]), m=m)
+        assert np.array_equal(bins, [[1, 0, 0, 0], [0, 0, 1, 0], [0.5, 0, 0.5, 0]])
 
 
 class TestPooling:

@@ -115,6 +115,7 @@ class TestObjectiveConfig:
         ({"lambda_grid": [float("nan")]}, InvalidLambda),
         ({"m": 1}, InvalidBinCount),
         ({"m": 0}, InvalidBinCount),
+        ({"m": 2.5}, InvalidBinCount),
     ])
     def test_typed_errors(self, kwargs, error):
         with pytest.raises(error):
@@ -319,6 +320,13 @@ class TestSerialization:
         assert payload["lambda_star"] == res.lambda_star
         assert payload["min_total_loss"] == res.min_total_loss
         assert payload["config"] == {"theta": 0.5, "threshold": 0.5, "m": 10, "grid_size": 5}
+
+    def test_numpy_integer_m_is_written_as_an_int(self, tmp_path):
+        config = ObjectiveConfig(m=np.int64(10), lambda_grid=default_lambda_grid(5))
+        assert type(config.m) is int
+        sweep(labeled_records(np.random.default_rng(10), 100), config).write_json(
+            tmp_path / "sweep.json")
+        assert json.loads((tmp_path / "sweep.json").read_text())["config"]["m"] == 10
 
     @pytest.mark.parametrize("grid", [1, 1000, 32769])
     def test_json_is_json_dumps_indent_2(self, tmp_path, grid):

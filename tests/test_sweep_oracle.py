@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from maddpp.densities import Scores
 import maddpp.objective
 import maddpp.transport
-from maddpp.objective import (BLOCK_ELEMENTS, ObjectiveConfig, _levels, _RankTable,
+from maddpp.objective import (BLOCK_ELEMENTS, ObjectiveConfig, _bisect, _RankTable,
                               _reach_bound, _reaches, default_lambda_grid, sweep)
 from maddpp.simulate import sample
 from maddpp.transport import FipMap, generalized_inverse
@@ -60,15 +60,15 @@ def test_bin_edge_probas_at_lambda_zero_need_repair(m, t):
     recs = edge_records(m, extra_g0=[k / m for k in range(m + 1)])
     res = assert_identical(Scores(*zip(*recs)),
                            ObjectiveConfig(m=m, threshold=t, lambda_grid=[0.0]))
-    # one repair per group and per cut on a bin edge: the m - 1 interior
-    # edges, and the threshold when it is an edge too
-    assert res.repairs == 2 * (m - 1 + (t in np.arange(m + 1) / m))
+    # one repair per group and per interior bin edge; the threshold's start
+    # is bisected between its knot ranks and counts none
+    assert res.repairs == 2 * (m - 1)
 
 
 @pytest.mark.parametrize("t", [0.37, 0.613])
 def test_simulation_needs_no_repair(t):
-    # no quantile of the smooth simulation sits on a knot, so every
-    # candidate, the interpolated threshold's included, is right first time
+    # no quantile of the smooth simulation sits on a knot, so every bin
+    # edge's candidate is right first time
     config = ObjectiveConfig(m=100, threshold=t, lambda_grid=default_lambda_grid(101))
     res = assert_identical(sample(seed=0), config)
     assert res.repairs == 0
@@ -160,7 +160,7 @@ def sweep_cases(draw):
 def upper_candidate_case():
     """A group-0 record one float above the threshold, whose quantile is the
     first above the threshold's level yet remaps below the threshold: the
-    threshold's upper candidate fails its check and is re-found."""
+    rank of that level is not the threshold's start."""
     m, t, p = 9, 0.057492, 0.05749200000000001
     probas = np.repeat((np.arange(m) + 0.5) / m, [12, 2, 34, 8, 7, 34, 29, 27, 6])
     probas[0] = p  # still in bin 0, so the CDFs are those of the bin centres
@@ -225,13 +225,6 @@ def test_interior_cuts_are_knots_of_every_mixture():
         for lam in grid:
             y = fm.mix_knots(g, lam)
             assert np.array_equal(np.interp(x[1:m], x, y), y[1:m])
-        # so the sweep's levels, the threshold's among them, are np.interp's, row by row
-        y = fm.mix_knots(g, grid[:, None])
-        for t in (*thresholds(m), 0.613, 1 / 3):
-            cuts = np.append(np.arange(1, m) / m, t)
-            levels = _levels(x, y, np.searchsorted(x, cuts), cuts)
-            for row, level in zip(y, levels):
-                assert np.array_equal(level, np.interp(cuts, x, row))
 
 
 def binned_probas(counts):
@@ -277,8 +270,8 @@ def quantile_sets(y, own):
     return [np.unique(np.clip(q, 0.0, 1.0)) for q in sets]
 
 
-# the sweep's repairs on the adversarial fits' own records, at `thresholds(m)`
-ADVERSARIAL_REPAIRS = [3, 17, 4, 10, 727]
+# the sweep's bin-edge repairs on the adversarial fits' own records, at `thresholds(m)`
+ADVERSARIAL_REPAIRS = [0, 12, 0, 6, 726]
 
 
 @pytest.mark.parametrize("case", range(5))
@@ -318,6 +311,57 @@ def test_interior_cut_checks_match_the_generalized_inverse(case):
                                                             lambda_grid=grid)).repairs
                   for t in thresholds(m))
     assert repairs == ADVERSARIAL_REPAIRS[case]
+
+
+def threshold_bracket(x, y, q, t):
+    """For each row of knots `y`: the ranks in `q` of the levels at the two
+    knots around t, and the first index of `q` whose generalized inverse
+    reaches t, or q.size, which must lie between them."""
+    k = np.searchsorted(x, t)
+    lo, hi = (np.searchsorted(q, y[:, j], side="right") for j in (k - 1, k))
+    first = np.array([np.append(generalized_inverse(x, row, q) >= t, True).argmax()
+                      for row in y])
+    assert (lo <= first).all() and (first <= hi).all()
+    return lo, hi, first
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_threshold_starts_lie_between_their_knot_ranks(case, monkeypatch):
+    # for each lambda the threshold's start is the first quantile whose
+    # generalized inverse reaches it, between the ranks of the levels at its
+    # segment's two knots: at thresholds on and off a knot, the first and
+    # last segments included, and on flat segments, where the two ranks are
+    # equal; on the group quantiles the sweep bisects and on quantiles on
+    # and one ulp off the segment's knots
+    m, fm, records = adversarial_fits()[case]
+    found = []
+
+    def spy(sorted_u, x, y, s, cuts, lo, hi):
+        start = _bisect(sorted_u, x, y, s, cuts, lo, hi)
+        if x.size == 2:  # the threshold's segment, not the m + 1 bin edges
+            found.append((sorted_u, start[:, 0]))
+        return start
+
+    monkeypatch.setattr(maddpp.objective, "_bisect", spy)
+    grid = np.sort(MIX_LAMBDAS)
+    flat = 0
+    for t in thresholds(m):
+        k = np.searchsorted(fm.x, t)
+        found.clear()
+        sweep(records, ObjectiveConfig(m=m, threshold=t, lambda_grid=grid))
+        assert len(found) == 2  # one call per group, G0 then G1
+        for g, (su, start) in enumerate(found):
+            y = fm.mix_knots(g, grid[:, None])
+            assert np.array_equal(start, threshold_bracket(fm.x, y, su, t)[2])
+            knots = np.unique(y[:, k - 1:k + 1])
+            for q in (knots, np.nextafter(knots, -1.0), np.nextafter(knots, 2.0)):
+                q = np.unique(np.clip(q, 0.0, 1.0))
+                lo, hi, first = threshold_bracket(fm.x, y, q, t)
+                start = _bisect(q, fm.x[k - 1:k + 1], y[:, k - 1:k + 1], np.array([1]),
+                                np.array([t]), lo[:, None], hi[:, None])
+                assert np.array_equal(start[:, 0], first)
+            flat += np.count_nonzero(y[:, k - 1] == y[:, k])
+    assert flat > 0
 
 
 def test_sweep_makes_no_generalized_inverse_call(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maddpp.densities import Scores, bin_index, build_density_vector, madd
-from maddpp.errors import EmptyGroup, InvalidLambda
+from maddpp.errors import EmptyGroup, InvalidBinCount, InvalidLambda
 from maddpp.transport import FipMap, fip, generalized_inverse
 
 
@@ -143,6 +143,11 @@ class TestFip:
         records = Scores([0.5, 0.5], [0, 1])
         with pytest.raises(InvalidLambda):
             fip(records, 1.5, 4)
+
+    @pytest.mark.parametrize("m", [1, 2.5, 10.0])
+    def test_invalid_bin_count(self, m):
+        with pytest.raises(InvalidBinCount):
+            fip(Scores([0.5, 0.5], [0, 1]), 0.5, m)
 
     def test_convergence_improves_with_sample_size(self):
         """Remapped groups at lambda=1 get closer as n grows (no exact overlap)."""
