@@ -29,7 +29,7 @@ from .densities import (
     madd,
 )
 from .io import read_records, write_columns, write_json, write_records
-from .model import encode, load_dataset, split, train
+from .model import load_dataset, split, train
 from .objective import (
     DEFAULT_GRID_SIZE,
     DEFAULT_THETA,
@@ -150,12 +150,8 @@ def cmd_sweep(args) -> int:
 def cmd_pipeline(args) -> int:
     config = _sweep_config(args)
     _check_seed(args.seed)
-    dataset = load_dataset(args.input, sensitive=args.sensitive,
-                           label_column=args.label_column)
-    X, y, rules = encode(dataset)
-    groups = dataset.sensitive_groups()
-    dropped_rows = dataset.dropped_rows
-    del dataset  # its codes, one per cell, are not needed past encoding
+    X, y, groups, rules, dropped_rows = load_dataset(args.input, sensitive=args.sensitive,
+                                                     label_column=args.label_column)
     idx_train, idx_val, idx_test = split(len(y), seed=args.seed)
     for name, idx in (("validation", idx_val), ("test", idx_test)):
         counts = np.bincount(groups[idx], minlength=2)

@@ -166,23 +166,29 @@ def read_csv(path, header, rows, fast=None):
 
     `header(lines)` takes csv.reader's first row from the file's lines, each
     read through its line end and no further and decoded on its own
-    (`_lines`), and checks it before any byte after it is read.  `fast(raw,
-    head)` reads the rest of a regular file from its binary buffer, in
-    `blocks`.  Where it raises RowLoop (caught here and nowhere else), and
-    for a pipe, `rows(fh, head)` reads the rest of the text file, from the
-    top again for the former.  Every file is decoded as UTF-8 whatever the
-    locale; an undecodable byte, or a csv.Error, is an UnreadableInput.
+    (`_lines`), the first less one leading UTF-8 BOM ("" for an empty file),
+    and checks it before any byte after it is read.  `fast(raw, head)` reads
+    the rest of a regular file from its binary buffer, in `blocks`.  Where
+    it raises RowLoop (caught here and nowhere else), and for a pipe,
+    `rows(fh, head)` reads the rest of the text file, from the top again for
+    the former.  Every file is decoded as UTF-8 whatever the locale; an
+    undecodable byte, or a csv.Error, is an UnreadableInput.
     """
+    def lines():
+        text = _lines(fh)
+        yield next(text, "").removeprefix("\ufeff")
+        yield from text
+
     with open_input(path) as fh:
         try:
-            head = header(_lines(fh))
+            head = header(lines())
             # a pipe cannot be read twice
             if fast is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 try:
                     return fast(fh.buffer, head)
                 except RowLoop:
                     fh.seek(0)
-                    header(_lines(fh))
+                    header(lines())
             return rows(fh, head)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise UnreadableInput(f"cannot read {path}: {exc}") from None

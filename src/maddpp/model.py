@@ -5,17 +5,18 @@ small, deterministic Newton solver (iteratively reweighted least squares)
 for mean cross-entropy plus an L2 penalty on the weights: zero
 initialization, run to the optimum, no external learner.
 
-A course CSV is read into factorized columns: each column's distinct cells
-in sorted order, and one integer code per kept row.  `load_dataset` reads a
-plain file in numpy, a block of whole lines at a time; `load_rows`, the
-`csv.reader` row loop, reads every other file and is the reference the
-numpy reader must match.  `encode` converts each distinct cell once.
+A course CSV is read into numeric arrays in one call: features, labels,
+0/1 group tags, each feature's encoding rule and the dropped row count.
+The file is first factorized: each column's distinct cells in sorted order,
+and one integer code per kept row, so each distinct cell is converted once.
+`load_dataset` reads a plain file in numpy, a block of whole lines at a
+time; `load_rows`, the `csv.reader` row loop, reads every other file and is
+the reference the numpy reader must match.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,31 +42,6 @@ ORDINAL_LEVELS = {
 }
 
 
-@dataclass
-class TabularDataset:
-    """Flat feature table with a binary label and a designated sensitive column.
-
-    Each column is factorized: its distinct cells in sorted order, and for
-    each kept row the index of its cell among them.
-    """
-
-    feature_names: list[str]
-    columns: dict[str, tuple[list[str], np.ndarray]]  # feature name -> (cells, codes)
-    labels: np.ndarray         # 0 or 1, one per kept row
-    sensitive: str
-    row_numbers: np.ndarray    # file row of each kept row (1 = first after the header)
-    dropped_rows: int          # rows removed for missing values at ingestion
-
-    def sensitive_groups(self) -> np.ndarray:
-        """0/1 group tags from the sensitive column (lexicographic order)."""
-        levels, codes = self.columns[self.sensitive]
-        if len(levels) != 2:
-            raise EncodingError(
-                f"sensitive column {self.sensitive!r} must be binary, "
-                f"found {len(levels)} distinct values")
-        return (codes == 1).astype(int)
-
-
 # rows per slice of `hessian`'s weight block
 CHUNK_ROWS = 4096
 # the first k bytes of a little-endian word, k = 0..8
@@ -73,16 +49,19 @@ _FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def load_dataset(path, sensitive: str, label_column: str = "label") -> TabularDataset:
-    """Read a flat course CSV into factorized columns, exactly as `load_rows` would.
+def load_dataset(path, sensitive: str, label_column: str = "label"):
+    """(X, y, groups, rules, dropped_rows) of a flat course CSV, exactly as
+    `load_rows` gives them: a float column of X per feature (every column
+    but the label, in header order), the 0/1 labels, the sensitive column's
+    two sorted cells as 0/1 tags, each feature's rule, the dropped row count.
 
     The header is checked before any byte after it is read: it must name
     the label column and the sensitive column (another one), and no name
-    twice.  One leading UTF-8 BOM is dropped.  Blank lines are skipped; a
-    row shorter than the header or with an empty cell among its first
-    len(header) cells is dropped and counted; cells past the header's width
-    are ignored.  A row's number counts every line after the header, blank
-    ones too.
+    twice.  One leading UTF-8 BOM is dropped (`io.read_csv`).  Blank lines
+    are skipped; a row shorter than the header or with an empty cell among
+    its first len(header) cells is dropped and counted; cells past the
+    header's width are ignored.  A row's number counts every line after the
+    header, blank ones too.
 
     The file is read as UTF-8 whatever the locale.  A regular file is read
     once (`io.read_csv`), in binary blocks of whole lines (`_read_blocks`):
@@ -93,23 +72,22 @@ def load_dataset(path, sensitive: str, label_column: str = "label") -> TabularDa
     return _load(path, sensitive, label_column, _read_blocks)
 
 
-def load_rows(path, sensitive: str, label_column: str = "label") -> TabularDataset:
+def load_rows(path, sensitive: str, label_column: str = "label"):
     """Row-by-row course CSV reader (`csv.reader`): the fallback of
-    `load_dataset` and the reference it must match."""
+    `load_dataset` and the reference its arrays and errors must match."""
     return _load(path, sensitive, label_column)
 
 
-def _load(path, sensitive: str, label_column: str, fast=None) -> TabularDataset:
+def _load(path, sensitive: str, label_column: str, fast=None):
     table = read_csv(path, lambda lines: _check_header(lines, path, sensitive, label_column),
                      _read_rows, fast)
-    return _dataset(path, label_column, sensitive, *table)
+    return _arrays(path, label_column, sensitive, *table)
 
 
 def _check_header(lines, path, sensitive: str, label_column: str) -> list[str]:
-    """The header, csv.reader's first row of `lines` less one leading BOM, if
-    it names the label and the sensitive column, each name once."""
-    first = next(lines, "")
-    header = next(csv.reader(itertools.chain([first.removeprefix("\ufeff")], lines)))
+    """The header, csv.reader's first row of `lines`, if it names the label
+    and the sensitive column, each name once."""
+    header = next(csv.reader(lines))
     if label_column not in header:
         raise EncodingError(f"label column {label_column!r} missing from {path}")
     if len(set(header)) != len(header):
@@ -140,10 +118,10 @@ def _read_rows(fh, header: list[str]):
 
 
 def _read_blocks(raw, header: list[str]):
-    """What `_read_rows` returns, read from the binary file `raw`, past its
-    header, in `io.blocks`.  RowLoop, raised by `io.blocks` or `_distinct`,
-    hands it to `_read_rows`: at the first block that is not plain, or two
-    distinct cells of a column with the same hash."""
+    """What `_read_rows` returns, up to each column's cell order, read from
+    the binary file `raw`, past its header, in `io.blocks`.  RowLoop, raised
+    by `io.blocks` or `_distinct`, hands it to `_read_rows`: at the first
+    block that is not plain, or two distinct cells of a column hashed alike."""
     width = len(header)
     seen = [{} for _ in header]
     codes = [np.empty(0, np.intp) for _ in header]
@@ -221,22 +199,42 @@ def _word(words: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
     return words[at] & _FIRST_BYTES[np.minimum(size, 8)]
 
 
-def _dataset(path, label_column: str, sensitive: str, header: list[str], columns: list,
-             row_numbers: np.ndarray, dropped: int) -> TabularDataset:
-    """The dataset of a table read by `_read_rows` or `_read_blocks`."""
+def _arrays(path, label_column: str, sensitive: str, header: list[str], columns: list,
+            row_numbers: np.ndarray, dropped: int):
+    """(X, y, groups, rules, dropped) of a table read by `_read_rows` or
+    `_read_blocks`, checked in order: some row kept, each label 0 or 1, each
+    feature in header order, a binary sensitive column.
+
+    Binary and ordinal columns become small integer codes; columns that
+    parse as numbers are kept as-is (`train` standardizes them) and must be
+    finite.  Each distinct cell is converted once, and each row takes its
+    cell's number; y and groups are the label and sensitive columns' codes.
+    """
     if not row_numbers.size:
         raise EmptyPopulation(f"no usable rows in {path}")
     columns = dict(zip(header, (_sort_cells(*c) for c in columns)))
-    levels, codes = columns.pop(label_column)
+    levels, y = columns.pop(label_column)
     bad = np.array([cell not in ("0", "1") for cell in levels])
     if bad.any():
-        k = _first(bad, codes)
+        k = _first(bad, y)
         raise EncodingError(f"{path}: row {row_numbers[k]}: label must be 0 or 1, "
-                            f"got {levels[codes[k]]!r}")
-    np.take([int(c) for c in levels], codes, out=codes, mode="clip")  # the labels, in place
-    return TabularDataset(feature_names=[c for c in header if c != label_column],
-                          columns=columns, labels=codes, sensitive=sensitive,
-                          row_numbers=row_numbers, dropped_rows=dropped)
+                            f"got {levels[y[k]]!r}")
+    np.take([int(c) for c in levels], y, out=y, mode="clip")  # the labels, in place
+    X = np.empty((y.size, len(columns)))
+    rules = {}
+    for j, (name, (levels, codes)) in enumerate(columns.items()):
+        values, rules[name] = _cell_values(name, levels, codes)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            k = _first(bad, codes)
+            raise EncodingError(f"column {name!r}, row {row_numbers[k]}: "
+                                f"{levels[codes[k]]!r} is not a finite number")
+        X[:, j] = values[codes]
+    levels, groups = columns[sensitive]
+    if len(levels) != 2:
+        raise EncodingError(f"sensitive column {sensitive!r} must be binary, "
+                            f"found {len(levels)} distinct values")
+    return X, y, groups, rules, dropped
 
 
 def _sort_cells(cells: list[str], codes: np.ndarray):
@@ -268,29 +266,6 @@ def _cell_values(name: str, levels: list[str], codes: np.ndarray):
                                 f"{cell!r} is not in list")
         return np.array([float(order.index(v)) for v in levels]), "ordinal"
     return np.arange(float(len(levels))), f"categorical{levels}"
-
-
-def encode(dataset: TabularDataset) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Design matrix, labels, and the per-column encoding report.
-
-    Binary and ordinal columns become small integer codes; columns that
-    parse as numbers are kept as-is and must be finite.  Each distinct cell
-    is converted once, and each row takes its cell's number.  `train`
-    standardizes the numeric columns, so their statistics come from the
-    training split only.
-    """
-    X = np.empty((dataset.labels.size, len(dataset.feature_names)))
-    rules = {}
-    for j, name in enumerate(dataset.feature_names):
-        levels, codes = dataset.columns[name]
-        values, rules[name] = _cell_values(name, levels, codes)
-        bad = ~np.isfinite(values)
-        if bad.any():
-            k = _first(bad, codes)
-            raise EncodingError(f"column {name!r}, row {dataset.row_numbers[k]}: "
-                                f"{levels[codes[k]]!r} is not a finite number")
-        X[:, j] = values[codes]
-    return X, dataset.labels.copy(), rules
 
 
 def _scaling(X: np.ndarray, columns: np.ndarray, names: list[str]):
@@ -418,7 +393,7 @@ def train(X: np.ndarray, y: np.ndarray, rules: dict, l2: float = 1e-4,
     """The logistic model fitted by Newton steps (IRLS) from zero
     initialization to the optimum; deterministic.
 
-    `rules` is `encode`'s report, one rule per column of X in column order:
+    `rules` is `load_dataset`'s report, one rule per column of X in column order:
     its keys are the feature names, and exactly its "numeric" columns are
     standardized for the fit, with statistics from X alone (binary, ordinal
     and categorical codes are left as they are).  Minimizes mean

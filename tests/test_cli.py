@@ -558,6 +558,14 @@ class TestMalformedInput:
          "maddpp pipeline: argument --sensitive: invalid _utf8 value: 'r\\udcffgion'"),
         (["pipeline", "{input}", "--sensitive", "gender", "--label-column", "\udce9"], None,
          29, "InvalidOption", "argument --label-column: invalid _utf8 value: '\\udce9'"),
+        # the course checks run in order: a bad label before a bad feature cell
+        # above it, and that before a sensitive column that is not binary
+        (["pipeline", "{input}", "--sensitive", "g"], "g,x,label\na,inf,1\nb,1,2\nc,2,0\n", 21,
+         "EncodingError", "{input}: row 2: label must be 0 or 1, got '2'"),
+        (["pipeline", "{input}", "--sensitive", "g"], "g,x,label\na,inf,1\nb,1,0\nc,2,0\n", 21,
+         "EncodingError", "column 'x', row 1: 'inf' is not a finite number"),
+        (["pipeline", "{input}", "--sensitive", "g"], "g,x,label\na,0.5,1\nb,1,0\nc,2,0\n", 21,
+         "EncodingError", "sensitive column 'g' must be binary, found 3 distinct values"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"
@@ -683,7 +691,8 @@ def test_readme_names_every_exit_code():
 # longer has; its tracer skips them and lists them as absent
 STALE_SPAN_TARGETS = {"maddpp.objective.generalized_inverse", "maddpp.model.loss_and_gradient",
                       "maddpp.cli.pool_density_vectors", "maddpp.transport.pool_density_vectors",
-                      "maddpp.cli.accuracy_loss", "maddpp.cli.fairness_loss"}
+                      "maddpp.cli.accuracy_loss", "maddpp.cli.fairness_loss",
+                      "maddpp.cli.encode"}
 
 
 def import_perfbench(monkeypatch, name):

@@ -15,7 +15,7 @@ import pytest
 
 from maddpp.cli import main
 from maddpp.densities import Scores, build_density_vector
-from maddpp.model import encode, load_dataset, split, train
+from maddpp.model import load_dataset, split, train
 from maddpp.objective import ObjectiveConfig, default_lambda_grid, sweep
 from sweep_oracle import oracle_sweep
 
@@ -39,9 +39,7 @@ def course_csvs(tmp_path_factory):
 def validation_batch(path):
     """The batch `pipeline --sensitive gender --seed 0` sweeps: the model's
     scores on its validation split."""
-    dataset = load_dataset(path, sensitive="gender")
-    X, y, rules = encode(dataset)
-    groups = dataset.sensitive_groups()
+    X, y, groups, rules, _ = load_dataset(path, sensitive="gender")
     idx_train, idx_val, _ = split(len(y), seed=0)
     model = train(X[idx_train], y[idx_train], rules)
     return Scores(model.predict_proba(X[idx_val]), groups[idx_val], y[idx_val])

@@ -441,6 +441,43 @@ def test_columns_are_resized_a_few_times_per_read(tmp_path, monkeypatch):
         assert 2 <= len(resized) <= 3, resized
 
 
+@pytest.mark.parametrize("block", [8, maddpp.io.BLOCK_BYTES])
+@pytest.mark.parametrize("body", [LABELLED + b"0.5,0,1\n0.25,1,0\n",
+                                  b"proba,group\n0.5,0\n0.25,1\n"], ids=["labelled", "unlabelled"])
+def test_one_leading_bom_is_dropped(tmp_path, monkeypatch, body, block):
+    # in the numpy reader and in the row loop alike, on the header's first
+    # read and on its second, after the numpy reader hands the file over
+    monkeypatch.setattr(maddpp.io, "BLOCK_BYTES", block)
+    plain, bom, quoted = (tmp_path / f"{name}.csv" for name in ("plain", "bom", "quoted"))
+    plain.write_bytes(body)
+    bom.write_bytes(b"\xef\xbb\xbf" + body)
+    quoted.write_bytes(b"\xef\xbb\xbf" + body.replace(b"\n0.5,", b'\n"0.5",'))
+    for read, require_labels in itertools.product((read_records, read_rows), (False, True)):
+        def unnamed(path):  # the outcome, the file's name left out of an error
+            return [x.replace(str(path), "r.csv") if isinstance(x, str) else x
+                    for x in outcome(read, path, require_labels)]
+        expected = unnamed(plain)
+        for path, row_parser in ((bom, read is read_rows), (quoted, True)):
+            with mock.patch.object(maddpp.io, "_parse_rows", wraps=maddpp.io._parse_rows) as spy:
+                assert unnamed(path) == expected
+            assert spy.called is row_parser
+
+
+@pytest.mark.parametrize("read", [read_records, read_rows])
+def test_only_one_bom_is_dropped(tmp_path, read):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + LABELLED + b"0.5,0,1\n")
+    with pytest.raises(InvalidProbability, match=r"got '\\ufeffproba,group,label'$"):
+        read(path)
+    path.write_bytes(b"\xef\xbb\xbf")  # a BOM alone reads as an empty file
+    with pytest.raises(InvalidProbability, match="expected header proba,group or "
+                                                 "proba,group,label, got ''$"):
+        read(path)
+    path.write_bytes(b"")
+    with pytest.raises(InvalidProbability, match="got ''$"):
+        read(path)
+
+
 @pytest.mark.parametrize("offset", [0, 2**13, 2**20])  # in the first 8 KiB, past it, past a block
 @pytest.mark.parametrize("read", [read_records, read_rows])
 def test_header_is_checked_before_any_row(tmp_path, read, offset):

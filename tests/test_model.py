@@ -19,7 +19,6 @@ from maddpp.model import (
     LogisticModel,
     _scaling,
     _sigmoid,
-    encode,
     gradient,
     hessian,
     load_dataset,
@@ -42,35 +41,34 @@ class TestLoadAndEncode:
         path = tmp_path / "d.csv"
         write_csv(path, ["gender", "score", "label"],
                   [["M", "1.0", "1"], ["F", "2.0", "0"]])
-        ds = load_dataset(path, sensitive="gender")
-        X, y, rules = encode(ds)
+        X, y, groups, rules, dropped = load_dataset(path, sensitive="gender")
         assert rules["gender"].startswith("categorical")
         assert X[0, 0] == 1.0 and X[1, 0] == 0.0  # F < M lexicographically
         np.testing.assert_array_equal(y, [1, 0])
+        np.testing.assert_array_equal(groups, [1, 0])
+        assert dropped == 0
 
     def test_known_ordinal_levels(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_csv(path, ["age", "label"],
-                  [["35-55", "1"], ["0-35", "0"], ["55<=", "1"]])
-        ds = load_dataset(path, sensitive="age")
-        X, _, rules = encode(ds)
+        write_csv(path, ["age", "gender", "label"],
+                  [["35-55", "M", "1"], ["0-35", "F", "0"], ["55<=", "F", "1"]])
+        X, _, _, rules, _ = load_dataset(path, sensitive="gender")
         assert rules["age"] == "ordinal"
         np.testing.assert_array_equal(X[:, 0], [1, 0, 2])
 
     def test_unknown_category_raises(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["age", "label"], [["banana", "1"], ["0-35", "0"]])
-        ds = load_dataset(path, sensitive="age")
-        with pytest.raises(EncodingError):
-            encode(ds)
+        with pytest.raises(EncodingError, match="unknown category in column 'age': 'banana'"):
+            load_dataset(path, sensitive="age")
 
     def test_missing_rows_dropped_and_counted(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["gender", "score", "label"],
                   [["M", "1.0", "1"], ["F", "", "0"], ["F", "3.0", "1"]])
-        ds = load_dataset(path, sensitive="gender")
-        assert ds.dropped_rows == 1
-        assert len(ds.labels) == 2
+        X, y, groups, _, dropped = load_dataset(path, sensitive="gender")
+        assert dropped == 1
+        assert len(y) == len(groups) == X.shape[0] == 2
 
     def test_label_error_names_row(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -89,49 +87,90 @@ class TestLoadAndEncode:
         write_csv(path, ["gender", "score", "label"],
                   [["M", "1.0", "1"], ["F", "", "0"], ["F", "-inf", "1"]])
         with pytest.raises(EncodingError, match=r"column 'score', row 3: '-inf'"):
-            encode(load_dataset(path, sensitive="gender"))
+            load_dataset(path, sensitive="gender")
 
     def test_non_binary_sensitive(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["region", "label"],
                   [["a", "1"], ["b", "0"], ["c", "1"]])
-        ds = load_dataset(path, sensitive="region")
-        with pytest.raises(EncodingError):
-            ds.sensitive_groups()
+        with pytest.raises(EncodingError, match="^sensitive column 'region' must be binary, "
+                                                "found 3 distinct values$"):
+            load_dataset(path, sensitive="region")
 
 
-def decoded(ds):
-    """Each column's cells in row order, after checking its factorization:
-    distinct cells in sorted order, each used, one code per kept row."""
-    columns = {}
-    for name, (levels, codes) in ds.columns.items():
-        assert levels == sorted(set(levels))
-        assert codes.dtype == np.intp and codes.shape == ds.labels.shape
-        assert np.unique(codes).tolist() == list(range(len(levels)))
-        columns[name] = [levels[c] for c in codes.tolist()]
-    return columns
+# each file fixes the error before it: a bad label is named before a bad
+# feature cell above it, and that before a sensitive column that is not binary
+ORDERED_ERRORS = [
+    ("a,inf,1\nb,1,2\nc,2,0\n", "{path}: row 2: label must be 0 or 1, got '2'"),
+    ("a,inf,1\nb,1,0\nc,2,0\n", "column 'x', row 1: 'inf' is not a finite number"),
+    ("a,0.5,1\nb,1,0\nc,2,0\n", "sensitive column 'g' must be binary, found 3 distinct values"),
+]
+
+
+@pytest.mark.parametrize("rows, message", ORDERED_ERRORS, ids=["label", "feature", "sensitive"])
+@pytest.mark.parametrize("block", [8, maddpp.io.BLOCK_BYTES])
+def test_checks_run_in_order(tmp_path, rows, message, block):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"g,x,label\n" + rows.encode())
+    for load in (load_dataset, load_rows):
+        with mock.patch.object(maddpp.io, "BLOCK_BYTES", block), \
+                pytest.raises(EncodingError) as exc:
+            load(path, sensitive="g")
+        assert str(exc.value) == message.format(path=path)
+
+
+def table(path, fast=True, sensitive="g", label_column="label"):
+    """The table `load_dataset` (fast) or `load_rows` reads from `path`
+    before encoding it: (header, each column's (cells, codes), the kept rows'
+    numbers, the dropped row count)."""
+    return maddpp.io.read_csv(
+        path, lambda lines: model._check_header(lines, path, sensitive, label_column),
+        model._read_rows, model._read_blocks if fast else None)
+
+
+def decoded(read):
+    """A `table` as each column's name and cells in row order, the row
+    numbers, and the dropped count and its type, after checking its
+    factorization: distinct cells, each used, one intp code per kept row."""
+    header, columns, row_numbers, dropped = read
+    cells_in_rows = []
+    for name, (cells, codes) in zip(header, columns, strict=True):
+        assert len(set(cells)) == len(cells)
+        assert codes.dtype == np.intp and codes.shape == row_numbers.shape
+        assert np.unique(codes).tolist() == list(range(len(cells)))
+        cells_in_rows.append((name, [cells[c] for c in codes.tolist()]))
+    assert row_numbers.dtype == np.intp
+    return cells_in_rows, row_numbers.tolist(), type(dropped), dropped
+
+
+def caught(f):
+    """f(), or the type and message of the MaddError it raises."""
+    try:
+        return f()
+    except MaddError as exc:
+        return type(exc), str(exc)
+
+
+def arrays(loaded):
+    """`load_dataset`'s arrays as plain values: dtypes, shapes, bytes, lists."""
+    X, y, groups, rules, dropped = loaded
+    return (X.dtype.str, X.shape, X.tobytes(), y.dtype.str, y.tolist(),
+            groups.dtype.str, groups.tolist(), rules, type(dropped), dropped)
 
 
 def outcome(load, path, sensitive="g", label_column="label"):
-    """What `load` and then `encode` make of `path`, or the error either raises."""
-    try:
-        ds = load(path, sensitive, label_column)
-        table = (ds.feature_names, {name: (levels, codes.tolist())
-                                    for name, (levels, codes) in ds.columns.items()},
-                 ds.labels.dtype.str, ds.labels.tolist(), ds.row_numbers.tolist(),
-                 type(ds.dropped_rows), ds.dropped_rows)
-        X, y, rules = encode(ds)
-    except MaddError as exc:
-        return type(exc), str(exc)
-    return table, X.tobytes(), y.tolist(), rules
+    """The table `load`'s reader reads from `path` (`decoded`) and what
+    `load` makes of it (`arrays`), or the error each raises."""
+    fast = load is load_dataset
+    return (caught(lambda: decoded(table(path, fast, sensitive, label_column))),
+            caught(lambda: arrays(load(path, sensitive, label_column))))
 
 
 def dictreader_load(path):
-    """The row handling of csv.DictReader, less a UTF-8 BOM: (feature columns,
-    labels, the row number of each kept row, dropped)."""
+    """The row handling of csv.DictReader, less a UTF-8 BOM: (each column's
+    cells in row order by name, the row number of each kept row, dropped)."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        features = [c for c in reader.fieldnames if c != "label"]
         rows, numbers, dropped = [], [], 0
         for raw in reader:
             if any(raw[c] is None or raw[c] == "" for c in reader.fieldnames):
@@ -139,8 +178,7 @@ def dictreader_load(path):
             else:
                 rows.append(raw)
                 numbers.append(reader.line_num - 1)  # one physical line per row here
-    return ({c: [r[c] for r in rows] for c in features},
-            [r["label"] for r in rows], numbers, dropped)
+    return {c: [r[c] for r in rows] for c in reader.fieldnames}, numbers, dropped
 
 
 # plain cells; the last ones differ only after byte 8 or 16, or parse as
@@ -178,19 +216,30 @@ def test_load_matches_dictreader(tmp_path_factory, text, block):
     with mock.patch.object(maddpp.io, "BLOCK_BYTES", block):  # rows cross block boundaries
         got = outcome(load_dataset, path)
     assert got == outcome(load_rows, path)
-    columns, labels, numbers, dropped = dictreader_load(path)
+    columns, numbers, dropped = dictreader_load(path)
+    read, loaded = got
+    assert read == (list(columns.items()), numbers, int, dropped)
+    labels, sensitive = columns.pop("label"), columns["g"]
     if not labels:
-        assert got == (EmptyPopulation, f"no usable rows in {path}")
+        assert loaded == (EmptyPopulation, f"no usable rows in {path}")
         return
     if not set(labels) <= {"0", "1"}:  # the quoted cell in the label column
-        assert got[0] is EncodingError and "label must be 0 or 1, got 'c,d'" in got[1]
+        assert loaded[0] is EncodingError and "label must be 0 or 1, got 'c,d'" in loaded[1]
         return
-    ds = load_dataset(path, sensitive="g")
-    assert ds.feature_names == list(columns)
-    assert decoded(ds) == columns
-    assert ds.labels.tolist() == [int(c) for c in labels]
-    assert ds.row_numbers.tolist() == numbers
-    assert ds.dropped_rows == dropped
+    if len(set(sensitive)) != 2:
+        assert loaded == (EncodingError, "sensitive column 'g' must be binary, "
+                                         f"found {len(set(sensitive))} distinct values")
+        return
+    X, y, groups, rules, dropped_rows = load_dataset(path, sensitive="g")
+    assert list(rules) == list(columns) and dropped_rows == dropped
+    assert y.tolist() == [int(c) for c in labels]
+    assert groups.tolist() == [sorted(set(sensitive)).index(c) for c in sensitive]
+    for j, cells in enumerate(columns.values()):  # no cell here is a non-finite number
+        try:
+            expected = [float(c) for c in cells]
+        except ValueError:
+            expected = [sorted(set(cells)).index(c) for c in cells]
+        assert X[:, j].tolist() == expected
 
 
 BOM = b"\xef\xbb\xbf"
@@ -261,9 +310,9 @@ def test_bom_leaves_the_first_column_its_name(tmp_path):
     for name, sensitive in (("bom", "g"), ("bom_label_first", "g"), ("two_boms", "\ufeffg")):
         path = tmp_path / f"{name}.csv"
         path.write_bytes(ODD_FILES[name][0])
-        ds = load_dataset(path, sensitive=sensitive)
-        assert ds.sensitive == sensitive and ds.sensitive_groups().tolist() == [1, 0]
-        assert ds.labels.tolist() == [1, 0]
+        X, y, groups, rules, _ = load_dataset(path, sensitive=sensitive)
+        assert list(rules) == [sensitive, "x"] and groups.tolist() == [1, 0]
+        assert y.tolist() == [1, 0] and X[:, 1].tolist() == [1.5, 2.0]
 
 
 def test_header_is_checked_before_any_row(tmp_path):
@@ -290,7 +339,9 @@ def test_header_ends_at_a_lone_cr(tmp_path):
     path = tmp_path / "d.csv"
     path.write_bytes(ODD_FILES["lone_cr_header"][0])
     for load in (load_dataset, load_rows):
-        assert decoded(load(path, sensitive="g")) == {"g": ["M", "F"], "x": ["1.5", "2"]}
+        assert outcome(load, path)[0][0] == [("g", ["M", "F"]), ("x", ["1.5", "2"]),
+                                             ("label", ["1", "0"])]
+    assert outcome(load_dataset, path) == outcome(load_rows, path)
 
 
 def test_rows_across_block_boundaries(tmp_path):
@@ -305,7 +356,7 @@ def test_rows_across_block_boundaries(tmp_path):
                 mock.patch.object(model, "_read_rows", side_effect=AssertionError):
             got = outcome(load_dataset, path)
         assert got == outcome(load_rows, path)
-        assert got[0][4] == [shift + k for k in (1, 2, 4, 6)]
+        assert got[0][1] == [shift + k for k in (1, 2, 4, 6)]
 
 
 @pytest.mark.parametrize("content", [
@@ -327,22 +378,28 @@ def test_hash_collision_goes_to_the_row_loop(tmp_path, content):
 def test_pipes_go_to_the_row_loop(tmp_path):
     path = tmp_path / "d.csv"
     path.write_bytes(HEADER + "M,é,1\nF,2,0\n".encode())
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
     with mock.patch.object(model, "_read_rows", wraps=model._read_rows) as row_loop:
-        fifo = tmp_path / "fifo"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
-        writer.start()
-        assert decoded(load_dataset(fifo, sensitive="g")) == {"g": ["M", "F"], "x": ["é", "2"]}
-        writer.join(timeout=60)
-        assert not writer.is_alive() and row_loop.call_count == 1
+        for read in (table, lambda p: load_dataset(p, sensitive="g")):
+            writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+            writer.start()
+            got.append(read(fifo))
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+        assert row_loop.call_count == 2
+    assert decoded(got[0])[0] == [("g", ["M", "F"]), ("x", ["é", "2"]), ("label", ["1", "0"])]
+    assert arrays(got[1]) == arrays(load_rows(path, sensitive="g"))
 
 
 def test_load_memory_is_bounded(tmp_path):
-    # the codes, labels and row numbers grow in place to an estimate of their
-    # final size and are cut to it at the end, and a block's temporaries are
-    # O(BLOCK_BYTES); encode's peak is X and one column (a column's values,
-    # then y).  The file repeats one set of rows, so its distinct cells are
-    # the same at every size.  Allowed: a slack of 64 KiB
+    # the reading step's codes and row numbers grow in place to an estimate
+    # of their final size and are cut to it at the end, and a block's
+    # temporaries are O(BLOCK_BYTES); the encoding step allocates X and one
+    # column (a column's values), as y and groups are codes it already holds.
+    # The file repeats one set of rows, so its distinct cells are the same at
+    # every size.  Allowed: a slack of 64 KiB
     rng = np.random.default_rng(5)
     rows = "".join(f"{'MF'[g]},{a},{s:.1f},{r},{y}\n" for g, a, s, r, y in zip(
         rng.integers(0, 2, 4000), rng.choice(ORDINAL_LEVELS["age"], 4000),
@@ -351,23 +408,25 @@ def test_load_memory_is_bounded(tmp_path):
     path = tmp_path / "course.csv"
 
     def overheads(blocks):
-        """The peak memory of load_dataset and of encode beyond what each returns."""
+        """The peak memory of the reading step and of the encoding step
+        beyond what each returns."""
         path.write_bytes(b"gender,age,mean_score,region,label\n"
                          + rows * (blocks * maddpp.io.BLOCK_BYTES // len(rows)))
         tracemalloc.start()
         try:
-            ds = load_dataset(path, sensitive="gender")
-            arrays = [codes for _, codes in ds.columns.values()] + [ds.labels, ds.row_numbers]
-            load = tracemalloc.get_traced_memory()[1] - sum(a.nbytes for a in arrays)
+            header, columns, row_numbers, dropped = table(path, sensitive="gender")
+            held = [codes for _, codes in columns] + [row_numbers]
+            read = tracemalloc.get_traced_memory()[1] - sum(a.nbytes for a in held)
             tracemalloc.reset_peak()
-            held = tracemalloc.get_traced_memory()[0]
-            X, y, _ = encode(ds)
-            return load, tracemalloc.get_traced_memory()[1] - held - X.nbytes - y.nbytes
+            before = tracemalloc.get_traced_memory()[0]
+            X, *_ = model._arrays(path, "label", "gender", header, columns, row_numbers, dropped)
+            column = row_numbers.size * np.dtype(float).itemsize
+            return read, tracemalloc.get_traced_memory()[1] - before - X.nbytes - column
         finally:
             tracemalloc.stop()
 
-    (load4, encode4), (load16, encode16) = overheads(4), overheads(16)
-    assert load16 - load4 <= 2**16
+    (read4, encode4), (read16, encode16) = overheads(4), overheads(16)
+    assert read16 - read4 <= 2**16
     assert max(encode4, encode16) <= 2**16
 
 
@@ -379,13 +438,15 @@ def test_long_cell_costs_its_own_length(tmp_path):
     path.write_bytes(HEADER + b"M,%s,1\n" % (b"ab" * 2**15) + b"F,2,0\nM,3,1\n" * 1500)
     tracemalloc.start()
     try:
-        ds = load_dataset(path, sensitive="g")
+        read, loaded = table(path), load_dataset(path, sensitive="g")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ds.columns["x"][0] == ["2", "3", "ab" * 2**15]
-    assert ds.row_numbers.size == 3001
+    cells, row_numbers, _, _ = decoded(read)
+    assert cells[1] == ("x", ["ab" * 2**15] + ["2", "3"] * 1500)
+    assert row_numbers == list(range(1, 3002))
     assert peak < 2**22
+    assert arrays(loaded) == arrays(load_rows(path, sensitive="g"))
 
 
 class TestScaling:
@@ -484,7 +545,7 @@ class TestTrain:
         write_csv(path, ["gender", "age", "score", "label"],
                   [["M", "0-35", "40.5", "1"], ["F", "55<=", "71.0", "0"],
                    ["F", "35-55", "62.5", "1"], ["M", "35-55", "55.0", "0"]])
-        X, y, rules = encode(load_dataset(path, sensitive="gender"))
+        X, y, _, rules, _ = load_dataset(path, sensitive="gender")
         assert list(rules.values()) == ["categorical['F', 'M']", "ordinal", "numeric"]
         mean, std = _scaling(X, np.array([False, False, True]), list(rules))
         assert mean.tolist() == [0.0, 0.0, X[:, 2].mean()]

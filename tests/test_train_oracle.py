@@ -17,14 +17,14 @@ import pytest
 import maddpp
 from maddpp import model
 from maddpp.errors import TrainingDiverged
-from maddpp.model import ORDINAL_LEVELS, encode, load_dataset, split, train
+from maddpp.model import ORDINAL_LEVELS, load_dataset, split, train
 from train_oracle import loss, oracle_train, standardized_fit
 
 REGIONS = [f"region_{i:02d}" for i in range(8)]
 
 
 def same_rule(d, rule="numeric"):
-    """`encode`'s rules for d columns, each encoded by `rule`."""
+    """`load_dataset`'s rules for d columns, each encoded by `rule`."""
     return {f"x{j}": rule for j in range(d)}
 
 
@@ -113,10 +113,10 @@ def write_course_csv(path, rows, seed):
 def test_course_csv(monkeypatch, tmp_path):
     path = tmp_path / "course.csv"
     write_course_csv(path, rows=5000, seed=11)  # more rows than one load chunk
-    dataset = load_dataset(path, sensitive="gender")
-    assert dataset.dropped_rows > 0
-    X, y, rules = encode(dataset)
-    assert list(rules) == dataset.feature_names
+    X, y, _, rules, dropped_rows = load_dataset(path, sensitive="gender")
+    assert dropped_rows > 0
+    with open(path, newline="") as fh:
+        assert list(rules) == [c for c in next(csv.reader(fh)) if c != "label"]
     assert "numeric" in rules.values() and set(rules.values()) != {"numeric"}
     idx_train, _, _ = split(len(y), seed=0)
     assert_optimal(monkeypatch, X[idx_train], y[idx_train], {"rules": rules})
