@@ -85,7 +85,7 @@ def _check_seed(seed: int) -> None:
         raise errors.InvalidSeed(f"seed must be >= 0, got {seed}")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     _check_seed(args.seed)
     if args.n_g0 <= 0 or args.n_g1 <= 0:
         raise errors.EmptyPopulation("both group sizes must be positive")
@@ -94,11 +94,10 @@ def cmd_simulate(args) -> int:
     out = _output(args, "records.csv")
     write_records(scores, out)
     _write_manifest(args, scores.group)
-    print(f"wrote {out} ({len(scores)} records)")
-    return 0
+    return f"wrote {out} ({len(scores)} records)"
 
 
-def cmd_madd(args) -> int:
+def cmd_madd(args) -> str:
     check_bin_count(args.m)
     scores = read_records(args.input)
     bins = build_density_vector(scores, args.m)
@@ -113,11 +112,10 @@ def cmd_madd(args) -> int:
     }
     write_json(_output(args, "madd.json"), result)
     _write_manifest(args, scores.group)
-    print(json.dumps({"madd": value, "fairness_loss": 0.5 * value}))
-    return 0
+    return json.dumps({"madd": value, "fairness_loss": 0.5 * value})
 
 
-def cmd_fip(args) -> int:
+def cmd_fip(args) -> str:
     lam = getattr(args, "lambda")  # a keyword, so not `args.lambda`
     check_lambda(lam)
     check_bin_count(args.m)
@@ -126,8 +124,7 @@ def cmd_fip(args) -> int:
     out = _output(args, "fip.csv")
     write_columns(out, ["proba", "new_proba", "group"], scores.proba, new_probas, scores.group)
     _write_manifest(args, scores.group)
-    print(f"wrote {out}")
-    return 0
+    return f"wrote {out}"
 
 
 def _sweep_config(args) -> ObjectiveConfig:
@@ -135,19 +132,18 @@ def _sweep_config(args) -> ObjectiveConfig:
                            lambda_grid=default_lambda_grid(args.grid))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     config = _sweep_config(args)
     scores = read_records(args.input, require_labels=True)
     result = sweep(scores, config)
     result.write_csv(_output(args, "sweep.csv"))
     result.write_json(_output(args, "sweep.json"))
     _write_manifest(args, scores.group)
-    print(json.dumps({"lambda_star": result.lambda_star,
-                      "min_total_loss": result.min_total_loss}))
-    return 0
+    return json.dumps({"lambda_star": result.lambda_star,
+                       "min_total_loss": result.min_total_loss})
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args) -> str:
     config = _sweep_config(args)
     _check_seed(args.seed)
     X, y, groups, rules, dropped_rows = load_dataset(args.input, sensitive=args.sensitive,
@@ -181,8 +177,7 @@ def cmd_pipeline(args) -> int:
     write_json(_output(args, "test_metrics.json"), test_metrics)
     _write_manifest(args, groups, encodings=rules, dropped_rows=dropped_rows,
                     training=model.training)
-    print(json.dumps(test_metrics))
-    return 0
+    return json.dumps(test_metrics)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,7 +238,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.outputs = []  # every path `_output` returns, in order
-        return args.func(args)
+        summary = args.func(args)  # the outputs are written by now
+        try:
+            print(summary, flush=True)
+        except OSError as exc:  # a closed pipe, say
+            # what the buffer holds goes nowhere, so the final flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            exc.filename = "standard output"  # for the message below
+            raise
+        return 0
     except OSError as exc:
         # inputs are opened by io.open_input, which raises UnreadableInput
         # instead, so this comes from creating or writing an output

@@ -51,9 +51,7 @@ class Scores:
                 ok, bounds = (a == 0) | (a == 1), "0 or 1"
             if not ok.all():
                 i = int(np.argmin(ok))
-                exc = InvalidProbability(f"{name} must be {bounds}; row {i + 1} has {a[i]}")
-                exc.row = i + 1  # a reader renumbers it as its input's row
-                raise exc
+                raise InvalidProbability(f"{name} must be {bounds}; row {i + 1} has {a[i]}")
             object.__setattr__(self, name, a if name == "proba" else a.astype(int, copy=False))
 
     def __len__(self) -> int:

@@ -8,7 +8,8 @@ cell reads as unlabelled.  `write_records` writes unlabelled scores under
 exactly what Python's own `format`, `float()` and `int()` give: the writer
 from exact integer arithmetic, the reader from an exact or correctly
 rounded division and an exactly known rounding error (`read_records`),
-with `float()` itself for the rare tie and for every other cell.
+with `float()` itself for the rare tie and for every other cell.  Each row
+is checked as it is read: the error names the first bad one by its row.
 
 `read_csv` and `blocks` are how both this reader and the course CSV
 reader (`model.load_dataset`) read a file: the header line on its own,
@@ -324,9 +325,15 @@ def read_rows(path, require_labels: bool = False) -> Scores:
 
 
 def _read(path, require_labels: bool, fast=None) -> Scores:
-    table = read_csv(path, lambda lines: _width(lines, path),
-                     lambda fh, width: _parse_rows(fh, path, width), fast)
-    return _scores(path, *table, require_labels)
+    """`Scores` of the records CSV `path`, whose rows the reader checked as
+    it read them; errors name `path`."""
+    proba, group, label = read_csv(path, lambda lines: _width(lines, path),
+                                   lambda fh, width: _parse_rows(fh, path, width), fast)
+    if not proba.size:
+        raise EmptyPopulation(f"{path}: no records")
+    if label is None and require_labels:
+        raise MissingLabels(f"{path}: label required on every row")
+    return Scores(proba, group, label)
 
 
 def _width(lines, path) -> int:
@@ -339,22 +346,20 @@ def _width(lines, path) -> int:
 
 
 def _read_columns(raw, width: int):
-    """proba, group, label (None without a label column) and the rows before
-    each blank line of the binary file `raw`, past its header, read in
-    `blocks`; RowLoop where the row parser must read it: a block that is not
-    plain, a row without one cell per column, a cell that float()/int()
-    rejects, or a group or label other than 0 or 1 (an empty label too)."""
+    """proba, group and label (None without a label column) of the binary
+    file `raw`, past its header, read in `blocks`; RowLoop where the row
+    parser must read it: a block that is not plain, a row without one cell
+    per column, or a cell that float()/int() rejects (an empty label too)
+    or reads out of range."""
     columns = [np.empty(0, t) for t in (np.float64, np.int64, np.int64)[:width]]
-    n, blanks = 0, [np.empty(0, np.intp)]
+    n = 0
     for text, starts, ends, buf, rest in blocks(raw):
         grow(columns, n, starts.size, rest)
         rows = ends > starts  # blank lines are skipped
         _parse_block(text, starts[rows], ends[rows], buf, [c[n:] for c in columns])
-        blank = np.flatnonzero(~rows)
-        blanks.append(n + blank - np.arange(blank.size))  # the rows before each
         n += int(np.count_nonzero(rows))
     resize(columns, n)
-    return columns[0], columns[1], columns[2] if width == 3 else None, np.concatenate(blanks)
+    return columns[0], columns[1], columns[2] if width == 3 else None
 
 
 def _parse_block(text, starts, ends, buf, columns) -> None:
@@ -390,7 +395,10 @@ def _parse_block(text, starts, ends, buf, columns) -> None:
     tie = (err != 0) & ((s + 2 * err) - s == 2 * err)  # s + 2 * err is a double
     columns[0][:n] = s * 2.0**-19
     slow = np.flatnonzero(~fast | tie)
-    columns[0][slow] = _cells(text, a[slow], b[slow], float)
+    values = _cells(text, a[slow], b[slow], float)
+    if not all(0 <= v <= 1 for v in values):  # NaN too
+        raise RowLoop
+    columns[0][slow] = values
     for j in range(1, width):
         a, b = bounds[j] + 1, bounds[j + 1]
         value = text[a] - ord("0")
@@ -414,49 +422,39 @@ def _cells(text, starts, ends, parse):
 
 def _parse_rows(fh, path, width: int):
     """What `_read_columns` returns, read by csv.reader from the text file
-    `fh`, past its header: its rows, or the error naming a bad row or cell."""
+    `fh`, past its header, each row checked as it is read: its columns, or
+    the error naming the first bad row (`_bad_cell`), in file order."""
     proba, group, label = [], [], []
-    blanks = []  # the number of records before each blank line
     labelled = width == 3
     for row_number, row in enumerate(csv.reader(fh), 1):
         if len(row) != width:
-            if not row:
-                blanks.append(len(proba))
+            if not row:  # a blank line
                 continue
             raise InvalidProbability(f"{path}: row {row_number} has {len(row)} "
                                      f"cells, expected {width}")
         try:
-            proba.append(float(row[0]))
-            group.append(int(row[1]))
-            if labelled:
-                label.append(int(row[2]) if row[2] else None)
+            p, g, y = float(row[0]), int(row[1]), int(row[2]) if labelled and row[2] else None
+            ok = 0.0 <= p <= 1.0 and g in (0, 1) and y in (0, 1, None)  # NaN fails
         except ValueError:
-            raise InvalidProbability(_bad_cell(path, row_number, row)) from None
+            ok = False
+        if not ok:
+            raise InvalidProbability(_bad_cell(path, row_number, row))
+        proba.append(p)
+        group.append(g)
+        label.append(y)
     label = np.array(label) if labelled and None not in label else None
-    return np.array(proba), np.array(group), label, blanks
-
-
-def _scores(path, proba, group, label, blanks, require_labels: bool) -> Scores:
-    """Validated `Scores` of parsed columns; errors name `path`, and the row
-    of a bad value counts the blank lines before it, as a parse error does."""
-    if not proba.size:
-        raise EmptyPopulation(f"{path}: no records")
-    if label is None and require_labels:
-        raise MissingLabels(f"{path}: label required on every row")
-    try:
-        return Scores(proba, group, label)
-    except InvalidProbability as exc:
-        row = exc.row + int(np.searchsorted(blanks, exc.row))
-        msg = str(exc).replace(f"row {exc.row} has", f"row {row} has")
-        raise InvalidProbability(f"{path}: {msg}") from None
+    return np.array(proba), np.array(group), label
 
 
 def _bad_cell(path, row_number: int, row: list) -> str:
-    """Name the cell of `row` that `read_rows` failed to parse."""
+    """Name the first cell of `row` that `_parse_rows` refuses: one that
+    float()/int() rejects, or a value out of range, as `Scores` words it."""
     for name, parse, cell in zip(HEADER, (float, int, int), row):
         try:
-            if cell or name != "label":  # an empty label is allowed
-                parse(cell)
+            value = parse(cell) if cell or name != "label" else 0  # an empty label is allowed
         except ValueError:
             kind = "a number" if parse is float else "an integer"
             return f"{path}: row {row_number}: {name} {cell!r} is not {kind}"
+        if not (0 <= value <= 1 if parse is float else value in (0, 1)):
+            bounds = "finite and in [0, 1]" if parse is float else "0 or 1"
+            return f"{path}: {name} must be {bounds}; row {row_number} has {value}"

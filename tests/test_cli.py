@@ -566,6 +566,9 @@ class TestMalformedInput:
          "EncodingError", "column 'x', row 1: 'inf' is not a finite number"),
         (["pipeline", "{input}", "--sensitive", "g"], "g,x,label\na,0.5,1\nb,1,0\nc,2,0\n", 21,
          "EncodingError", "sensitive column 'g' must be binary, found 3 distinct values"),
+        # a bad label is refused even where another row's label is empty
+        (["madd", "{input}"], LABELLED + "0.2,0,7\n0.7,1,\n0.4,0,0\n0.9,1,1\n", 11,
+         "InvalidProbability", "{input}: label must be 0 or 1; row 1 has 7"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"
@@ -652,6 +655,31 @@ def test_header_only_records_print_one_line(tmp_path):
         env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
     assert proc.returncode == 10
     assert proc.stderr == f"EmptyPopulation: {path}: no records\n"
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_closed_stdout_pipe_prints_one_line(tmp_path, unbuffered):
+    # the reader of stdout has gone before the summary line is written: buffered
+    # or not, one typed error, and no report of the interpreter's final flush
+    path = tmp_path / "r.csv"
+    path.write_text("proba,group,label\n0.2,0,1\n0.7,1,0\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(maddpp.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from maddpp.cli import main; sys.exit(main())",
+             "--out-dir", str(tmp_path), "madd", str(path)],
+            stdout=w, stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    finally:
+        os.close(w)
+    assert proc.returncode == 26, proc.stderr
+    assert proc.stderr == "UnwritableOutput: cannot write standard output: Broken pipe\n"
+    assert (tmp_path / "madd.json").is_file()
+    assert (tmp_path / "madd.manifest.json").is_file()
 
 
 def test_empty_label_cell_reads_as_unlabelled(tmp_path):

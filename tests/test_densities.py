@@ -193,3 +193,19 @@ class TestScores:
     def test_typed_errors(self, kwargs, error):
         with pytest.raises(error):
             Scores(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"proba": [0.2, 1.5], "group": [0, 1]},
+         "proba must be finite and in [0, 1]; row 2 has 1.5"),
+        ({"proba": [0.2, float("nan"), -0.5], "group": [0, 1, 0]},
+         "proba must be finite and in [0, 1]; row 2 has nan"),
+        ({"proba": [0.2, 0.5, 0.7], "group": [0, 1, 2]}, "group must be 0 or 1; row 3 has 2"),
+        ({"proba": [0.2, 0.5], "group": [0, 1], "label": [-1, 7]},
+         "label must be 0 or 1; row 1 has -1"),
+    ])
+    def test_names_the_first_bad_record(self, kwargs, message):
+        # a library caller's records are numbered from 1, in the order given
+        with pytest.raises(InvalidProbability) as exc:
+            Scores(**kwargs)
+        assert str(exc.value) == message
+        assert not hasattr(exc.value, "row")

@@ -282,6 +282,9 @@ ODD_FILES = {
     "colon_among_digits": LABELLED + b"0.2,0,1\n0.12:4,1,0\n",  # ":" is "0" + 10
     "slash_among_digits": LABELLED + b"0.2,0,1\n0.1/,1,0\n",  # "/" is "0" - 1
     "cell_over_csv_field_limit": LABELLED + b"0." + b"1" * csv.field_size_limit() + b",0,1\n",
+    "bad_label_then_empty_label": LABELLED + b"0.2,0,7\n0.7,1,\n0.4,0,0\n0.9,1,1\n",
+    "range_fault_before_parse_fault": LABELLED + b"0.2,0,1\n1.5,1,0\n0.4,0,0\nabc,1,1\n",
+    "parse_fault_before_range_fault": LABELLED + b"0.2,0,1\nabc,1,0\n0.4,0,0\n0.9,1,2\n",
 }
 
 
@@ -624,6 +627,26 @@ def test_agrees_with_row_parser_on_generated_files(tmp_path_factory, content, bl
     path.write_bytes(content)
     with mock.patch.object(maddpp.io, "BLOCK_BYTES", block):
         assert_agrees_with_row_parser(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("block", [8, maddpp.io.BLOCK_BYTES])
+@pytest.mark.parametrize("name, detail", [
+    ("bad_label_then_empty_label", "label must be 0 or 1; row 1 has 7"),
+    ("range_fault_before_parse_fault", "proba must be finite and in [0, 1]; row 2 has 1.5"),
+    ("parse_fault_before_range_fault", "row 2: proba 'abc' is not a number"),
+])
+def test_first_bad_row_in_file_order(tmp_path, monkeypatch, name, detail, block):
+    # whatever the faults and whichever reader meets them, the first in file order
+    monkeypatch.setattr(maddpp.io, "BLOCK_BYTES", block)
+    content = ODD_FILES[name]
+    path = tmp_path / "r.csv"
+    path.write_bytes(content)
+    assert_agrees_with_row_parser(path)
+    for read in (read_records, read_rows, lambda _: read_through_pipe(content)):
+        with pytest.raises(InvalidProbability) as exc:
+            read(path)
+        assert str(exc.value).endswith(f": {detail}"), str(exc.value)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
