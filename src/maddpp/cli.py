@@ -53,7 +53,7 @@ def _utf8(value: str) -> str:
 
 def _output(args, name: str) -> Path:
     """Where the output `name` goes: inside `--out-dir`, created only here;
-    recorded in `args.outputs` for the manifest."""
+    recorded in `args.outputs` for the manifest, and for `main` to name it."""
     args.out_dir.mkdir(parents=True, exist_ok=True)
     args.outputs.append(args.out_dir / name)
     return args.outputs[-1]
@@ -134,7 +134,9 @@ def _sweep_config(args) -> ObjectiveConfig:
 
 def cmd_sweep(args) -> str:
     config = _sweep_config(args)
-    scores = read_records(args.input, require_labels=True)
+    scores = read_records(args.input)
+    if scores.label is None:
+        raise errors.MissingLabels(f"{args.input}: label required on every row")
     result = sweep(scores, config)
     result.write_csv(_output(args, "sweep.csv"))
     result.write_json(_output(args, "sweep.json"))
@@ -235,9 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    outputs = []  # every path `_output` returns, in order
     try:
         args = build_parser().parse_args(argv)
-        args.outputs = []  # every path `_output` returns, in order
+        args.outputs = outputs
         summary = args.func(args)  # the outputs are written by now
         try:
             print(summary, flush=True)
@@ -248,10 +251,10 @@ def main(argv=None) -> int:
             raise
         return 0
     except OSError as exc:
-        # inputs are opened by io.open_input, which raises UnreadableInput
-        # instead, so this comes from creating or writing an output
-        err = errors.UnwritableOutput(
-            f"cannot write {exc.filename or 'an output'}: {exc.strerror or exc}")
+        # an input fails as UnreadableInput (io.open_input), so this is an output: the
+        # one the OS names, else the last one `_output` placed, each written just after
+        name = exc.filename or (outputs[-1] if outputs else "an output")
+        err = errors.UnwritableOutput(f"cannot write {name}: {exc.strerror or exc}")
     except MemoryError as exc:  # numpy's, for an --n-g0 or --m below SIZE_LIMIT
         err = errors.OutOfMemory(str(exc) or "out of memory")
     except errors.MaddError as exc:

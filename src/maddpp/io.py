@@ -1,15 +1,15 @@
 """Records CSV schema shared by the simulated and real pipelines.
 
 The header is exactly `proba,group,label` or `proba,group`: proba as a
-decimal with 17 significant digits (lossless float round trip), group in
-{0, 1}, label in {0, 1} or empty when absent.  A file with any empty label
-cell reads as unlabelled.  `write_records` writes unlabelled scores under
-`proba,group`.  Both directions run in numpy, one block at a time, and give
-exactly what Python's own `format`, `float()` and `int()` give: the writer
-from exact integer arithmetic, the reader from an exact or correctly
-rounded division and an exactly known rounding error (`read_records`),
-with `float()` itself for the rare tie and for every other cell.  Each row
-is checked as it is read: the error names the first bad one by its row.
+decimal with 17 significant digits (lossless float round trip), group and
+label in {0, 1}, so the header alone says whether records are labelled.
+`write_records` writes unlabelled scores under `proba,group`.  Both
+directions run in numpy, one block at a time, and give exactly what
+Python's own `format`, `float()` and `int()` give: the writer from exact
+integer arithmetic, the reader from an exact or correctly rounded division
+and an exactly known rounding error (`read_records`), with `float()` itself
+for the rare tie and for every other cell.  Each row, its label too, is
+checked as it is read: the error names the first bad one by its row.
 
 `read_csv` and `blocks` are how both this reader and the course CSV
 reader (`model.load_dataset`) read a file: the header line on its own,
@@ -26,7 +26,7 @@ import stat
 import numpy as np
 
 from .densities import Scores
-from .errors import EmptyPopulation, InvalidProbability, MissingLabels, UnreadableInput
+from .errors import EmptyPopulation, InvalidProbability, UnreadableInput
 
 HEADER = ["proba", "group", "label"]
 # rows per block of `write_columns`, whose text is one (rows, width) matrix
@@ -295,7 +295,7 @@ def resize(arrays: list, n: int) -> None:
         array.resize(n, refcheck=False)
 
 
-def read_records(path, require_labels: bool = False) -> Scores:
+def read_records(path) -> Scores:
     """Read a records CSV into `Scores`, exactly as `read_rows` would.
 
     The file is opened once (`read_csv`).  A regular file is read in binary
@@ -315,24 +315,22 @@ def read_records(path, require_labels: bool = False) -> Scores:
     ulp(r) / 2 of Q + r: unless Q + r is itself a midpoint (a tie, which
     goes to float()), both round to the same double s.
     """
-    return _read(path, require_labels, _read_columns)
+    return _read(path, _read_columns)
 
 
-def read_rows(path, require_labels: bool = False) -> Scores:
+def read_rows(path) -> Scores:
     """Row-by-row records parser (`csv.reader`, then `float()`/`int()` per
     cell): the fallback of `read_records` and the reference it must match."""
-    return _read(path, require_labels)
+    return _read(path)
 
 
-def _read(path, require_labels: bool, fast=None) -> Scores:
-    """`Scores` of the records CSV `path`, whose rows the reader checked as
-    it read them; errors name `path`."""
+def _read(path, fast=None) -> Scores:
+    """`Scores` of the records CSV `path`, labelled if its header has a label
+    column, whose rows the reader checked as it read them; errors name `path`."""
     proba, group, label = read_csv(path, lambda lines: _width(lines, path),
                                    lambda fh, width: _parse_rows(fh, path, width), fast)
     if not proba.size:
         raise EmptyPopulation(f"{path}: no records")
-    if label is None and require_labels:
-        raise MissingLabels(f"{path}: label required on every row")
     return Scores(proba, group, label)
 
 
@@ -349,8 +347,7 @@ def _read_columns(raw, width: int):
     """proba, group and label (None without a label column) of the binary
     file `raw`, past its header, read in `blocks`; RowLoop where the row
     parser must read it: a block that is not plain, a row without one cell
-    per column, or a cell that float()/int() rejects (an empty label too)
-    or reads out of range."""
+    per column, or a cell that float()/int() rejects or reads out of range."""
     columns = [np.empty(0, t) for t in (np.float64, np.int64, np.int64)[:width]]
     n = 0
     for text, starts, ends, buf, rest in blocks(raw):
@@ -425,7 +422,6 @@ def _parse_rows(fh, path, width: int):
     `fh`, past its header, each row checked as it is read: its columns, or
     the error naming the first bad row (`_bad_cell`), in file order."""
     proba, group, label = [], [], []
-    labelled = width == 3
     for row_number, row in enumerate(csv.reader(fh), 1):
         if len(row) != width:
             if not row:  # a blank line
@@ -433,8 +429,8 @@ def _parse_rows(fh, path, width: int):
             raise InvalidProbability(f"{path}: row {row_number} has {len(row)} "
                                      f"cells, expected {width}")
         try:
-            p, g, y = float(row[0]), int(row[1]), int(row[2]) if labelled and row[2] else None
-            ok = 0.0 <= p <= 1.0 and g in (0, 1) and y in (0, 1, None)  # NaN fails
+            p, g, y = float(row[0]), int(row[1]), int(row[2]) if width == 3 else 0
+            ok = 0.0 <= p <= 1.0 and g in (0, 1) and y in (0, 1)  # NaN fails
         except ValueError:
             ok = False
         if not ok:
@@ -442,16 +438,16 @@ def _parse_rows(fh, path, width: int):
         proba.append(p)
         group.append(g)
         label.append(y)
-    label = np.array(label) if labelled and None not in label else None
+    label = np.array(label) if width == 3 else None
     return np.array(proba), np.array(group), label
 
 
 def _bad_cell(path, row_number: int, row: list) -> str:
-    """Name the first cell of `row` that `_parse_rows` refuses: one that
-    float()/int() rejects, or a value out of range, as `Scores` words it."""
+    """Name the first cell of `row` that `_parse_rows` refuses, an empty label
+    too: one that float()/int() rejects, or a value out of range, as `Scores` words it."""
     for name, parse, cell in zip(HEADER, (float, int, int), row):
         try:
-            value = parse(cell) if cell or name != "label" else 0  # an empty label is allowed
+            value = parse(cell)
         except ValueError:
             kind = "a number" if parse is float else "an integer"
             return f"{path}: row {row_number}: {name} {cell!r} is not {kind}"

@@ -525,8 +525,9 @@ class TestMalformedInput:
          "UnreadableInput", "can't decode byte 0xff"),
         (["fip", "{input}", "--lambda", "0.5"], LABELLED.encode() + b"0.2,0,1\n0.7,1,0\xff\n",
          25, "UnreadableInput", "can't decode byte 0xff"),
-        (["sweep", "{input}"], LABELLED + "0.2,0,1\n0.7,1,\n", 19, "MissingLabels",
-         "label required on every row"),
+        # a header without a label column: sweep needs labels
+        (["sweep", "{input}"], "proba,group\n0.2,0\n0.7,1\n", 19, "MissingLabels",
+         "{input}: label required on every row"),
         # a row number counts blank lines, for a value out of range as for a bad cell
         (["madd", "{input}"], LABELLED + "\n0.2,0,1\n1.5,1,0\n", 11, "InvalidProbability",
          "row 3 has 1.5"),
@@ -569,6 +570,9 @@ class TestMalformedInput:
         # a bad label is refused even where another row's label is empty
         (["madd", "{input}"], LABELLED + "0.2,0,7\n0.7,1,\n0.4,0,0\n0.9,1,1\n", 11,
          "InvalidProbability", "{input}: label must be 0 or 1; row 1 has 7"),
+        # under a label column an empty label is a bad cell like any other
+        (["madd", "{input}"], LABELLED + "0.2,0,1\n0.7,1,\n", 11, "InvalidProbability",
+         "{input}: row 2: label '' is not an integer"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, content, code, error, detail):
         path = tmp_path / "input.csv"
@@ -682,14 +686,38 @@ def test_closed_stdout_pipe_prints_one_line(tmp_path, unbuffered):
     assert (tmp_path / "madd.manifest.json").is_file()
 
 
-def test_empty_label_cell_reads_as_unlabelled(tmp_path):
-    # madd and fip accept it; sweep exits 19 (TestMalformedInput)
+def test_empty_label_cell_is_refused(tmp_path, capsys):
+    # the header alone says whether records are labelled: madd and fip refuse
+    # an empty label cell under a label column, and read the same rows under
+    # `proba,group`; sweep exits 19 on the latter (TestMalformedInput)
     path = tmp_path / "r.csv"
     path.write_text("proba,group,label\n0.2,0,1\n0.7,1,\n0.4,1,0\n")
+    for argv in (["madd"], ["fip", "--lambda", "0.5"]):
+        assert run(tmp_path, argv[0], str(path), "--m", "10", *argv[1:]) == 11
+        assert capsys.readouterr().err == (
+            f"InvalidProbability: {path}: row 2: label '' is not an integer\n")
+    assert sorted(tmp_path.iterdir()) == [path]
+    path.write_text("proba,group\n0.2,0\n0.7,1\n0.4,1\n")
     assert run(tmp_path, "madd", str(path), "--m", "10") == 0
     manifest = json.loads((tmp_path / "madd.manifest.json").read_text())
     assert manifest["group_counts"] == {"g0": 1, "g1": 2}
     assert run(tmp_path, "fip", str(path), "--lambda", "0.5", "--m", "10") == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("name", ["madd.json", "madd.manifest.json"])
+def test_failed_write_names_its_output(tmp_path, capsys, name):
+    # an output opened fine, whose write fails later, is named all the same:
+    # the last one placed, which is the manifest once madd.json is written
+    path = tmp_path / "r.csv"
+    path.write_text("proba,group,label\n0.2,0,1\n0.7,1,0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).symlink_to("/dev/full")
+    assert run(out, "madd", str(path)) == 26
+    assert capsys.readouterr().err == (
+        f"UnwritableOutput: cannot write {out / name}: No space left on device\n")
+    assert (out / "madd.json").is_file() == (name != "madd.json")
 
 
 # codes of error classes that are gone, not to be reused

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import maddpp.io
 import maddpp.model
 from maddpp.densities import Scores
-from maddpp.errors import InvalidProbability, MaddError, MissingLabels, UnreadableInput
+from maddpp.errors import InvalidProbability, MaddError, UnreadableInput
 from maddpp.cli import main
 from maddpp.io import read_records, read_rows, write_records
 from maddpp.objective import ObjectiveConfig, default_lambda_grid, sweep
@@ -48,12 +48,14 @@ def test_records_csv_round_trip(tmp_path_factory, s):
     assert s.label is None or np.array_equal(back.label, s.label)
 
 
-def test_any_empty_label_reads_as_unlabelled(tmp_path):
+def test_any_empty_label_is_refused(tmp_path):
+    # the header alone says whether records are labelled; under a label
+    # column an empty cell is a bad cell like any other
     path = tmp_path / "r.csv"
     path.write_text("proba,group,label\n0.2,0,1\n0.7,1,\n")
-    assert read_records(path).label is None
-    with pytest.raises(MissingLabels):
-        read_records(path, require_labels=True)
+    for read in (read_records, read_rows):
+        with pytest.raises(InvalidProbability, match=r": row 2: label '' is not an integer$"):
+            read(path)
 
 
 def test_two_column_header_and_blank_lines(tmp_path):
@@ -178,10 +180,10 @@ def test_write_memory_is_bounded(tmp_path):
     assert abs(peak(16 * BLOCK) - peak(4 * BLOCK)) <= 2**20
 
 
-def outcome(read, path, require_labels):
+def outcome(read, path):
     """What `read` makes of `path`: each column's dtype and bits, or the error."""
     try:
-        s = read(path, require_labels)
+        s = read(path)
     except MaddError as exc:
         return type(exc), str(exc)
     return [None if a is None else (a.dtype.str, a.view(np.int64).tolist())
@@ -189,9 +191,7 @@ def outcome(read, path, require_labels):
 
 
 def assert_agrees_with_row_parser(path):
-    for require_labels in (False, True):
-        assert (outcome(read_records, path, require_labels)
-                == outcome(read_rows, path, require_labels))
+    assert outcome(read_records, path) == outcome(read_rows, path)
 
 
 LABELLED = b"proba,group,label\n"
@@ -455,10 +455,10 @@ def test_one_leading_bom_is_dropped(tmp_path, monkeypatch, body, block):
     plain.write_bytes(body)
     bom.write_bytes(b"\xef\xbb\xbf" + body)
     quoted.write_bytes(b"\xef\xbb\xbf" + body.replace(b"\n0.5,", b'\n"0.5",'))
-    for read, require_labels in itertools.product((read_records, read_rows), (False, True)):
+    for read in (read_records, read_rows):
         def unnamed(path):  # the outcome, the file's name left out of an error
             return [x.replace(str(path), "r.csv") if isinstance(x, str) else x
-                    for x in outcome(read, path, require_labels)]
+                    for x in outcome(read, path)]
         expected = unnamed(plain)
         for path, row_parser in ((bom, read is read_rows), (quoted, True)):
             with mock.patch.object(maddpp.io, "_parse_rows", wraps=maddpp.io._parse_rows) as spy:
@@ -533,11 +533,11 @@ def read_through_pipe(content, read=read_records):
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
-@pytest.mark.parametrize("label", ["1", ""])  # the bulk reader's rows, the row parser's
+@pytest.mark.parametrize("label", ["1", ""])  # a label column, and none
 @pytest.mark.parametrize("n", [3, 3000])  # within, and well past, one read buffer
 def test_reads_every_row_of_a_pipe(tmp_path, n, label):
-    content = LABELLED + b"".join(b"0.%d,%d,%s\n" % (i, i % 2, label.encode())
-                                  for i in range(1, n + 1))
+    header, tail = (LABELLED, b"," + label.encode()) if label else (b"proba,group\n", b"")
+    content = header + b"".join(b"0.%d,%d%s\n" % (i, i % 2, tail) for i in range(1, n + 1))
     (tmp_path / "r.csv").write_bytes(content)
     s = read_through_pipe(content)
     expected = read_rows(tmp_path / "r.csv")
@@ -635,6 +635,8 @@ def test_agrees_with_row_parser_on_generated_files(tmp_path_factory, content, bl
     ("bad_label_then_empty_label", "label must be 0 or 1; row 1 has 7"),
     ("range_fault_before_parse_fault", "proba must be finite and in [0, 1]; row 2 has 1.5"),
     ("parse_fault_before_range_fault", "row 2: proba 'abc' is not a number"),
+    ("empty_label", "row 2: label '' is not an integer"),
+    ("all_labels_empty", "row 1: label '' is not an integer"),
 ])
 def test_first_bad_row_in_file_order(tmp_path, monkeypatch, name, detail, block):
     # whatever the faults and whichever reader meets them, the first in file order
