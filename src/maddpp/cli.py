@@ -8,7 +8,10 @@ Every command writes its outputs and `<command>.manifest.json` into
 from __future__ import annotations
 
 import argparse
+import atexit
 import datetime
+import functools
+import gc
 import json
 import os
 import sys
@@ -236,7 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_at_exit() -> None:
+    """Spare the interpreter's final collection at exit the walk over what
+    imports left, numpy's heap above all: every output is closed by `with`
+    before `main` returns.  Cached, so registered once per process."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_at_exit()
     outputs = []  # every path `_output` returns, in order
     try:
         args = build_parser().parse_args(argv)

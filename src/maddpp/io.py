@@ -40,6 +40,7 @@ _PAD = 32
 _KEEP = (np.arange(24) < np.arange(21)[:, None]).astype(np.uint8) * np.uint8(0xFF)
 _KEEP = _KEEP.view("<u8")
 _POW5 = 5 ** np.arange(22, dtype=np.uint64)
+_POW10 = 10 ** np.arange(4, dtype=np.uint64)
 # "0000" to "9999" as uint32, then again with trailing zeros as padding
 _QUAD = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
 _QUAD = _QUAD.reshape(-1, 4)
@@ -129,19 +130,26 @@ def _fraction_text(x: np.ndarray) -> np.ndarray:
     fix = np.flatnonzero(off)
     e[fix] += off[fix]
     d[fix], up[fix] = _scaled(m[fix], exp[fix], e[fix])
-    d = (d + up).astype(np.int64)
+    d += up
     carry = d == 10**17
     d[carry] = 10**16
     e += carry
-    d_hi, d_lo = np.divmod(d, 10**8)  # F = hi * 10**8 + lo, each in int64
-    hi, lo = np.divmod(d_lo * 10 ** (e + 4), 10**8)
-    hi += d_hi * 10 ** (e + 4)
+    # F = hi * 10**8 + lo; numpy's `//` by a constant multiplies, its `%` divides
+    d_hi = d // 10**8
+    scale = _POW10.take(e + 4)
+    lo = (d - d_hi * 10**8) * scale
+    hi = lo // 10**8
+    lo -= hi * 10**8
+    hi += d_hi * scale
     text = np.empty((len(x), 6), np.uint32)  # 2 unused bytes, "0.", F
     text.view(np.uint8)[:, 2:4] = (ord("0"), ord("."))
-    tail = np.full(len(x), 10**4)  # the stripped table while only zeros follow
-    quads = [hi // 10**8, hi // 10**4 % 10**4, hi % 10**4, lo // 10**4, lo % 10**4]
+    tail = np.full(len(x), 10**4, np.uint64)  # the stripped table while only zeros follow
+    top, mid = hi // 10**8, lo // 10**4
+    hi_lo = hi - top * 10**8
+    second = hi_lo // 10**4
+    quads = [top, second, hi_lo - second * 10**4, mid, lo - mid * 10**4]
     for j in range(5, 0, -1):
-        text[:, j] = _QUADS[quads[j - 1] + tail]
+        text[:, j] = _QUADS.take((quads[j - 1] + tail).view(np.int64))  # no index cast
         tail *= quads[j - 1] == 0
     return text.view(np.uint8)[:, 2:]
 
@@ -154,8 +162,9 @@ def _scaled(m, exp, e):
     p = _POW5[16 - e]
     m0, m1, p0, p1 = m & 0xFFFFFFFF, m >> 32, p & 0xFFFFFFFF, p >> 32
     mid = m0 * p1 + m1 * p0
-    lo = m0 * p0 + (mid << 32)  # mod 2**64
-    hi = m1 * p1 + (mid >> 32) + (lo < m0 * p0)
+    low = m0 * p0
+    lo = low + (mid << 32)  # mod 2**64
+    hi = m1 * p1 + (mid >> 32) + (lo < low)
     q = (hi << (64 - s)) | (lo >> s)
     rest, half = lo & ((1 << s) - 1), np.uint64(1) << (s - 1)
     return q, (rest > half) | ((rest == half) & ((q & 1) == 1))

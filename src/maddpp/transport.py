@@ -4,7 +4,11 @@ fip (fairness_improved_prediction) moves each group's predicted
 probabilities toward the pooled distribution: a record with probability p
 in group g is remapped to inv(mix_g)(cdf_g(p)), where mix_g is the
 convex combination (1 - lam) * cdf_g + lam * cdf_pooled.  The CDFs are
-fitted once (`FipMap`); only the mixture depends on lam.
+fitted once (`FipMap`); only the mixture depends on lam.  Both steps cost
+O(1) per record: cdf_g(p) is read off p's bin (`FipMap.groups`), and the
+inverse's segment off a table of the mixture's knot levels, checked, with a
+binary search only where the check fails (`generalized_inverse`).  Each is
+bit for bit the np.interp and searchsorted result it replaces.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import G0, G1, POOLED, Scores, bin_edges, build_density_vector
+from .densities import G0, G1, POOLED, Scores, bin_edges, build_density_vector, knot_index
 from .errors import InvalidLambda
 
 
@@ -37,11 +41,22 @@ class FipMap:
 
     def groups(self, scores: Scores):
         """For each group g of a batch: g, the indices of its records and their
-        quantiles under cdf_g, clipped to [0, 1]; a group may have no record."""
+        quantiles under cdf_g, clipped to [0, 1]; a group may have no record.
+
+        A quantile is `np.interp(p, x, y[g])`, bit for bit: read off the last
+        knot k at or below p (`knot_index`) as slope_k * (p - x[k]) + y[g, k],
+        the slope (y[g, k + 1] - y[g, k]) / (x[k + 1] - x[k]), np.interp's own
+        formula.  On a knot, p - x[k] = 0 gives y[g, k], as np.interp does;
+        the slope past the last knot, for p = 1, is 0."""
+        m = self.x.size - 1
+        slope = np.zeros(m + 1)
         for g in (G0, G1):
             members = np.flatnonzero(scores.group == g)
-            u = np.clip(np.interp(scores.proba[members], self.x, self.y[g]), 0.0, 1.0)
-            yield g, members, u
+            p = scores.proba[members]
+            k = knot_index(p, m)
+            slope[:m] = np.diff(self.y[g]) / np.diff(self.x)
+            u = slope.take(k) * (p - self.x.take(k)) + self.y[g].take(k)
+            yield g, members, np.clip(u, 0.0, 1.0, out=u)
 
     def mix_knots(self, group: int, lam):
         """Knot values of (1 - lam) * cdf_group + lam * cdf_pooled; a column of
@@ -59,14 +74,37 @@ class FipMap:
 
 def generalized_inverse(x, y, u) -> np.ndarray:
     """inf{t : CDF(t) >= u} for the CDF with knots (x, y) and quantiles u in
-    [0, 1]; leftmost preimage on flat segments, clamped to [0, 1]."""
-    q = np.asarray(u, dtype=float)
-    j = np.minimum(y.searchsorted(q, side="left"), x.size - 1)  # first knot with y >= u
-    # the segment just before knot j is strictly rising, unless j == 0
-    jr = np.maximum(j, 1)
-    dy = y[jr] - y[jr - 1]
-    frac = np.divide(q - y[jr - 1], dy, out=np.zeros_like(q), where=dy > 0)
-    return np.clip(np.where(j > 0, x[jr - 1] + frac * (x[jr] - x[jr - 1]), x[0]), 0.0, 1.0)
+    [0, 1]; leftmost preimage on flat segments, clamped to [0, 1].  The
+    knots y[:m] of the m = x.size - 1 segments rise; the last may dip below
+    the one before it (`FipMap.from_probas` sets it to exactly 1).
+
+    Each u is inverted on segment j, the first knot with y[j] >= u (m if
+    none), `min(y.searchsorted(u, side="left"), m)`.  That j is found in
+    O(1): N, a power of two >= 4 min(m + 1, n) for n quantiles, cuts the
+    levels into buckets [b/N, (b + 1)/N), u * N being exact; the first knot
+    at or above a bucket's lower level is j when y[j] >= u, else the first
+    at or above the next bucket's is, whose level is not below u (or it is m).
+    As y[:m] rises, and the candidate has y[j] >= u or is m, it is
+    searchsorted's when y[j - 1] < u (0 < u for j = 0).  That fails only
+    where two knot levels fall in u's bucket, or u = 0, and there
+    `searchsorted` finds j.  Each segment's end points and rise are read off
+    per-knot arrays, so the value is the same float expression for every u.
+    """
+    q = np.asarray(u, dtype=float).reshape(-1)
+    m = x.size - 1
+    n = 1 << (4 * min(x.size, q.size) - 1).bit_length()
+    first = np.minimum(y.searchsorted(np.arange(n + 1) / n, side="left"), m)
+    b = np.minimum((q * n).astype(np.intp), n - 1)
+    j = first.take(b)
+    j = np.where(y.take(j) >= q, j, first.take(b + 1))
+    # segment j runs from (xs[j], ys[j]) to (x[j], y[j]), with xs[0] = x[0], ys[0] = 0
+    xs, ys = np.concatenate((x[:1], x)), np.concatenate(([0.0], y))
+    wrong = np.flatnonzero(ys.take(j) >= q)
+    j[wrong] = np.minimum(y.searchsorted(q[wrong], side="left"), m)
+    rise = np.diff(ys)
+    rise[rise <= 0] = np.inf  # a flat segment's frac is 0, its left end; j = 0 has width 0
+    t = xs.take(j) + (q - ys.take(j)) / rise.take(j) * np.diff(xs).take(j)
+    return np.clip(t, 0.0, 1.0, out=t).reshape(np.shape(u))
 
 
 def check_lambda(lam: float) -> None:

@@ -686,6 +686,63 @@ def test_closed_stdout_pipe_prints_one_line(tmp_path, unbuffered):
     assert (tmp_path / "madd.manifest.json").is_file()
 
 
+ENTRY = "import sys; from maddpp.cli import main; sys.exit(main())"
+
+
+def spawn(*args, code=ENTRY):
+    """`python -c code *args` with the package on its path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(maddpp.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_spawned_runs_write_what_main_writes(tmp_path):
+    # a CLI process skips the final collection at exit (`gc.freeze` at exit):
+    # its outputs are the bytes an in-process `main` writes, its manifest the
+    # same less the timestamp and the output directory
+    assert run(tmp_path, "simulate", "--n-g0", "12000", "--n-g1", "8000", "--seed", "5") == 0
+    records = tmp_path / "records.csv"
+    for argv in (["madd", records], ["fip", records, "--lambda", "0.97"],
+                 ["sweep", records, "--grid", "101"]):
+        here, there = tmp_path / "main" / argv[0], tmp_path / "spawned" / argv[0]
+        assert main(["--out-dir", str(here), *map(str, argv)]) == 0
+        proc = spawn("--out-dir", there, *argv)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert sorted(p.name for p in here.iterdir()) == sorted(p.name for p in there.iterdir())
+        for name in OUTPUTS[argv[0]]:
+            assert (here / name).read_bytes() == (there / name).read_bytes(), name
+        manifests = [json.loads((d / f"{argv[0]}.manifest.json").read_text()) for d in (here, there)]
+        for manifest in manifests:
+            del manifest["timestamp"]
+            manifest["outputs"] = [Path(p).name for p in manifest["outputs"]]
+        assert manifests[0] == manifests[1]
+    # a refused input exits with its own code and one line
+    path = tmp_path / "one_group.csv"
+    path.write_text("proba,group,label\n0.2,1,1\n0.7,1,0\n")
+    for argv in (["madd"], ["fip", "--lambda", "0.5"], ["sweep"]):
+        proc = spawn("--out-dir", tmp_path / "bad", argv[0], path, *argv[1:])
+        assert proc.returncode == 16
+        assert proc.stderr == "EmptyGroup: both groups must be non-empty\n"
+
+
+def test_main_registers_the_exit_hook_once(tmp_path):
+    # however often `main` runs in a process, `gc.freeze` is one exit
+    # callback, and it runs at exit before those registered before `main`
+    path = tmp_path / "r.csv"
+    path.write_text("proba,group,label\n0.2,0,1\n0.7,1,0\n")
+    code = (
+        "import atexit, gc, sys\n"
+        "registered, register = [], atexit.register\n"
+        "atexit.register = lambda f, *a: register(registered.append(f) or f, *a)\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "from maddpp.cli import main\n"
+        "codes = [main(['--out-dir', sys.argv[1], 'madd', sys.argv[2]]) for _ in range(3)]\n"
+        "print(codes, registered.count(gc.freeze))\n")
+    proc = spawn(tmp_path, path, code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0] 1", "frozen True"]
+
+
 def test_empty_label_cell_is_refused(tmp_path, capsys):
     # the header alone says whether records are labelled: madd and fip refuse
     # an empty label cell under a label column, and read the same rows under

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from maddpp.densities import G0, G1, POOLED, Scores, bin_index, build_density_vector, madd
+from maddpp.densities import (G0, G1, POOLED, Scores, bin_edges, bin_index, build_density_vector,
+                              knot_index, madd)
 from maddpp.errors import (
     EmptyGroup,
     InvalidBinCount,
@@ -26,6 +27,43 @@ def batch(probas0, probas1):
     """Scores of group 0's probabilities followed by group 1's."""
     return Scores(np.concatenate((probas0, probas1)),
                   np.repeat([G0, G1], [len(probas0), len(probas1)]))
+
+
+def searchsorted_bins(probas, m):
+    """Reference: the last knot k/m at or below each probability, and its bin
+    with 1.0 in the last, by binary search over the knots."""
+    knots = np.searchsorted(bin_edges(m), probas, side="right") - 1
+    return knots, np.minimum(knots, m - 1)
+
+
+class TestBinIndex:
+    """The O(1) bins are the binary search's, wherever rounding could move them."""
+
+    def assert_searchsorted(self, probas, m):
+        knots, bins = searchsorted_bins(probas, m)
+        assert np.array_equal(knot_index(probas, m), knots)
+        assert np.array_equal(bin_index(probas, m), bins)
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 10, 100, 500, 1000])
+    def test_every_knot_and_one_ulp_either_side(self, m):
+        edges = bin_edges(m)
+        probas = np.concatenate((edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+                                 [0.0, 1.0, np.nextafter(1.0, 0.0)]))
+        probas = np.clip(probas, 0.0, 1.0)
+        self.assert_searchsorted(probas, m)
+        assert bin_index([0.0, np.nextafter(1.0, 0.0), 1.0], m).tolist() == [0, m - 1, m - 1]
+
+    @pytest.mark.parametrize("m", [2**20 + 1, 10**6 + 3])
+    def test_sampled_knots_at_large_m(self, m):
+        rng = np.random.default_rng(m)
+        edges = bin_edges(m)[rng.integers(0, m + 1, 200_000)]
+        probas = np.concatenate((edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)))
+        self.assert_searchsorted(np.clip(probas, 0.0, 1.0), m)
+
+    def test_random_probabilities(self):
+        rng = np.random.default_rng(17)
+        for m in (2, 3, 7, 10, 100, 500, 1000):
+            self.assert_searchsorted(rng.random(10_000), m)
 
 
 class TestBuildDensityVector:

@@ -14,7 +14,7 @@ from maddpp.objective import (BLOCK_ELEMENTS, ObjectiveConfig, _bisect, _RankTab
                               _reach_bound, _reaches, default_lambda_grid, sweep)
 from maddpp.simulate import sample
 from maddpp.transport import FipMap, generalized_inverse
-from sweep_oracle import oracle_sweep
+from sweep_oracle import MIX_LAMBDAS, adversarial_fits, binned_probas, oracle_sweep, quantile_sets
 
 
 def assert_identical(records, config):
@@ -225,49 +225,6 @@ def test_interior_cuts_are_knots_of_every_mixture():
         for lam in grid:
             y = fm.mix_knots(g, lam)
             assert np.array_equal(np.interp(x[1:m], x, y), y[1:m])
-
-
-def binned_probas(counts):
-    """counts[k] probabilities at the centre of bin k of len(counts) bins."""
-    m = len(counts)
-    return np.repeat((np.arange(m) + 0.5) / m, counts)
-
-
-# a grid plus lambdas where (1 - lam) * y + lam * y rounds away from y;
-# (1 - lam) + lam rounds to 1 for every lam in [0, 1], so the last knot stays 1
-MIX_LAMBDAS = np.concatenate((default_lambda_grid(101), [0.1, 1 / 3, 0.7, 1 - 2**-40, 2**-40]))
-
-
-def adversarial_fits():
-    """(m, FipMap, records) triples with empty bins, and with a last bin left
-    empty under group CDF knots that sum above 1.0 before it; the FipMap is
-    fitted on the records."""
-    rng = np.random.default_rng(11)
-    sparse = rng.multinomial(600, rng.dirichlet(np.full(499, 0.3)))
-    fits = [(2, [3, 0], [1, 2]), (3, [0, 5, 0], [2, 0, 1]), (3, [1, 1, 1], [0, 0, 4]),
-            (5, [4, 2, 3, 1, 0], [0, 1, 0, 0, 2]),
-            (500, [*sparse, 0], rng.multinomial(300, np.full(500, 1 / 500)))]
-    out = []
-    for m, c0, c1 in fits:
-        p0, p1 = binned_probas(c0), binned_probas(c1)
-        records = Scores(np.concatenate((p0, p1)), np.repeat([0, 1], [p0.size, p1.size]),
-                         np.arange(p0.size + p1.size) % 2)
-        out.append((m, FipMap.from_probas(records, m), records))
-    # the cases are there: a knot above 1.0 before an empty last bin, and
-    # mixtures of equal knots that round away from them
-    assert any(fm.y[0, -2] > 1.0 for _, fm, _ in out)
-    assert any(((1 - lam) * fm.y[0] + lam * fm.y[0] != fm.y[0]).any()
-               for _, fm, _ in out for lam in MIX_LAMBDAS)
-    return out
-
-
-def quantile_sets(y, own):
-    """Sorted quantile sets placing lower and upper candidates on the knots
-    `y`, one ulp to either side of them, and elsewhere."""
-    knots = np.unique(y)
-    sets = [knots, np.nextafter(knots, -1.0), np.nextafter(knots, 2.0), own,
-            np.random.default_rng(5).random(400)]
-    return [np.unique(np.clip(q, 0.0, 1.0)) for q in sets]
 
 
 # the sweep's bin-edge repairs on the adversarial fits' own records, at `thresholds(m)`

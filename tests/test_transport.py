@@ -3,7 +3,9 @@ import pytest
 
 from maddpp.densities import Scores, bin_index, build_density_vector, madd
 from maddpp.errors import EmptyGroup, InvalidBinCount, InvalidLambda
+from maddpp.simulate import sample
 from maddpp.transport import FipMap, fip, generalized_inverse
+from sweep_oracle import MIX_LAMBDAS, adversarial_fits, quantile_sets, searchsorted_inverse
 
 
 def scan_inverse(x, y, u, steps=200_001):
@@ -236,3 +238,66 @@ class TestFipMap:
         (_, none, empty), (_, one, u) = fm.groups(Scores([0.5], [1]))
         assert none.size == empty.size == 0 and one.tolist() == [0]
         assert u == list(fm.groups(Scores([0.3, 0.5], [0, 1])))[1][2]
+
+
+def remap_batches(m, fit):
+    """Batches to remap with a map fitted on `fit`: the fit's own records,
+    records of both groups on every knot and one ulp either side of it, and
+    uniform draws."""
+    x = np.arange(m + 1) / m
+    on = np.clip(np.concatenate((x, np.nextafter(x, -1.0), np.nextafter(x, 2.0))), 0.0, 1.0)
+    draws = np.random.default_rng(m).random(500)
+    return [fit, Scores(np.tile(on, 2), np.repeat([0, 1], on.size)),
+            Scores(draws, np.arange(draws.size) % 2)]
+
+
+def fits_to_pin():
+    """(m, FipMap, records): the adversarial fits, whose groups leave bins
+    empty and one of which has a group knot above 1.0 before an empty last
+    bin, and a simulation at the bulk benchmark's m."""
+    sim = sample(1_600, 400, seed=0)
+    return adversarial_fits() + [(100, FipMap.from_probas(sim, 100), sim)]
+
+
+class TestRemapIsTheSearchsortedInverse:
+    """The remap's quantiles are np.interp's and its inverse the binary
+    search's, bit for bit."""
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_remap_pinned_per_record(self, case):
+        m, fm, fit = fits_to_pin()[case]
+        for batch in remap_batches(m, fit):
+            groups = list(fm.groups(batch))
+            for lam in [0.0, 0.97, 1.0, *MIX_LAMBDAS]:
+                out = fm.remap(batch, lam)
+                for g, members, u in groups:
+                    p = batch.proba[members]
+                    expected_u = np.clip(np.interp(p, fm.x, fm.y[g]), 0.0, 1.0)
+                    assert np.array_equal(u, expected_u)
+                    expected = searchsorted_inverse(fm.x, fm.mix_knots(g, lam), expected_u)
+                    assert np.array_equal(out[members], expected), (g, lam)
+
+    def test_quantile_of_one_is_the_last_knot(self):
+        # p = 1.0 lies on the last knot, whose value is exactly 1; off the last
+        # bin's segment it would read 0.25 + 2.25 * (1 - 2/3) = 1 - 2**-53
+        fm = FipMap.from_probas(Scores([0.1, 0.9, 0.9, 0.9, 0.5], [0, 0, 0, 0, 1]), 3)
+        assert fm.y[0, 2] == 0.25
+        slope = (fm.y[0, 3] - fm.y[0, 2]) / (fm.x[3] - fm.x[2])
+        assert slope * (1.0 - fm.x[2]) + fm.y[0, 2] == 1.0 - 2**-53
+        (_, _, u0), (_, _, u1) = fm.groups(Scores([1.0, 1.0], [0, 1]))
+        assert u0.tolist() == u1.tolist() == [1.0]
+        assert fm.remap(Scores([1.0], [0]), 0.0).tolist() == [1.0]
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_inverse_on_and_beside_every_knot(self, case):
+        # quantiles on each mixture knot and one ulp either side, where a
+        # bucket's candidate is checked hardest, and sets of one and two
+        # quantiles, which use fewer buckets than knots
+        m, fm, _ = fits_to_pin()[case]
+        curves = [(fm.mix_knots(g, lam), fm.y[g]) for g in (0, 1) for lam in [0.97, *MIX_LAMBDAS]]
+        for y, own in curves + [(fm.y[2], fm.y[2])]:
+            for q in quantile_sets(y, own) + [np.array([0.0, 1.0]), y[-2:-1].clip(0.0, 1.0),
+                                              np.array([0.5])]:
+                assert np.array_equal(generalized_inverse(fm.x, y, q),
+                                      searchsorted_inverse(fm.x, y, q))
+        assert generalized_inverse(fm.x, fm.y[0], 0.25).shape == ()
