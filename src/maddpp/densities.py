@@ -8,7 +8,8 @@ the L1 distance between the two groups' rows and lives in [0, 2]: 0 means
 identically distributed, 2 means disjoint supports.  The fairness loss is
 half of it.  A probability's bin is floor(p * m) corrected by at most one
 step against the knots k/m (`knot_index`): O(1) per record, and exactly
-the binary search's bin for every m < SIZE_LIMIT.
+the binary search's bin for every m < SIZE_LIMIT.  The remap's inverse and
+the lambda sweep search sorted levels in O(1) per value (`SortedSearch`).
 """
 
 from __future__ import annotations
@@ -103,6 +104,39 @@ def knot_index(probas, m: int) -> np.ndarray:
     c -= edges.take(c) > probas
     c += edges.take(c + 1) <= probas
     return c
+
+
+class SortedSearch:
+    """np.searchsorted(a, v, side) in O(1) per value v, for a sorted `a` in
+    [0, 1] (its last value may round just above 1).
+
+    N, the least power of two >= `buckets`, cuts [0, 1] into buckets; v * N
+    is exact, so v lies in bucket b = floor(v * N), and table[b] = #{a <
+    b/N} is a `bincount` and a `cumsum`.  Every a before table[b] is below v
+    and every a from table[b + 1] on is above it, so the candidate c =
+    table[b] + (a[table[b]] passes v) is wrong only if the next value, a[c],
+    passes v too ("passes": a < v for side="left", a <= v for "right"), and
+    only those values fall back to `np.searchsorted`.  Indices past either
+    end clip, so a value below 0 or above 1 is found too.  The table holds
+    N + 2 int64 and `padded`, `a` between -inf and +inf, n + 2 float64.
+    """
+
+    def __init__(self, a, buckets: int):
+        self.buckets = N = 1 << (buckets - 1).bit_length()
+        # table[b + 1] counts bucket b, then sums in place to table[b] = #{a < b/N}
+        table = np.bincount((a * N).astype(np.intp) + 1, minlength=N + 2)
+        self.table = np.cumsum(table, out=table)
+        self.padded = np.concatenate(([-np.inf], a, [np.inf]))
+        self.values = self.padded[1:-1]
+
+    def __call__(self, v, side: str) -> np.ndarray:
+        passes = np.less if side == "left" else np.less_equal
+        c = self.table.take((v * self.buckets).astype(np.intp), mode="clip")
+        c += passes(self.padded[1:].take(c), v)
+        wrong = passes(self.padded[1:].take(c), v)
+        if wrong.any():
+            c[wrong] = np.searchsorted(self.values, v[wrong], side=side)
+        return c
 
 
 def bin_index(probas, m: int) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 from .densities import (
     DEFAULT_BINS,
     Scores,
+    SortedSearch,
     build_density_vector,
     check_bin_count,
     check_size,
@@ -129,7 +130,7 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     run of equal quantiles, and the label count before it is the same.
 
     Each start's candidate is the rank of a level among the group's sorted
-    quantiles, read in O(1) off the group's bucket table (`_RankTable`).
+    quantiles, read in O(1) off the group's table (`SortedSearch`).
     The threshold lies in one segment of the mixtures, so its starts for
     the whole grid lie between the ranks of that segment's two knot values,
     and are bisected there (`_bisect`).  The bin edges are processed in
@@ -139,7 +140,7 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     values themselves and only candidates within rounding of them need a
     check (`_bin_starts`).  For n records, N < 8n buckets over both
     groups and G grid points, the sweep costs O(n log n + N + G * m) time,
-    plus O(log n) per level in a bucket of two or more quantiles, and
+    plus O(log n) per level whose checked candidate fails, and
     O(n + N + G + BLOCK_ELEMENTS) memory.  Its losses are bit-identical to
     remapping every record at every lambda (`tests/sweep_oracle.py`).
     """
@@ -155,15 +156,15 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     wrong = 0
     for g, members, u in fm.groups(scores):
         order = np.argsort(u)
-        tables[g] = _RankTable(u[order])
+        tables[g] = SortedSearch(u[order], 4 * u.size)
         # the number of positive labels before each sorted position
         ones_before = np.concatenate(([0], np.cumsum(scores.label[members[order]])))
         knots = segment.mix_knots(g, grid[:, None])
         # quantiles at or below the first knot's level never reach the
         # threshold and those above the second's always do (`_reaches`), so
         # each start lies between the two levels' ranks
-        bracket = tables[g](knots)
-        c_t = _bisect(tables[g].sorted_u, segment.x, knots, np.array([1]),
+        bracket = tables[g](knots, side="right")
+        c_t = _bisect(tables[g].values, segment.x, knots, np.array([1]),
                       np.array([config.threshold]), bracket[:, :1], bracket[:, 1:])[:, 0]
         # predicted 1 from c_t on: positives before it and negatives after it are wrong
         wrong = wrong + 2 * ones_before[c_t] + (u.size - c_t) - ones_before[-1]
@@ -178,7 +179,7 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
         for g, ranks in tables.items():
             starts, repaired = _bin_starts(fm.x, fm.mix_knots(g, lams), ranks)
             repairs += repaired
-            proportions.append(np.diff(starts) / ranks.sorted_u.size)
+            proportions.append(np.diff(starts) / ranks.values.size)
         fair[lo:lo + block] = 0.5 * madd(proportions)
 
     tot = total_loss(acc, fair, config.theta)
@@ -187,51 +188,6 @@ def sweep(scores: Scores, config: ObjectiveConfig) -> SweepResult:
     return SweepResult(lambdas=grid, accuracy_losses=acc, fairness_losses=fair,
                        total_losses=tot, lambda_star=float(grid[best]),
                        min_total_loss=float(tot[best]), config=config, repairs=repairs)
-
-
-class _RankTable:
-    """searchsorted(sorted_u, level, side="right"), the number of quantiles at
-    or below a level, in O(1) per level, for n quantiles in [0, 1].
-
-    N, the least power of two >= 4n, cuts [0, 1] into buckets [b/N, (b + 1)/N);
-    u * N is exact, so u lies in bucket floor(u * N), and table[b] =
-    #{u < b/N} is a `bincount` and a `cumsum`.  A level L in bucket b =
-    floor(L * N) has rank c in [table[b], table[b + 1]]: table[b] if the
-    bucket holds no quantile, one more if it holds one and that one is <= L.
-    A level in a bucket of two or more quantiles falls back to
-    `np.searchsorted`.  Bucket indices past either end clip to the first or
-    the last bucket, so a level below 0 or just above 1 ranks right too.  The
-    table holds N + 2 int64, the bucket flags N + 1 bools and the padded
-    quantiles n + 2 float64.
-    """
-
-    def __init__(self, sorted_u):
-        n = sorted_u.size
-        self.buckets = N = 1 << (4 * n - 1).bit_length()
-        bucket = (sorted_u * N).astype(np.intp)
-        # table[b + 1] counts bucket b, then sums in place to table[b] = #{u < b/N}
-        table = np.bincount(bucket + 1, minlength=N + 2)
-        self.table = np.cumsum(table, out=table)
-        self.crowded = None
-        # bucket is sorted, so a bucket of two or more quantiles repeats
-        shared = bucket[1:][bucket[1:] == bucket[:-1]]
-        if shared.size:
-            self.crowded = np.zeros(N + 1, dtype=bool)
-            self.crowded[shared] = True
-        # -inf and +inf around the quantiles: padded[c] and padded[c + 1] are
-        # the last at or below a level of rank c and the first above it
-        self.padded = np.concatenate(([-np.inf], sorted_u, [np.inf]))
-        self.sorted_u = self.padded[1:-1]
-
-    def __call__(self, levels) -> np.ndarray:
-        b = (levels * self.buckets).astype(np.intp)
-        lo = self.table.take(b, mode="clip")
-        c = lo + (self.padded[1:].take(lo) <= levels)
-        if self.crowded is not None:
-            crowded = self.crowded.take(b, mode="clip")
-            if crowded.any():
-                c[crowded] = np.searchsorted(self.sorted_u, levels[crowded], side="right")
-        return c
 
 
 def _reach_bound(m: int) -> float:
@@ -274,9 +230,9 @@ def _bin_starts(x, y, ranks) -> tuple[np.ndarray, int]:
     """
     m = x.size - 1
     starts = np.empty((y.shape[0], m + 1), dtype=np.intp)
-    starts[:, 0], starts[:, m] = 0, ranks.sorted_u.size
+    starts[:, 0], starts[:, m] = 0, ranks.values.size
     inner = y[:, 1:-1]  # the levels of the interior knots x[1:-1]
-    starts[:, 1:m] = c = ranks(inner)
+    starts[:, 1:m] = c = ranks(inner, side="right")
     near = (inner - ranks.padded.take(c) <= _reach_bound(m)).any(axis=1)
     if not near.any():
         return starts, 0
@@ -284,7 +240,7 @@ def _bin_starts(x, y, ranks) -> tuple[np.ndarray, int]:
     rows = np.flatnonzero(near)
     # a candidate whose lower neighbour reaches its cut is too high
     failed = _reaches(ranks.padded[c[rows]], x, y[rows], s, x[s])
-    starts[rows, 1:m] = _bisect(ranks.sorted_u, x, y[rows], s, x[s],
+    starts[rows, 1:m] = _bisect(ranks.values, x, y[rows], s, x[s],
                                 np.where(failed, 0, c[rows]), c[rows])
     return starts, int(failed.sum())
 

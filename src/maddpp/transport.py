@@ -6,9 +6,9 @@ in group g is remapped to inv(mix_g)(cdf_g(p)), where mix_g is the
 convex combination (1 - lam) * cdf_g + lam * cdf_pooled.  The CDFs are
 fitted once (`FipMap`); only the mixture depends on lam.  Both steps cost
 O(1) per record: cdf_g(p) is read off p's bin (`FipMap.groups`), and the
-inverse's segment off a table of the mixture's knot levels, checked, with a
-binary search only where the check fails (`generalized_inverse`).  Each is
-bit for bit the np.interp and searchsorted result it replaces.
+inverse's segment off the shared checked search of the mixture's knot
+levels (`densities.SortedSearch`, in `generalized_inverse`).  Each is bit
+for bit the np.interp and searchsorted result it replaces.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import G0, G1, POOLED, Scores, bin_edges, build_density_vector, knot_index
+from .densities import (G0, G1, POOLED, Scores, SortedSearch, bin_edges, build_density_vector,
+                        knot_index)
 from .errors import InvalidLambda
 
 
@@ -74,33 +75,18 @@ class FipMap:
 
 def generalized_inverse(x, y, u) -> np.ndarray:
     """inf{t : CDF(t) >= u} for the CDF with knots (x, y) and quantiles u in
-    [0, 1]; leftmost preimage on flat segments, clamped to [0, 1].  The
-    knots y[:m] of the m = x.size - 1 segments rise; the last may dip below
-    the one before it (`FipMap.from_probas` sets it to exactly 1).
+    [0, 1]; leftmost preimage on flat segments, clamped to [0, 1].
 
-    Each u is inverted on segment j, the first knot with y[j] >= u (m if
-    none), `min(y.searchsorted(u, side="left"), m)`.  That j is found in
-    O(1): N, a power of two >= 4 min(m + 1, n) for n quantiles, cuts the
-    levels into buckets [b/N, (b + 1)/N), u * N being exact; the first knot
-    at or above a bucket's lower level is j when y[j] >= u, else the first
-    at or above the next bucket's is, whose level is not below u (or it is m).
-    As y[:m] rises, and the candidate has y[j] >= u or is m, it is
-    searchsorted's when y[j - 1] < u (0 < u for j = 0).  That fails only
-    where two knot levels fall in u's bucket, or u = 0, and there
-    `searchsorted` finds j.  Each segment's end points and rise are read off
-    per-knot arrays, so the value is the same float expression for every u.
+    Each u is inverted on segment j, the first of the m = x.size - 1 rising
+    knots y[:m] with y[j] >= u (m if none), found off 4 min(m + 1, n)
+    buckets for n quantiles (`SortedSearch`); segment ends and rises are
+    per-knot arrays, so every u gets the same float expression.
     """
     q = np.asarray(u, dtype=float).reshape(-1)
     m = x.size - 1
-    n = 1 << (4 * min(x.size, q.size) - 1).bit_length()
-    first = np.minimum(y.searchsorted(np.arange(n + 1) / n, side="left"), m)
-    b = np.minimum((q * n).astype(np.intp), n - 1)
-    j = first.take(b)
-    j = np.where(y.take(j) >= q, j, first.take(b + 1))
+    j = SortedSearch(y[:m], 4 * min(m + 1, q.size))(q, side="left")
     # segment j runs from (xs[j], ys[j]) to (x[j], y[j]), with xs[0] = x[0], ys[0] = 0
     xs, ys = np.concatenate((x[:1], x)), np.concatenate(([0.0], y))
-    wrong = np.flatnonzero(ys.take(j) >= q)
-    j[wrong] = np.minimum(y.searchsorted(q[wrong], side="left"), m)
     rise = np.diff(ys)
     rise[rise <= 0] = np.inf  # a flat segment's frac is 0, its left end; j = 0 has width 0
     t = xs.take(j) + (q - ys.take(j)) / rise.take(j) * np.diff(xs).take(j)

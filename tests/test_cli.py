@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -741,6 +742,17 @@ def test_main_registers_the_exit_hook_once(tmp_path):
     proc = spawn(tmp_path, path, code=code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0] 1", "frozen True"]
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="the smoke script needs bash")
+def test_smoke_script(tmp_path):
+    # the command-line checks that CI runs on the installed `maddpp` script,
+    # here through `python -m maddpp.cli`
+    env = {**os.environ, "MADDPP": f"{sys.executable} -m maddpp.cli", "PYTHON": sys.executable,
+           "PYTHONPATH": str(Path(maddpp.__file__).resolve().parents[1])}
+    proc = subprocess.run(["bash", str(Path(__file__).with_name("smoke.sh"))], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_empty_label_cell_is_refused(tmp_path, capsys):

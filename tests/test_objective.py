@@ -268,16 +268,16 @@ def test_sweep_memory_is_bounded(m):
 
 @pytest.mark.parametrize("m", [100, 500])
 def test_sweep_memory_grows_with_the_rank_tables(m):
-    # per group of n records the sweep keeps, as `_RankTable` documents, a
-    # table of N + 2 int64 for N the least power of two >= 4n, N + 1 bucket
-    # flags and n + 2 padded float64 quantiles; building a group's table
-    # holds at most eight more arrays of n 8-byte values (the last group's
-    # label counts, and this group's members, quantiles, their order, the
-    # sorted quantiles, their buckets, those plus one, or its label counts);
-    # everything else is the 20k case's 4 MiB
+    # per group of n records the sweep keeps, as `SortedSearch` documents, a
+    # table of N + 2 int64 for N the least power of two >= 4n and n + 2
+    # padded float64 quantiles; building a group's table holds at most eight
+    # more arrays of n 8-byte values (the last group's label counts, and this
+    # group's members, quantiles, their order, the sorted quantiles, their
+    # buckets, those plus one, or its label counts); everything else is the
+    # 20k case's 4 MiB
     sizes = (100_000, 100_000)
     tables = [1 << (4 * n - 1).bit_length() for n in sizes]
-    kept = sum(8 * (N + 2) + (N + 1) + 8 * (n + 2) for n, N in zip(sizes, tables))
+    kept = sum(8 * (N + 2) + 8 * (n + 2) for n, N in zip(sizes, tables))
     bound = kept + 8 * 8 * max(sizes) + 4 * 2**20
     assert sweep_peak(sample(*sizes, seed=0), m) <= bound
 

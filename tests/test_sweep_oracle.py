@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maddpp.densities import Scores
+from maddpp.densities import Scores, SortedSearch
 import maddpp.objective
 import maddpp.transport
-from maddpp.objective import (BLOCK_ELEMENTS, ObjectiveConfig, _bisect, _RankTable,
+from maddpp.objective import (BLOCK_ELEMENTS, ObjectiveConfig, _bisect,
                               _reach_bound, _reaches, default_lambda_grid, sweep)
 from maddpp.simulate import sample
 from maddpp.transport import FipMap, generalized_inverse
@@ -342,8 +342,10 @@ def test_sweep_makes_no_generalized_inverse_call(monkeypatch):
 
 
 def rank_quantiles():
-    """Sorted quantile sets for `_RankTable`: group sizes around a power of
-    two, the ends 0 and 1, ties, and every quantile in one bucket."""
+    """Sorted level sets for `SortedSearch`: group sizes around a power of
+    two, the ends 0 and 1, ties, every value in one bucket, one value per
+    bucket, and a mixture's rising knots y[:m], with flat runs and the last
+    one ulp above 1."""
     rng = np.random.default_rng(12)
     sets = {}
     for n in (1, 2, 2**10 - 1, 2**10, 2**10 + 1):
@@ -351,29 +353,67 @@ def rank_quantiles():
         sets[f"ends-and-ties-{n}"] = rng.choice([0.0, 1 / 3, 0.5, 1.0], n)
     sets["one-bucket"] = np.full(300, 0.3)
     sets["two-values-one-bucket"] = np.repeat([0.3, np.nextafter(0.3, 1.0)], [5, 9])
+    # with buckets = n, a power of two, value k lies in bucket k
+    sets["one-per-bucket"] = (np.arange(2**10) + 0.25 + 0.5 * rng.random(2**10)) / 2**10
+    for m in (7, 500):
+        bins = rng.random(m) * (rng.random(m) < 0.4)  # most bins empty: flat runs
+        y = np.concatenate(([0.0], np.cumsum(bins) / bins.sum()))
+        y[m - 1] = np.nextafter(1.0, 2.0)
+        sets[f"flat-knots-{m}"] = y[:m]
     return {name: np.sort(u) for name, u in sets.items()}
 
 
 @pytest.mark.parametrize("name", list(rank_quantiles()))
-def test_rank_table_is_searchsorted(name):
+def test_rank_table_is_searchsorted(name, monkeypatch):
     su = rank_quantiles()[name]
-    ranks = _RankTable(su)
-    n_buckets = ranks.buckets
-    # a power of two >= 4n, so that u * N is exact
-    assert n_buckets >= 4 * su.size and n_buckets & (n_buckets - 1) == 0
-    edges = np.arange(n_buckets + 1) / n_buckets
-    levels = np.concatenate((
-        su, np.nextafter(su, -1.0), np.nextafter(su, 2.0),  # on a quantile and one ulp off
-        edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),  # on a bucket edge
-        [0.0, 1.0, 1.0 + 2**-52, 1.0 + 2**-40],  # the ends, and a last knot above 1
-        np.random.default_rng(13).random(500)))
-    expected = np.searchsorted(su, levels, side="right")
-    assert np.array_equal(ranks(levels), expected)
-    # as the sweep calls it: a block of rows, a view into a wider array
-    rows = np.pad(levels[:levels.size // 4 * 4].reshape(4, -1), ((0, 0), (1, 1)))[:, 1:-1]
-    assert np.array_equal(ranks(rows), expected[:rows.size].reshape(4, -1))
-    if name.endswith("bucket"):  # the fallback to np.searchsorted is taken
-        assert ranks.crowded is not None and ranks.crowded[int(0.3 * n_buckets)]
+    searchsorted, fallbacks = np.searchsorted, []
+
+    def spy(a, v, side):
+        fallbacks.append(np.size(v))
+        return searchsorted(a, v, side=side)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    # the sweep's 4n buckets, then tables smaller than the data, where most
+    # values fall back
+    for buckets in (4 * su.size, su.size, 1):
+        ranks = SortedSearch(su, buckets)
+        n_buckets = ranks.buckets
+        # the least power of two >= buckets, so that v * N is exact
+        assert n_buckets & (n_buckets - 1) == 0 and n_buckets // 2 < buckets <= n_buckets
+        edges = np.arange(n_buckets + 1) / n_buckets
+        levels = np.concatenate((
+            su, np.nextafter(su, -1.0), np.nextafter(su, 2.0),  # on a value and one ulp off
+            edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),  # on a bucket edge
+            [0.0, 1.0, 1.0 + 2**-52, 1.0 + 2**-40],  # the ends, and a last knot above 1
+            np.random.default_rng(13).random(500)))
+        fallbacks.clear()
+        for side in ("left", "right"):
+            expected = searchsorted(su, levels, side=side)
+            assert np.array_equal(ranks(levels, side=side), expected)
+            # as the sweep calls it: a block of rows, a view into a wider array
+            rows = np.pad(levels[:levels.size // 4 * 4].reshape(4, -1), ((0, 0), (1, 1)))[:, 1:-1]
+            assert np.array_equal(ranks(rows, side=side), expected[:rows.size].reshape(4, -1))
+        if name.endswith("one-bucket"):  # the fallback to np.searchsorted is taken
+            assert fallbacks
+        if name == "one-per-bucket" and buckets > 1:  # every candidate is right
+            assert not fallbacks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, np.nextafter(0.5, 1.0), 1.0])
+                | st.floats(0.0, 1.0), max_size=40),
+       st.booleans(), st.integers(1, 64), st.lists(st.floats(-0.5, 1.5), max_size=20))
+def test_sorted_search_on_any_sorted_set(values, above_one, buckets, extra):
+    # ties, flat runs and a last value just above 1, down to a table of one bucket
+    a = np.sort(np.array(values))
+    if above_one and a.size:
+        a[-1] = 1.0 + 2**-52
+    ranks = SortedSearch(a, buckets)
+    edges = np.arange(ranks.buckets + 1) / ranks.buckets
+    levels = np.concatenate((a, np.nextafter(a, -1.0), np.nextafter(a, 2.0), edges,
+                             [0.0, 1.0, 1.0 + 2**-52], extra))
+    for side in ("left", "right"):
+        assert np.array_equal(ranks(levels, side=side), np.searchsorted(a, levels, side=side))
 
 
 @pytest.mark.parametrize("m", [2, 100])
@@ -384,5 +424,6 @@ def test_bin_starts_are_c_ordered(m):
     fm = FipMap.from_probas(records, m)
     _, _, u = next(fm.groups(records))
     starts, repaired = maddpp.objective._bin_starts(
-        fm.x, fm.mix_knots(0, default_lambda_grid(7)[:, None]), _RankTable(np.sort(u)))
+        fm.x, fm.mix_knots(0, default_lambda_grid(7)[:, None]),
+        SortedSearch(np.sort(u), 4 * u.size))
     assert starts.shape == (7, m + 1) and starts.flags.c_contiguous and repaired > 0
