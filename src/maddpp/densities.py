@@ -6,10 +6,9 @@ probabilities over [0, 1].  `build_density_vector` turns a batch into one
 in rows G0, G1 and POOLED.  The MADD (Model Absolute Density Distance) is
 the L1 distance between the two groups' rows and lives in [0, 2]: 0 means
 identically distributed, 2 means disjoint supports.  The fairness loss is
-half of it.  A probability's bin is floor(p * m) corrected by at most one
-step against the knots k/m (`knot_index`): O(1) per record, and exactly
-the binary search's bin for every m < SIZE_LIMIT.  The remap's inverse and
-the lambda sweep search sorted levels in O(1) per value (`SortedSearch`).
+half of it.  A probability's bin (`knot_index`), the remap's inverse and
+the lambda sweep's starts are each found as `np.searchsorted` finds them,
+in O(1) per value, by one checked bucket-table search (`SortedSearch`).
 """
 
 from __future__ import annotations
@@ -85,27 +84,6 @@ def bin_edges(m: int) -> np.ndarray:
     return np.arange(m + 1) / m
 
 
-def knot_index(probas, m: int) -> np.ndarray:
-    """The last knot k/m at or below each probability in [0, 1]: k in [0, m],
-    `searchsorted(bin_edges(m), probas, side="right") - 1`, in O(1) each.
-
-    It is floor(p * m) corrected by at most one step against the knots.
-    With eps = 2**-53, each knot e_k = k/m (1 + d), |d| <= eps, and f =
-    fl(p * m) = p * m (1 + d').  For the true index j, e_j <= p gives f >=
-    j (1 - eps)**2 > j - 1, and p < e_(j+1) (j < m) gives f <= (j + 1)
-    (1 + eps)**2 < j + 2, as j < m < SIZE_LIMIT = 2**48.  So c = min(floor(f),
-    m - 1) is j - 1, j or j + 1 (for p = 1, j = m and c = m - 1); the knots
-    rise strictly, so c is lowered once if e_c > p, then raised once if
-    e_(c + 1) <= p, and is j.
-    """
-    probas = np.asarray(probas, dtype=float)
-    edges = bin_edges(m)
-    c = np.minimum((probas * m).astype(np.intp), m - 1)
-    c -= edges.take(c) > probas
-    c += edges.take(c + 1) <= probas
-    return c
-
-
 class SortedSearch:
     """np.searchsorted(a, v, side) in O(1) per value v, for a sorted `a` in
     [0, 1] (its last value may round just above 1).
@@ -137,6 +115,14 @@ class SortedSearch:
         if wrong.any():
             c[wrong] = np.searchsorted(self.values, v[wrong], side=side)
         return c
+
+
+def knot_index(probas, m: int) -> np.ndarray:
+    """The last knot k/m at or below each probability in [0, 1]: k in [0, m],
+    `searchsorted(bin_edges(m), probas, side="right") - 1`, in O(1) each off
+    4 min(m + 1, n) buckets for n probabilities (`SortedSearch`)."""
+    probas = np.asarray(probas, dtype=float)
+    return SortedSearch(bin_edges(m), 4 * min(m + 1, probas.size))(probas, side="right") - 1
 
 
 def bin_index(probas, m: int) -> np.ndarray:

@@ -5,10 +5,10 @@ probabilities toward the pooled distribution: a record with probability p
 in group g is remapped to inv(mix_g)(cdf_g(p)), where mix_g is the
 convex combination (1 - lam) * cdf_g + lam * cdf_pooled.  The CDFs are
 fitted once (`FipMap`); only the mixture depends on lam.  Both steps cost
-O(1) per record: cdf_g(p) is read off p's bin (`FipMap.groups`), and the
-inverse's segment off the shared checked search of the mixture's knot
-levels (`densities.SortedSearch`, in `generalized_inverse`).  Each is bit
-for bit the np.interp and searchsorted result it replaces.
+O(1) per record, each off one checked search (`densities.SortedSearch`):
+cdf_g(p) is read off p's knot (`FipMap.groups`), and the inverse's segment
+off the mixture's knot levels (`generalized_inverse`).  Each is bit for
+bit the np.interp and searchsorted result it replaces.
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ class FipMap:
         """For each group g of a batch: g, the indices of its records and their
         quantiles under cdf_g, clipped to [0, 1]; a group may have no record.
 
-        A quantile is `np.interp(p, x, y[g])`, bit for bit: read off the last
-        knot k at or below p (`knot_index`) as slope_k * (p - x[k]) + y[g, k],
-        the slope (y[g, k + 1] - y[g, k]) / (x[k + 1] - x[k]), np.interp's own
-        formula.  On a knot, p - x[k] = 0 gives y[g, k], as np.interp does;
-        the slope past the last knot, for p = 1, is 0."""
+        A quantile is `np.interp(p, x, y[g])`, bit for bit: with k the last
+        knot at or below p (`knot_index`, a `SortedSearch` over x), it is
+        slope_k * (p - x[k]) + y[g, k], the slope (y[g, k + 1] - y[g, k]) /
+        (x[k + 1] - x[k]), np.interp's own formula.  On a knot, p - x[k] = 0
+        gives y[g, k]; the slope past the last knot, for p = 1, is 0."""
         m = self.x.size - 1
         slope = np.zeros(m + 1)
         for g in (G0, G1):

@@ -21,6 +21,11 @@ $MADDPP --out-dir ci simulate --n-g0 200 --n-g1 200
 $MADDPP --out-dir ci madd ci/records.csv
 $MADDPP --out-dir ci fip ci/records.csv --lambda 0.5
 $MADDPP --out-dir ci sweep ci/records.csv --grid 11
+# 400 records and m = 100003 knots: fewer records than knots, where the bins' and the
+# inverse's searches fall back to np.searchsorted, checked from outside
+$MADDPP --out-dir ci/m100003/fip fip ci/records.csv --lambda 0.5 --m 100003
+$MADDPP --out-dir ci/m100003/sweep sweep ci/records.csv --m 100003 --grid 11
+bench "import outputs; r = outputs.read_records('ci/records.csv'); outputs.check_fip('ci/m100003/fip/fip.csv', r); outputs.check_sweep('ci/m100003/sweep/sweep.csv', 'ci/m100003/sweep/sweep.json', 0.5, 11, r, 0.5, 100003)"
 # a records file that starts with a UTF-8 BOM reads as the same records, under an ASCII locale too
 { printf '\357\273\277'; cat ci/records.csv; } > ci/records_bom.csv
 LC_ALL=C PYTHONCOERCECLOCALE=0 PYTHONUTF8=0 $MADDPP --out-dir ci/bom madd ci/records_bom.csv

@@ -65,6 +65,47 @@ class TestBinIndex:
         for m in (2, 3, 7, 10, 100, 500, 1000):
             self.assert_searchsorted(rng.random(10_000), m)
 
+    @staticmethod
+    def spy_searchsorted(monkeypatch):
+        """The sizes of the value arrays np.searchsorted is called with, from now on."""
+        searchsorted, calls = np.searchsorted, []
+
+        def spy(a, v, side):
+            calls.append(np.size(v))
+            return searchsorted(a, v, side=side)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        return calls
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 10, 100, 500, 1000])
+    def test_no_fallback_with_a_record_per_knot(self, m, monkeypatch):
+        # n >= m + 1 gives 4 (m + 1) buckets, each holding at most one knot, so
+        # every candidate is right and no value falls back to np.searchsorted
+        edges = bin_edges(m)
+        around = np.clip(np.concatenate((edges, np.nextafter(edges, -1.0),
+                                         np.nextafter(edges, 2.0))), 0.0, 1.0)
+        batches = [edges, around, np.random.default_rng(m).random(10_000)]
+        expected = [searchsorted_bins(probas, m)[0] for probas in batches]
+        calls = self.spy_searchsorted(monkeypatch)
+        for probas, knots in zip(batches, expected):
+            assert probas.size >= m + 1
+            assert np.array_equal(knot_index(probas, m), knots)
+        assert not calls
+
+    def test_small_batch_at_large_m_falls_back_exactly(self, monkeypatch):
+        # 10 probabilities at m = 10**6 + 3 get 64 buckets of ~15k knots each:
+        # the candidates miss and np.searchsorted finds the knots
+        m = 10**6 + 3
+        edges = bin_edges(m)
+        probas = np.array([0.0, edges[1], np.nextafter(edges[1], 0.0), 0.25, edges[333_335],
+                           np.nextafter(edges[333_335], 1.0), 0.5, np.nextafter(1.0, 0.0),
+                           edges[m - 1], 1.0])
+        knots, bins = searchsorted_bins(probas, m)
+        calls = self.spy_searchsorted(monkeypatch)
+        assert np.array_equal(knot_index(probas, m), knots)
+        assert np.array_equal(bin_index(probas, m), bins)
+        assert calls
+
 
 class TestBuildDensityVector:
     def test_hand_count_two_bins(self):
